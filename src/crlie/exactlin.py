@@ -31,6 +31,9 @@ class GaussRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
+    def __reduce__(self):
+        return GaussRational, (self.re, self.im)
+
     @staticmethod
     def of(x) -> "GaussRational":
         if isinstance(x, GaussRational):
@@ -202,6 +205,9 @@ class DenseMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
 
+    def __reduce__(self):
+        return DenseMatrix, (self.entries,)
+
     @staticmethod
     def zero(rows: int, cols: int) -> "DenseMatrix":
         return DenseMatrix([[0] * cols for _ in range(rows)])
@@ -237,7 +243,7 @@ class DenseMatrix:
         self._match(other)
         return DenseMatrix(
             [
-                [a + b for a, b in zip(ra, rb)]
+                [a + b if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ]
         )
@@ -246,7 +252,7 @@ class DenseMatrix:
         self._match(other)
         return DenseMatrix(
             [
-                [a - b for a, b in zip(ra, rb)]
+                [a - b if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ]
         )
@@ -350,32 +356,13 @@ class DenseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Row reduction.  Forward elimination is fraction-free (Bareiss): rows are
-# first scaled to Gaussian-integer form, then the two-step determinant
-# identity keeps all intermediate entries Gaussian integers, dividing exactly
-# by the previous pivot.  Rational normalization happens once, at the end.
+# Row reduction: one sparse Gauss-Jordan pass.  Each pivot row is divided by
+# its pivot once, then cleared out of every other row, remaining or already
+# placed, that is nonzero in the pivot column; only the columns where the
+# pivot row is nonzero are touched.  Rows that vanish are dropped.  The RREF
+# of a span is unique, so the result does not depend on the elimination
+# order.
 # ---------------------------------------------------------------------------
-
-
-def _integerize(row):
-    den = 1
-    for a in row:
-        den = den * a.re.denominator // _gcd(den, a.re.denominator)
-        den = den * a.im.denominator // _gcd(den, a.im.denominator)
-    scaled = [a * den for a in row]
-    g = 0
-    for a in scaled:
-        g = _gcd(g, abs(a.re.numerator))
-        g = _gcd(g, abs(a.im.numerator))
-    if g > 1:
-        scaled = [a * Fraction(1, g) for a in scaled]
-    return scaled
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def _rref(vectors: Iterable[Sequence], width: int):
@@ -387,35 +374,39 @@ def _rref(vectors: Iterable[Sequence], width: int):
                 f"vector of length {len(row)} in ambient of dimension {width}"
             )
         if any(row):
-            work.append(_integerize(row))
-    # Bareiss forward elimination
-    prev = ONE
-    pivot_rows = []
-    r = 0
+            work.append(list(row))
+    placed = []
+    pivots = []
     for c in range(width):
-        src = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if not work:
+            break
+        src = next((i for i, row in enumerate(work) if row[c]), None)
         if src is None:
             continue
-        work[r], work[src] = work[src], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, len(work)):
-            if not any(work[i]):
-                continue
-            head = work[i][c]
-            work[i] = [(piv * a - head * b) / prev for a, b in zip(work[i], work[r])]
-        prev = piv
-        pivot_rows.append((r, c))
-        r += 1
-    work = work[:r]
-    # backward pass: pivots to 1, clear above
-    for r, c in reversed(pivot_rows):
-        piv = work[r][c]
-        work[r] = [a / piv for a in work[r]]
-        for i in range(r):
-            f = work[i][c]
+        row = work.pop(src)
+        piv = row[c]
+        if piv != ONE:
+            row = [a / piv if a else a for a in row]
+        support = [j for j in range(c, width) if row[j]]
+        for other in placed:
+            f = other[c]
             if f:
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-    return tuple(tuple(row) for row in work), tuple(c for _, c in pivot_rows)
+                for j in support:
+                    other[j] = other[j] - f * row[j]
+        kept = []
+        for other in work:
+            f = other[c]
+            if f:
+                for j in support:
+                    other[j] = other[j] - f * row[j]
+                # columns before c are already zero in every remaining row
+                if not any(other[c + 1 :]):
+                    continue
+            kept.append(other)
+        work = kept
+        placed.append(row)
+        pivots.append(c)
+    return tuple(tuple(row) for row in placed), tuple(pivots)
 
 
 class Subspace:
@@ -433,6 +424,9 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    def __reduce__(self):
+        return Subspace, (self.ambient_dim, self.basis, self.pivots)
 
     @property
     def dim(self) -> int:
@@ -527,14 +521,18 @@ def meet_join(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     n = a.ambient_dim
     stacked = [list(row) + list(row) for row in a.basis]
     stacked += [list(row) + [ZERO] * n for row in b.basis]
-    reduced, _ = _rref(stacked, 2 * n)
-    join_rows, meet_rows = [], []
-    for row in reduced:
-        if any(row[:n]):
-            join_rows.append(row[:n])
-        else:
-            meet_rows.append(row[n:])
-    return canonicalize(meet_rows, n), canonicalize(join_rows, n)
+    reduced, pivots = _rref(stacked, 2 * n)
+    # Both halves are already in RREF: rows pivoting in the left half give
+    # the join by their left halves, the others (zero on the left) give the
+    # meet by their right halves.
+    split = sum(1 for p in pivots if p < n)
+    join = Subspace(n, tuple(row[:n] for row in reduced[:split]), pivots[:split])
+    meet = Subspace(
+        n,
+        tuple(row[n:] for row in reduced[split:]),
+        tuple(p - n for p in pivots[split:]),
+    )
+    return meet, join
 
 
 def solve_membership(vector: Sequence, space: Subspace):
@@ -645,6 +643,9 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.coeffs,)
 
     @property
     def degree(self) -> int:

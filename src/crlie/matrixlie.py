@@ -10,6 +10,7 @@ of the properties each result is supposed to have.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -325,7 +326,8 @@ def _internal_ads(sub: Subalg):
     mats = sub.matrices()
     tracker = SpanTracker(sub.ambient.n ** 2)
     for m in mats:
-        assert tracker.add(m.flatten())
+        added = tracker.add(m.flatten())
+        assert added, "subalgebra basis is linearly dependent"
     ads = []
     for a in mats:
         cols = []
@@ -616,9 +618,7 @@ def rational_roots_complete(p: Poly):
     current = p
     while current.degree > 0:
         fracs = [c.re for c in current.coeffs]
-        denom = 1
-        for f in fracs:
-            denom = denom * f.denominator // _gcd(denom, f.denominator)
+        denom = math.lcm(*(f.denominator for f in fracs))
         ints = [int(f * denom) for f in fracs]
         lead, const = ints[-1], ints[0]
         root = None
@@ -644,12 +644,6 @@ def rational_roots_complete(p: Poly):
         assert rem.degree < 0
         current = quot
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 def i_spectrum(x: DenseMatrix):

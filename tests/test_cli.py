@@ -416,6 +416,23 @@ class TestMain:
         assert cli.main(["par-min", str(path)]) == 0
         assert capsysbinary.readouterr().out == first
 
+    def test_matrix_backend_survives_optimized_interpreter(self, tmp_path):
+        from importlib import resources
+
+        fixture = json.loads(
+            (resources.files("crlie") / "corpus" / "slh2-analyze.json").read_text()
+        )
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(fixture["problem"]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "crlie", "analyze", str(path)],
+            capture_output=True,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        report = json.loads(done.stdout)
+        assert report["backend"] == "matrix"
+        assert report["dims"] == fixture["expect"]["dims"]
+
     def test_console_entry_point(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(HOROCYCLIC))

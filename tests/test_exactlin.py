@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from crlie.exactlin import (
     POLY_X,
     SpanTracker,
     Subspace,
+    _rref,
     canonicalize,
     kernel,
     meet_join,
@@ -120,6 +122,145 @@ def test_rref_uniqueness_under_shuffle_and_rescale():
             f = rand_scalar(rng)
             mixed[i] = [a + f * b for a, b in zip(mixed[i], mixed[j])]
         assert canonicalize(mixed, n) == s
+
+
+# ---------------------------------------------------------------------------
+# row reduction against a textbook Gauss-Jordan oracle
+# ---------------------------------------------------------------------------
+
+
+def _pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _pair_inv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _oracle_rref(rows, width):
+    """Dense textbook Gauss-Jordan over (re, im) Fraction pairs."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        src = next((i for i in range(r, len(m)) if m[i][c] != (0, 0)), None)
+        if src is None:
+            continue
+        m[r], m[src] = m[src], m[r]
+        inv = _pair_inv(m[r][c])
+        m[r] = [_pair_mul(a, inv) for a in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [
+                    (a[0] - p[0], a[1] - p[1])
+                    for a, p in zip(m[i], (_pair_mul(f, b) for b in m[r]))
+                ]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _rand_pair(rng, density):
+    if rng.random() >= density:
+        return (Fraction(0), Fraction(0))
+    im = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else 0
+    return (Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(im))
+
+
+def test_rref_matches_textbook_gauss_jordan():
+    rng = random.Random(2024)
+    for _ in range(300):
+        width = rng.randint(1, 10)
+        density = rng.choice([0.15, 0.4, 1.0])
+        rows = [
+            [_rand_pair(rng, density) for _ in range(width)]
+            for _ in range(rng.randint(0, 8))
+        ]
+        if rng.random() < 0.3:
+            rows.append([(Fraction(0), Fraction(0))] * width)
+        if rows and rng.random() < 0.3:
+            rows.append(list(rng.choice(rows)))
+        rng.shuffle(rows)
+        want_rows, want_pivots = _oracle_rref(rows, width)
+        basis, pivots = _rref([[g(*x) for x in r] for r in rows], width)
+        assert list(pivots) == want_pivots
+        assert [[(a.re, a.im) for a in row] for row in basis] == want_rows
+    with pytest.raises(ValueError, match="length 3 in ambient of dimension 2"):
+        _rref([[1, 0], [1, 2, 3]], 2)
+
+
+def _entrywise(a, b, op):
+    return DenseMatrix(
+        [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
+    )
+
+
+def _rand_sparse_matrix(rng, n):
+    return DenseMatrix(
+        [
+            [rand_scalar(rng) if rng.random() < 0.25 else g(0) for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
+
+
+def test_matrix_add_sub_bracket_match_entrywise_reference():
+    rng = random.Random(4242)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        a, b = _rand_sparse_matrix(rng, n), _rand_sparse_matrix(rng, n)
+        assert a + b == _entrywise(a, b, lambda x, y: x + y)
+        assert a - b == _entrywise(a, b, lambda x, y: x - y)
+        product = [
+            [
+                sum((a[i, k] * b[k, j] for k in range(n)), g(0))
+                - sum((b[i, k] * a[k, j] for k in range(n)), g(0))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        assert a.bracket(b) == DenseMatrix(product)
+
+
+def test_meet_join_equals_canonicalized_halves():
+    rng = random.Random(515)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        a = canonicalize([rand_vector(rng, n) for _ in range(rng.randint(0, n))], n)
+        shared = [list(row) for row in a.basis[: rng.randint(0, a.dim)]]
+        b = canonicalize(
+            shared + [rand_vector(rng, n) for _ in range(rng.randint(0, n))], n
+        )
+        meet, join = meet_join(a, b)
+        stacked = [list(r) + list(r) for r in a.basis]
+        stacked += [list(r) + [g(0)] * n for r in b.basis]
+        reduced = canonicalize(stacked, 2 * n).basis
+        want_join = canonicalize([r[:n] for r in reduced if any(r[:n])], n)
+        want_meet = canonicalize([r[n:] for r in reduced if not any(r[:n])], n)
+        assert (meet, meet.pivots) == (want_meet, want_meet.pivots)
+        assert (join, join.pivots) == (want_join, want_join.pivots)
+        assert join == canonicalize(list(a.basis) + list(b.basis), n)
+
+
+def test_value_types_pickle_round_trip():
+    rng = random.Random(9)
+    values = [
+        g(Fraction(1, 2), -3),
+        rand_matrix(rng, 3, 4),
+        DenseMatrix([]),
+        canonicalize([rand_vector(rng, 4) for _ in range(2)], 4),
+        Subspace.zero(3),
+        Poly([g(1), g(0, 2), g(Fraction(-1, 3))]),
+        Poly([]),
+    ]
+    for value in values:
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value)
+    s = values[3]
+    assert pickle.loads(pickle.dumps(s)).pivots == s.pivots
 
 
 def test_meet_join_axes():
