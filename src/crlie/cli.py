@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -22,10 +23,10 @@ from .crcore import (
     ambient_dim_regular,
     cr_dims,
     cr_dims_regular,
-    is_n_reductive,
     is_n_reductive_regular,
     levi_part,
     levi_part_regular,
+    n_reductive_split,
     regularity_type,
     strengthens,
     strengthens_regular,
@@ -40,7 +41,7 @@ from .fibration import (
     minimal_par,
     z_root_decomposition,
 )
-from .matrixlie import AmbientAlgebra, Subalg, is_subalgebra, nilradical_nr
+from .matrixlie import AmbientAlgebra, Subalg, is_subalgebra
 from .realforms import RealFormSpec, build_minimal_orbit, build_real_form, embed_regular, type_criteria
 from .regularize import regularize, regularize_regular
 from .rootsys import RANK_CAP_DEFAULT, RegularSubalgebra, build_root_system, format_root
@@ -386,20 +387,19 @@ def _chain_out(chain):
     }
 
 
-def _matrix_parabolic_out(q: Subalg):
-    return {
-        "dim": q.dim,
-        "nr_dim": nilradical_nr(q).dim,
-        "levi_dim": levi_part(q).dim,
-    }
-
-
-def _regular_parabolic_out(q):
+def _root_parabolic_out(q):
     return {
         "dim": q.dim,
         "nilpotent": _roots_out(q.q_n),
         "reductive": _roots_out(q.q_r),
     }
+
+
+def _parabolic_out(chain):
+    q = chain.parabolic
+    if chain.backend == "regular":
+        return _root_parabolic_out(q)
+    return {"dim": q.dim, "nr_dim": chain.nr_dims[-1], "levi_dim": levi_part(q).dim}
 
 
 def _witnesses_out(witnesses):
@@ -422,34 +422,40 @@ def _witnesses_out(witnesses):
     return out
 
 
-def _run_chain(ws: Workspace):
-    if ws.backend == "matrix":
-        chain = regularize(ws.v)
-        return chain, chain.result, None
-    chain = regularize_regular(ws.v)
-    return chain, chain.parabolic, chain.parabolic
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(ws: Workspace, problem: ProblemFile):
+_Backend = namedtuple("_Backend", "regularize classify lift strengthens")
+
+
+def _backend(ws: Workspace) -> _Backend:
+    # built per call, so that rebinding a module-level name (a monkeypatch,
+    # a tracer) reaches the commands
     if ws.backend == "matrix":
+        return _Backend(regularize, classify_map, lift, strengthens)
+    return _Backend(regularize_regular, classify_regular, lift_regular, strengthens_regular)
+
+
+def _cmd_analyze(ws: Workspace, problem: ProblemFile):
+    crit = None
+    if ws.orbit is not None:
+        crit = type_criteria(ws.orbit.form, list(problem.crosses), orbit=ws.orbit)
+    if ws.backend == "matrix":
+        n_reductive, nr, levi = n_reductive_split(ws.v)
         cr_dim, cr_codim = cr_dims(ws.v)
         dims = {
             "ambient": ws.v.ambient.dim,
             "v": ws.v.dim,
-            "nr": nilradical_nr(ws.v).dim,
-            "levi": levi_part(ws.v).dim,
+            "nr": nr.dim,
+            "levi": levi.dim,
             "cr_dim": cr_dim,
             "cr_codim": cr_codim,
         }
-        flags = {
-            "n_reductive": is_n_reductive(ws.v),
-            "regularity": _regularity_out(regularity_type(ws.v, seed=problem.seed)),
-        }
+        # the ranks do not depend on the seed, so the orbit's report serves
+        report = crit.regularity if crit else regularity_type(ws.v, seed=problem.seed)
+        flags = {"n_reductive": n_reductive, "regularity": _regularity_out(report)}
     else:
         cr_dim, cr_codim = cr_dims_regular(ws.v)
         dims = {
@@ -462,7 +468,7 @@ def _cmd_analyze(ws: Workspace, problem: ProblemFile):
         }
         flags = {"n_reductive": is_n_reductive_regular(ws.v), "regularity": None}
     body = {"dims": dims, "flags": flags}
-    if ws.orbit is not None:
+    if crit is not None:
         sets = ws.orbit.sets
         body["sets"] = {
             "crosses": list(sets.crosses),
@@ -474,7 +480,6 @@ def _cmd_analyze(ws: Workspace, problem: ProblemFile):
             "theta_core_nilpotent": _roots_out(sets.theta_core_nilpotent),
             "theta_core_reductive": _roots_out(sets.theta_core_reductive),
         }
-        crit = type_criteria(ws.orbit.form, list(problem.crosses), orbit=ws.orbit)
         body["types"] = {
             "type_I": crit.type_I,
             "type_II": crit.type_II,
@@ -485,15 +490,10 @@ def _cmd_analyze(ws: Workspace, problem: ProblemFile):
 
 
 def _cmd_regularize(ws: Workspace, problem: ProblemFile):
-    chain, result, parabolic = _run_chain(ws)
-    out = (
-        _matrix_parabolic_out(result)
-        if parabolic is None
-        else _regular_parabolic_out(parabolic)
-    )
+    chain = _backend(ws).regularize(ws.v)
     return {
         "chain": _chain_out(chain),
-        "parabolic": out,
+        "parabolic": _parabolic_out(chain),
         "ok": chain.certificate.ok,
     }
 
@@ -506,7 +506,7 @@ def _cmd_par(ws: Workspace, problem: ProblemFile, maximal: bool):
     members = finder(ws.v, rank_cap=problem.rank_cap)
     rendered = []
     for q in members:
-        entry = _regular_parabolic_out(q)
+        entry = _root_parabolic_out(q)
         decomposition = z_root_decomposition(q)
         components = dict(decomposition.zroots)
         entry["z_component_dims"] = [
@@ -517,38 +517,30 @@ def _cmd_par(ws: Workspace, problem: ProblemFile, maximal: bool):
 
 
 def _cmd_fibration(ws: Workspace, problem: ProblemFile):
-    chain, result, parabolic = _run_chain(ws)
-    if parabolic is None:
-        classification = classify_map(ws.v, result)
-        target = _matrix_parabolic_out(result)
-    else:
-        classification = classify_regular(ws.v, parabolic.to_regular())
-        target = _regular_parabolic_out(parabolic)
+    backend = _backend(ws)
+    chain = backend.regularize(ws.v)
+    classification = backend.classify(ws.v, chain.result)
     return {
         "chain": _chain_out(chain),
-        "classification": {"target": target, "flags": classification.flags()},
+        "classification": {
+            "target": _parabolic_out(chain),
+            "flags": classification.flags(),
+        },
         "ok": chain.certificate.ok,
     }
 
 
 def _cmd_lift(ws: Workspace, problem: ProblemFile):
-    chain, result, parabolic = _run_chain(ws)
-    if parabolic is None:
-        lifted = lift(ws.v, result)
-        stronger = strengthens(ws.v, lifted)
-        classification = classify_map(lifted, result)
-        target = _matrix_parabolic_out(result)
-    else:
-        lifted = lift_regular(ws.v, parabolic)
-        stronger = strengthens_regular(ws.v, lifted)
-        classification = classify_regular(lifted, parabolic.to_regular())
-        target = _regular_parabolic_out(parabolic)
+    backend = _backend(ws)
+    chain = backend.regularize(ws.v)
+    lifted = backend.lift(ws.v, chain.parabolic)
+    classification = backend.classify(lifted, chain.result)
     return {
-        "dims": {"v": ws.v.dim, "lift": lifted.dim, "target": result.dim},
+        "dims": {"v": ws.v.dim, "lift": lifted.dim, "target": chain.result.dim},
         "chain": _chain_out(chain),
         "classification": {
-            "target": target,
-            "strengthens": stronger,
+            "target": _parabolic_out(chain),
+            "strengthens": backend.strengthens(ws.v, lifted),
             "flags": classification.flags(),
         },
         "ok": chain.certificate.ok,
@@ -583,8 +575,8 @@ def run(command: str, problem: ProblemFile | None, jobs: int = 1) -> dict:
         return _run_corpus(jobs)
     if command not in _DISPATCH:
         raise ValueError(f"unknown command {command!r}")
-    workspace = _resolve(problem)
     started = time.perf_counter()
+    workspace = _resolve(problem)
     body = _DISPATCH[command](workspace, problem)
     elapsed = time.perf_counter() - started
     report = {
@@ -644,7 +636,7 @@ def _run_fixture(name: str) -> dict:
     try:
         problem = parse_problem(data["problem"])
         report = run(command, problem)
-    except (ProblemError, ValueError, AssertionError) as err:
+    except (ProblemError, ValueError, AssertionError, RuntimeError) as err:
         return {
             "name": name,
             "command": command,
@@ -801,7 +793,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"crlie: {err}", file=sys.stderr)
         return 1
-    except AssertionError as err:
+    except (AssertionError, RuntimeError) as err:
         print(f"crlie: internal check failed: {err}", file=sys.stderr)
         return 2
     sys.stdout.buffer.write(emit_report(report, fmt))

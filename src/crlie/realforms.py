@@ -22,12 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from crlie.crcore import (
     RegularityReport,
-    is_n_reductive,
-    levi_part,
+    n_reductive_split,
     regularity_type,
 )
 from crlie.exactlin import (
@@ -37,7 +36,7 @@ from crlie.exactlin import (
     Subspace,
     canonicalize,
 )
-from crlie.matrixlie import AmbientAlgebra, Subalg, nilradical_nr
+from crlie.matrixlie import AmbientAlgebra, Subalg
 from crlie.matrixlie import sigma as compact_conjugation
 from crlie.rootsys import (
     ParabolicRootSet,
@@ -186,6 +185,11 @@ class RealForm:
     @property
     def compact(self) -> bool:
         return self.spec.compact
+
+    @cached_property
+    def classification(self) -> "RootClassification":
+        """The verified root classification, computed once per form."""
+        return classify_roots(self)
 
     def root_vector(self, alpha) -> DenseMatrix:
         key = tuple(alpha)
@@ -708,7 +712,7 @@ def _build(spec: RealFormSpec) -> RealForm:
         cartan_space=cartan_space,
         k_space=k_space,
     )
-    classify_roots(form)
+    form.classification  # classify_roots verifies the root tags during the build
     _assert_compact_trace_form(g_basis, tau)
     return form
 
@@ -718,7 +722,7 @@ def _build(spec: RealFormSpec) -> RealForm:
 # ---------------------------------------------------------------------------
 
 
-def classify_roots(form: RealForm, pair: AdaptedPair | None = None) -> RootClassification:
+def classify_roots(form: RealForm) -> RootClassification:
     """Tag every root as real, imaginary (compact or noncompact) or complex.
 
     The permutation sigma_star is read off from sigma acting on the actual
@@ -728,7 +732,7 @@ def classify_roots(form: RealForm, pair: AdaptedPair | None = None) -> RootClass
     The fixed positive system is checked to be compatible (the conjugate of
     a positive complex root stays positive).
     """
-    pair = pair if pair is not None else form.adapted
+    pair = form.adapted
     system = form.system
     sigma_star = {}
     theta_star = {}
@@ -783,7 +787,7 @@ def theta_sets(form: RealForm, crosses) -> ThetaSets:
     if isinstance(form, (str, RealFormSpec)):
         form = build_real_form(form)
     flag = parabolic_from_crosses(form.system, crosses)
-    cls = classify_roots(form)
+    cls = form.classification
     flag_roots = frozenset(flag.q)
     flag_nilpotent = frozenset(flag.q_n)
     flag_reductive = frozenset(flag.q_r)
@@ -827,7 +831,7 @@ def build_minimal_orbit(form, crosses) -> MinimalOrbit:
     if isinstance(form, (str, RealFormSpec)):
         form = build_real_form(form)
     sets = theta_sets(form, crosses)
-    cls = classify_roots(form)
+    cls = form.classification
     n = form.n
 
     def project(x):
@@ -860,7 +864,7 @@ def build_minimal_orbit(form, crosses) -> MinimalOrbit:
     )
     v = Subalg.from_matrices(form.k, [_unflatten(r, n) for r in meet_space.basis])
 
-    nr = nilradical_nr(v)
+    n_reductive, nr, levi = n_reductive_split(v)
     nr_rows = [
         project(form.root_vector(a)).flatten()
         for a in sorted(sets.theta_core_nilpotent)
@@ -868,7 +872,6 @@ def build_minimal_orbit(form, crosses) -> MinimalOrbit:
     assert _gl_space(nr, n) == canonicalize(nr_rows, n * n), (
         "matrix nilpotent ideal and root formula disagree"
     )
-    levi = levi_part(v)
     levi_rows = [b.flatten() for b in form.adapted.h_plus_basis]
     for alpha in sorted(sets.theta_core_reductive):
         y = project(form.root_vector(alpha))
@@ -877,7 +880,7 @@ def build_minimal_orbit(form, crosses) -> MinimalOrbit:
     assert _gl_space(levi, n) == canonicalize(levi_rows, n * n), (
         "matrix reductive part and root formula disagree"
     )
-    assert is_n_reductive(v)
+    assert n_reductive
     return MinimalOrbit(
         form=form,
         crosses=sets.crosses,
@@ -914,12 +917,15 @@ def type_criteria(form, crosses, orbit: MinimalOrbit | None = None) -> TypeCrite
     asks that theta_core absorb sums with the system's roots, the type-II
     test asks the same of theta_core_reductive.  A criterion holds when some
     system passes.  The verdicts are cross-checked against the rank-based
-    regularity report of the matrix build, which must agree exactly.
+    regularity report of the matrix build, which must agree exactly.  The
+    root sets and the classification are read off the orbit, which is
+    built here when not given.
     """
     if isinstance(form, (str, RealFormSpec)):
         form = build_real_form(form)
-    sets = theta_sets(form, crosses)
-    cls = classify_roots(form)
+    if orbit is None:
+        orbit = build_minimal_orbit(form, crosses)
+    sets, cls = orbit.sets, orbit.classification
     system = form.system
     positive = set(system.positive_roots)
 
@@ -962,8 +968,6 @@ def type_criteria(form, crosses, orbit: MinimalOrbit | None = None) -> TypeCrite
         else:
             witnesses[label] = {"holds": False, "counterexamples": tuple(failures)}
 
-    if orbit is None:
-        orbit = build_minimal_orbit(form, crosses)
     report = regularity_type(orbit.v)
     assert verdicts["type_I"] == (report.kind == "I"), (
         "type-I criterion disagrees with the matrix rank test"

@@ -36,9 +36,13 @@ class ParabolicCertificate:
 
 
 class RegularizationChain:
-    """The successive subalgebras of one regularization run."""
+    """The successive subalgebras of one regularization run.
 
-    def __init__(self, backend: str, steps, nr_dims, certificate, parabolic=None):
+    parabolic is the certified fixed point: the last step itself on the
+    matrix backend, its ParabolicRootSet on the root backend.
+    """
+
+    def __init__(self, backend: str, steps, nr_dims, certificate, parabolic):
         self.backend = backend
         self.steps = list(steps)
         self.nr_dims = list(nr_dims)
@@ -92,9 +96,9 @@ def regularize(v: Subalg) -> RegularizationChain:
         nr_dims.append(nr.dim)
     else:
         raise RuntimeError("regularization did not stabilize")
-    nr_dims.append(nilradical_nr(steps[-1]).dim)
+    nr_dims.append(nr.dim)
     return RegularizationChain(
-        "matrix", steps, nr_dims, certify_parabolic(steps[-1])
+        "matrix", steps, nr_dims, certify_parabolic(steps[-1]), steps[-1]
     )
 
 

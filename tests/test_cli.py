@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from crlie import cli
+from crlie import cli, crcore, realforms
 from crlie.cli import (
     ProblemError,
     emit_report,
@@ -283,6 +284,35 @@ class TestRun:
         assert set(timed) == {"seconds"}
         assert timed["seconds"] >= 0
 
+    def test_timings_cover_resolve(self, monkeypatch):
+        resolve = cli._resolve
+
+        def slow_resolve(problem):
+            time.sleep(0.05)
+            return resolve(problem)
+
+        monkeypatch.setattr(cli, "_resolve", slow_resolve)
+        prob = parse_problem({**EMPTY, "options": {"timings": True}})
+        assert run("analyze", prob)["timings"]["seconds"] >= 0.05
+
+    def test_analyze_computes_each_object_once(self, monkeypatch):
+        realforms.build_real_form("su:1,3")
+        calls = dict.fromkeys(("regularity_type", "theta_sets", "classify_roots"), 0)
+        for module in (cli, crcore, realforms):
+            for name in calls:
+                original = getattr(module, name, None)
+                if original is None:
+                    continue
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        report = run("analyze", parse_problem(ORBIT_SU13))
+        assert report["types"] is not None
+        assert calls == {"regularity_type": 1, "theta_sets": 1, "classify_roots": 0}
+
 
 class TestEmitReport:
     def test_same_report_same_bytes(self):
@@ -355,6 +385,22 @@ class TestCorpus:
         out = capsysbinary.readouterr().out
         assert b"dims.v: expected 5, got 4" in out
 
+    def test_internal_error_fails_only_its_fixture(self, monkeypatch):
+        def unstable(v):
+            raise RuntimeError("regularization did not stabilize")
+
+        monkeypatch.setattr(cli, "regularize_regular", unstable)
+        cheap = ["zero-subalgebra-analyze.json", "sp2-horocyclic-regularize.json"]
+        monkeypatch.setattr(cli, "_fixture_names", lambda: sorted(cheap))
+        report = run("corpus", None)
+        assert report["ok"] is False
+        broken, fine = report["fixtures"]
+        assert broken["name"] == "sp2-horocyclic-regularize.json"
+        assert broken["mismatches"] == [
+            "execution failed: regularization did not stabilize"
+        ]
+        assert fine["ok"] is True
+
 
 class TestMain:
     def test_analyze_file(self, tmp_path, capsysbinary):
@@ -376,6 +422,21 @@ class TestMain:
     def test_missing_file_exits_one(self, tmp_path, capsysbinary):
         assert cli.main(["analyze", str(tmp_path / "nope.json")]) == 1
         assert b"cannot read" in capsysbinary.readouterr().err
+
+    def test_internal_error_exits_two(self, tmp_path, monkeypatch, capsysbinary):
+        def no_generic(v, seed=0):
+            raise RuntimeError("no generic element found for the maximal torus")
+
+        monkeypatch.setattr(cli, "regularity_type", no_generic)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**HOROCYCLIC, "ambient": {"form": "compact-sp:2"}}))
+        assert cli.main(["analyze", str(path)]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == (
+            b"crlie: internal check failed: "
+            b"no generic element found for the maximal torus\n"
+        )
 
     def test_usage_errors_exit_one(self, tmp_path):
         with pytest.raises(SystemExit) as err:

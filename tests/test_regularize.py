@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from crlie.exactlin import DenseMatrix, GaussRational, IUNIT, Subspace, canonicalize
-from crlie.matrixlie import Subalg, bracket_closure, gl_ambient
+from crlie.matrixlie import Subalg, bracket_closure, gl_ambient, nilradical_nr
 from crlie.regularize import (
     certify_parabolic,
     certify_parabolic_regular,
@@ -61,6 +61,7 @@ class TestMatrixChain:
             ],
         )
         assert chain.result.space == block.space
+        assert chain.parabolic is chain.result
         assert chain.certificate.ok
 
     def test_single_root_line(self):
@@ -102,6 +103,7 @@ class TestMatrixChain:
             v = bracket_closure(Subalg.from_matrices(GL3, mats))
             chain = regularize(v)
             assert v.is_subspace_of(chain.result)
+            assert chain.nr_dims[-1] == nilradical_nr(chain.result).dim
             assert chain.certificate.ok
 
 
