@@ -9,6 +9,7 @@ backends are implemented separately so tests can cross-check them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ from crlie.rootsys import (
     lie_closure_regular,
     neg,
     regular_sum,
-    weyl_conjugate_sets,
+    weyl_root_permutations,
 )
 
 
@@ -220,13 +221,20 @@ def minimal_par(
     ]
     out.sort(key=ParabolicRootSet.sort_key)
     for q in out:
-        assert v.nilpotent_roots <= q.q_n, (
-            f"minimal element {q!r} does not absorb nr(v)"
-        )
-    for q in out[1:]:
-        assert weyl_conjugate_sets(v.system, out[0].q_r, q.q_r, rank_cap), (
-            "minimal elements with non-conjugate Levi root sets"
-        )
+        if not v.nilpotent_roots <= q.q_n:
+            raise AssertionError(f"minimal element {q!r} does not absorb nr(v)")
+    if out:
+        index = {a: i for i, a in enumerate(v.system.roots_sorted)}
+        first = frozenset(index[a] for a in out[0].q_r)
+        orbit = {
+            frozenset(perm[i] for i in first)
+            for perm in weyl_root_permutations(v.system, rank_cap)
+        }
+        for q in out[1:]:
+            if frozenset(index[a] for a in q.q_r) not in orbit:
+                raise AssertionError(
+                    "minimal elements with non-conjugate Levi root sets"
+                )
     return out
 
 
@@ -314,27 +322,36 @@ class ZRootDecomposition:
     simple_zroots: tuple
 
 
-def _restriction(alpha, basis) -> tuple:
-    return tuple(
-        sum((Fraction(a) * x.re for a, x in zip(alpha, row)), Fraction(0))
-        for row in basis
-    )
+def _multiset_counter(keys, fvals):
+    """Counter of multisets of the integer keys summing to a target.
 
+    fvals are the values on the keys of an integer functional that is
+    positive on every key; it bounds the search.  Keys are tried in order of
+    decreasing value, and counts are memoized on (target, first usable key)
+    for the lifetime of the returned counter."""
+    order = sorted(range(len(keys)), key=lambda i: -fvals[i])
+    keys = [keys[i] for i in order]
+    fvals = [fvals[i] for i in order]
+    memo = {}
 
-def _count_sums(target, fvalue, keys, fvals, idx) -> int:
-    """Number of multisets of keys summing to target; fvalue is the value of
-    a functional that is positive on every key, which bounds the search."""
-    if not any(target):
-        return 1
-    if fvalue <= 0 or idx == len(keys):
-        return 0
-    total = 0
-    cur, curf = target, fvalue
-    while curf >= 0:
-        total += _count_sums(cur, curf, keys, fvals, idx + 1)
-        cur = tuple(a - b for a, b in zip(cur, keys[idx]))
-        curf -= fvals[idx]
-    return total
+    def count(target, fvalue, idx=0):
+        if not any(target):
+            return 1
+        while idx < len(keys) and fvals[idx] > fvalue:
+            idx += 1
+        if idx == len(keys):
+            return 0
+        state = (target, idx)
+        total = memo.get(state)
+        if total is None:
+            rest = tuple(a - b for a, b in zip(target, keys[idx]))
+            total = count(target, fvalue, idx + 1) + count(
+                rest, fvalue - fvals[idx], idx
+            )
+            memo[state] = total
+        return total
+
+    return count
 
 
 def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
@@ -342,7 +359,13 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
 
     Each nonzero class lies entirely inside Q_n or entirely inside -Q_n, the
     zero class is exactly Q_r, and every positive class decomposes uniquely
-    into simple ones; all three facts are verified on the way.
+    into simple ones; all three facts are verified on the way.  A positive
+    class is simple iff it has exactly one multiset decomposition into
+    positive classes; both the simplicity count and the uniqueness count
+    into simples are kept.  Restrictions and the values of 2*rho_n on them
+    are computed on integer coordinates, scaled by the common denominator of
+    the basis of z, which changes no count; the returned z-roots are the
+    unscaled Fraction tuples.
     """
     system = q.system
     if q.q_r:
@@ -350,69 +373,76 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
         center = kernel(rows).meet(system.cartan)
     else:
         center = system.cartan
-    basis = center.basis
+    scale = math.lcm(*(x.re.denominator for row in center.basis for x in row))
+    basis = [[int(x.re * scale) for x in row] for row in center.basis]
+
+    def unscaled(key):
+        return tuple(Fraction(k, scale) for k in key)
 
     classes: dict = {}
     for alpha in system.roots_sorted:
-        classes.setdefault(_restriction(alpha, basis), []).append(alpha)
+        key = tuple(sum(a * x for a, x in zip(alpha, row)) for row in basis)
+        classes.setdefault(key, []).append(alpha)
 
-    zero = tuple(Fraction(0) for _ in basis)
-    assert frozenset(classes.get(zero, [])) == q.q_r, (
-        "roots vanishing on z are not exactly the Levi roots"
-    )
+    zero = (0,) * len(basis)
+    if frozenset(classes.get(zero, [])) != q.q_r:
+        raise AssertionError(
+            "roots vanishing on z are not exactly the Levi roots"
+        )
 
     zroots = []
     positive = []
-    for nu in sorted(k for k in classes if k != zero):
-        comp = tuple(sorted(classes[nu]))
+    for key in sorted(k for k in classes if k != zero):
+        comp = tuple(sorted(classes[key]))
         inside = sum(1 for a in comp if a in q.q_n)
-        assert inside in (0, len(comp)), f"mixed z-root component at {nu}"
-        zroots.append((nu, comp))
+        if inside not in (0, len(comp)):
+            raise AssertionError(f"mixed z-root component at {unscaled(key)}")
+        zroots.append((key, comp))
         if inside:
-            positive.append(nu)
+            positive.append(key)
     covered = frozenset(
-        a for nu, comp in zroots if nu in positive for a in comp
+        a for key, comp in zroots if key in positive for a in comp
     )
-    assert covered == q.q_n, "positive components do not fill nr(q)"
+    if covered != q.q_n:
+        raise AssertionError("positive components do not fill nr(q)")
 
     # 2*rho of the nilradical lies in z and is positive on every positive
     # class; it bounds the decomposition search below.
     delta = tuple(sum(a[i] for a in q.q_n) for i in range(system.coord_dim))
     for beta in q.q_r:
-        assert sum(b * d for b, d in zip(beta, delta)) == 0
-    coords = [Fraction(delta[p]) for p in center.pivots]
+        if sum(b * d for b, d in zip(beta, delta)) != 0:
+            raise AssertionError(f"2*rho_n does not vanish on {beta}")
+    coords = [delta[p] for p in center.pivots]
     rebuilt = [
-        sum((c * row[i].re for c, row in zip(coords, basis)), Fraction(0))
+        sum(c * row[i] for c, row in zip(coords, basis))
         for i in range(system.coord_dim)
     ]
-    assert rebuilt == [Fraction(d) for d in delta], "2*rho_n is not in z"
+    if rebuilt != [d * scale for d in delta]:
+        raise AssertionError("2*rho_n is not in z")
 
-    def functional(nu):
-        return sum((c * x for c, x in zip(coords, nu)), Fraction(0))
-
-    fvals = {nu: functional(nu) for nu in positive}
-    assert all(fvals[nu] > 0 for nu in positive)
+    fvals = {key: sum(c * k for c, k in zip(coords, key)) for key in positive}
+    if not all(f > 0 for f in fvals.values()):
+        raise AssertionError("2*rho_n is not positive on every positive class")
 
     keys = sorted(positive)
-    kf = [fvals[nu] for nu in keys]
-    simple = [
-        nu
-        for nu in keys
-        if _count_sums(nu, fvals[nu], keys, kf, 0) == 1
-    ]
-    sf = [fvals[nu] for nu in simple]
-    for nu in keys:
-        count = _count_sums(nu, fvals[nu], simple, sf, 0)
-        assert count == 1, (
-            f"positive z-root {nu} has {count} decompositions into simples"
-        )
+    count_all = _multiset_counter(keys, [fvals[k] for k in keys])
+    simple = [k for k in keys if count_all(k, fvals[k]) == 1]
+    count_simple = _multiset_counter(simple, [fvals[k] for k in simple])
+    for key in keys:
+        count = count_simple(key, fvals[key])
+        if count != 1:
+            raise AssertionError(
+                f"positive z-root {unscaled(key)} has {count} decompositions "
+                "into simples"
+            )
 
-    comp_of = dict(zroots)
     return ZRootDecomposition(
         center=center,
-        zroots=tuple(zroots),
-        positive=tuple(keys),
-        simple_zroots=tuple((nu, comp_of[nu]) for nu in simple),
+        zroots=tuple((unscaled(key), comp) for key, comp in zroots),
+        positive=tuple(unscaled(key) for key in keys),
+        simple_zroots=tuple(
+            (unscaled(key), comp) for key, comp in zroots if key in simple
+        ),
     )
 
 

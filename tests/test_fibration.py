@@ -1,5 +1,8 @@
 import itertools
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,9 @@ from crlie.exactlin import (
     Subspace,
     canonicalize,
 )
+from crlie import fibration, rootsys
 from crlie.fibration import (
+    _multiset_counter,
     classify_map,
     classify_regular,
     combine_parabolics,
@@ -43,6 +48,7 @@ from crlie.rootsys import (
     root_sum,
     standard_borel,
     standard_parabolic,
+    weyl_root_permutations,
 )
 
 GL3 = gl_ambient(3)
@@ -369,6 +375,44 @@ class TestMinimalPar:
             for q2 in (Q_C2, res[0], res[1]):
                 assert combine_parabolics_regular(q1, q2, v=V_REG) == q1
 
+    def test_builds_one_weyl_orbit(self, monkeypatch):
+        d4 = build_root_system("D", 4)
+        pair = [d4.parse_root(t) for t in ("e1-e2", "-e1+e2")]
+        v = RegularSubalgebra(
+            d4,
+            canonicalize([list(d4.coroot(pair[0]))], 4),
+            pair + [d4.parse_root("e3+e4")],
+        )
+        calls = dict.fromkeys(("weyl_conjugate_sets", "weyl_root_permutations"), 0)
+        for module in (fibration, rootsys):
+            for name in calls:
+                original = getattr(module, name, None)
+                if original is None:
+                    continue
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        res = minimal_par(v)
+        assert len(res) > 1
+        assert calls["weyl_conjugate_sets"] == 0
+        assert calls["weyl_root_permutations"] <= 2
+
+    def test_non_conjugate_levi_sets_are_rejected(self, monkeypatch):
+        borel = standard_borel(B3)
+        std = standard_parabolic(B3, [1])
+        opposite = ParabolicRootSet(
+            B3, std.q_r | {tuple(-x for x in a) for a in std.q_n}
+        )
+        monkeypatch.setattr(
+            fibration, "enumerate_parabolics", lambda *a, **k: [borel, opposite]
+        )
+        v = RegularSubalgebra(B3, Subspace.zero(3), ())
+        with pytest.raises(AssertionError, match="non-conjugate"):
+            minimal_par(v)
+
 
 class TestCombine:
     def test_b3_maximals_meet_in_borel(self):
@@ -533,6 +577,102 @@ class TestZRoots:
                         for a in c
                     }
                     assert covered == q.q_n
+
+
+def _count_sums(target, fvalue, keys, fvals, idx) -> int:
+    """Brute-force oracle: number of multisets of keys summing to target;
+    fvalue is the value of a functional that is positive on every key,
+    which bounds the search."""
+    if not any(target):
+        return 1
+    if fvalue <= 0 or idx == len(keys):
+        return 0
+    total = 0
+    cur, curf = target, fvalue
+    while curf >= 0:
+        total += _count_sums(cur, curf, keys, fvals, idx + 1)
+        cur = tuple(a - b for a, b in zip(cur, keys[idx]))
+        curf -= fvals[idx]
+    return total
+
+
+def _random_conjugate_parabolic(rng, system, perms):
+    levi = [i for i in range(1, system.rank + 1) if rng.random() < 0.5]
+    std = standard_parabolic(system, levi)
+    index = {a: i for i, a in enumerate(system.roots_sorted)}
+    perm = rng.choice(perms)
+    return ParabolicRootSet(
+        system, [system.roots_sorted[perm[index[a]]] for a in std.q]
+    )
+
+
+class TestZRootCounter:
+    @pytest.mark.parametrize("tag", ["A3", "A4", "B3", "C3", "D4", "B4"])
+    def test_random_conjugates_against_brute_force(self, tag):
+        # 6 x 40 = 240 seeded random Weyl conjugates of standard parabolics
+        system = build_root_system(tag[0], int(tag[1:]))
+        perms = weyl_root_permutations(system)
+        rng = random.Random(f"zroots:{tag}")
+        for _ in range(40):
+            q = _random_conjugate_parabolic(rng, system, perms)
+            z = z_root_decomposition(q)
+            delta = [sum(a[i] for a in q.q_n) for i in range(system.coord_dim)]
+            coords = [delta[p] for p in z.center.pivots]
+            keys = list(z.positive)
+            kf = [sum(c * x for c, x in zip(coords, nu)) for nu in keys]
+
+            # the targets are the positive z-roots and sums of pairs of them
+            pairs = list(itertools.combinations(range(min(len(keys), 5)), 2))
+            targets = keys + [
+                tuple(a + b for a, b in zip(keys[i], keys[j])) for i, j in pairs
+            ]
+            tf = kf + [kf[i] + kf[j] for i, j in pairs]
+            every = [_count_sums(t, f, keys, kf, 0) for t, f in zip(targets, tf)]
+            simple = [i for i in range(len(keys)) if every[i] == 1]
+            assert [nu for nu, _ in z.simple_zroots] == [keys[i] for i in simple]
+            sk = [keys[i] for i in simple]
+            sf = [kf[i] for i in simple]
+            into_simples = [_count_sums(t, f, sk, sf, 0) for t, f in zip(targets, tf)]
+            assert into_simples[: len(keys)] == [1] * len(keys)
+
+            scale = math.lcm(
+                *(x.denominator for nu in keys for x in nu),
+                *(f.denominator for f in kf),
+            )
+
+            def scaled(nu):
+                return tuple(int(x * scale) for x in nu)
+
+            count_all = _multiset_counter(
+                [scaled(nu) for nu in keys], [int(f * scale) for f in kf]
+            )
+            count_simple = _multiset_counter(
+                [scaled(nu) for nu in sk], [int(f * scale) for f in sf]
+            )
+            assert [
+                count_all(scaled(t), int(f * scale)) for t, f in zip(targets, tf)
+            ] == every
+            assert [
+                count_simple(scaled(t), int(f * scale)) for t, f in zip(targets, tf)
+            ] == into_simples
+
+    def test_uniqueness_check_survives_optimized_interpreter(self):
+        # a q_n that misses its first root gives a positive z-root with two
+        # decompositions into simples; the check must hold under python -O
+        script = (
+            "from crlie.fibration import z_root_decomposition\n"
+            "from crlie.rootsys import build_root_system, standard_parabolic\n"
+            "q = standard_parabolic(build_root_system('B', 3), [1])\n"
+            "q.q_n = q.q_n - {min(q.q_n)}\n"
+            "z_root_decomposition(q)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True
+        )
+        assert done.returncode == 1
+        err = done.stderr.decode()
+        assert "AssertionError" in err
+        assert "has 2 decompositions into simples" in err
 
 
 class TestLift:
