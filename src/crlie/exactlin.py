@@ -453,7 +453,7 @@ class Subspace:
             c = w[p]
             coeffs.append(c)
             if c:
-                w = [a - c * b for a, b in zip(w, row)]
+                w = [a - c * b if b else a for a, b in zip(w, row)]
         return w, tuple(coeffs)
 
     def contains(self, vector: Sequence) -> bool:
@@ -504,15 +504,6 @@ def canonicalize(vectors: Iterable[Sequence], ambient_dim: int | None = None) ->
         ambient_dim = len(vectors[0])
     basis, pivots = _rref(vectors, ambient_dim)
     return Subspace(ambient_dim, basis, pivots)
-
-
-def span_of_matrices(mats: Iterable[DenseMatrix], shape: tuple[int, int] | None = None) -> Subspace:
-    mats = list(mats)
-    if shape is None:
-        if not mats:
-            raise ValueError("shape required for an empty matrix span")
-        shape = (mats[0].rows, mats[0].cols)
-    return canonicalize([m.flatten() for m in mats], shape[0] * shape[1])
 
 
 def meet_join(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
@@ -620,9 +611,6 @@ class SpanTracker:
         rcombo = [-a / piv for a in combo] + [ONE / piv]
         self.rows.append([row, pivot, rcombo])
         return True
-
-    def subspace(self) -> Subspace:
-        return canonicalize([r[0] for r in self.rows], self.width)
 
 
 # ---------------------------------------------------------------------------

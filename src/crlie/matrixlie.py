@@ -5,7 +5,10 @@ An AmbientAlgebra is a bracket-closed, sigma-stable span of n x n matrices
 Subalgebras are subspaces of its coordinate space.  Everything downstream
 (normalizers, radicals, nilradicals, Jordan decompositions, maximal tori,
 parabolics from grading elements) is exact linear algebra plus verification
-of the properties each result is supposed to have.
+of the properties each result is supposed to have.  Brackets and sigma run
+on coordinates, through the ambient's stored sparse structure constants;
+matrices are used only where a matrix is the point (nilpotency, associative
+hulls, minimal polynomials, Jordan decompositions).
 """
 
 from __future__ import annotations
@@ -35,10 +38,17 @@ def sigma(x: DenseMatrix) -> DenseMatrix:
     return x.conj_transpose().scale(GaussRational.of(-1))
 
 
+def _sparse(c) -> tuple:
+    return tuple((k, x) for k, x in enumerate(c) if x)
+
+
 class AmbientAlgebra:
     """A bracket-closed, sigma-stable matrix Lie algebra with a fixed basis.
 
     Coordinates of subalgebras and of all derived objects refer to this basis.
+    The closure and sigma-stability checks of the constructor keep what they
+    compute: [b_i, b_j] and sigma(b_j) as sparse (index, coefficient) lists,
+    which bracket() and sigma_coords() read.
     """
 
     def __init__(self, n: int, basis, name: str = ""):
@@ -52,20 +62,22 @@ class AmbientAlgebra:
                 raise ValueError("basis matrix has wrong shape")
             if not self._tracker.add(b.flatten()):
                 raise ValueError("ambient basis is linearly dependent")
+        self._brackets = [[()] * self.dim for _ in range(self.dim)]
         for i, a in enumerate(self.basis):
-            for b in self.basis[i:]:
-                if self.coords(a.bracket(b)) is None:
+            for j in range(i + 1, self.dim):
+                c = self.coords(a.bracket(self.basis[j]))
+                if c is None:
                     raise ValueError("ambient basis does not close under brackets")
-        sigma_cols = []
+                terms = _sparse(c)
+                self._brackets[i][j] = terms
+                self._brackets[j][i] = tuple((k, -x) for k, x in terms)
+        self._sigma = []
         for b in self.basis:
             c = self.coords(sigma(b))
             if c is None:
                 raise ValueError("ambient algebra is not sigma-stable")
-            sigma_cols.append(c)
-        # antilinear: sigma(sum c_i b_i) has coordinates S . conj(c)
-        self._sigma_matrix = DenseMatrix(
-            [[sigma_cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        )
+            self._sigma.append(_sparse(c))
+        self.unit_coords = Subspace.full(self.dim).basis
 
     def coords(self, x: DenseMatrix):
         return self._tracker.express(x.flatten())
@@ -85,26 +97,36 @@ class AmbientAlgebra:
                             arow[j] = arow[j] + coeff * x
         return DenseMatrix(acc)
 
-    def sigma_coords(self, c):
-        conj = [GaussRational.of(x).conjugate() for x in c]
-        return tuple(
-            sum(
-                (self._sigma_matrix[i, j] * conj[j] for j in range(self.dim)),
-                GaussRational.of(0),
-            )
-            for i in range(self.dim)
-        )
+    def bracket(self, x, y) -> tuple:
+        """[x, y] for coordinate vectors x and y."""
+        ys = _sparse(y)
+        out = [ZERO] * self.dim
+        for i, a in enumerate(x):
+            if a:
+                row = self._brackets[i]
+                for j, b in ys:
+                    ab = a * b
+                    for k, c in row[j]:
+                        out[k] = out[k] + ab * c
+        return tuple(out)
+
+    def sigma_coords(self, c) -> tuple:
+        """sigma on coordinates; sigma is antilinear, so the coefficients
+        are conjugated."""
+        out = [ZERO] * self.dim
+        for x, terms in zip(c, self._sigma):
+            if x:
+                x = GaussRational.of(x).conjugate()
+                for k, s in terms:
+                    out[k] = out[k] + x * s
+        return tuple(out)
 
     def ad_matrix(self, x: DenseMatrix) -> DenseMatrix:
         """Matrix of ad_x on the ambient algebra in basis coordinates."""
-        cols = []
-        for b in self.basis:
-            c = self.coords(x.bracket(b))
-            assert c is not None, "ad image left the ambient algebra"
-            cols.append(c)
-        return DenseMatrix(
-            [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        )
+        c = self.coords(x)
+        if c is None:
+            raise ValueError("element outside the ambient algebra")
+        return _from_columns([self.bracket(c, e) for e in self.unit_coords])
 
     def full_subalg(self) -> "Subalg":
         return Subalg(self, Subspace.full(self.dim))
@@ -115,6 +137,10 @@ class AmbientAlgebra:
     def __repr__(self):
         label = self.name or f"dim {self.dim} in gl_{self.n}"
         return f"AmbientAlgebra({label})"
+
+
+def _from_columns(cols) -> DenseMatrix:
+    return DenseMatrix(list(zip(*cols)))
 
 
 def gl_ambient(n: int) -> AmbientAlgebra:
@@ -182,7 +208,7 @@ class Subalg:
         return Subalg(self.ambient, self.space.join(other.space))
 
     def sigma_image(self) -> "Subalg":
-        rows = [list(self.ambient.sigma_coords(row)) for row in self.space.basis]
+        rows = [self.ambient.sigma_coords(row) for row in self.space.basis]
         return Subalg(self.ambient, canonicalize(rows, self.ambient.dim))
 
     def is_sigma_stable(self) -> bool:
@@ -202,32 +228,29 @@ class Subalg:
         return f"Subalg(dim {self.dim} of {self.ambient!r})"
 
 
-def _bracket_span_rows(ambient, mats1, mats2):
-    rows = []
-    for a in mats1:
-        for b in mats2:
-            c = ambient.coords(a.bracket(b))
-            assert c is not None
-            rows.append(list(c))
-    return rows
+def _pair_brackets(amb: AmbientAlgebra, rows):
+    """[a, b] for every pair a before b of the rows: they span [v, v]."""
+    return [amb.bracket(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :]]
+
+
+def _is_ideal(sub: Subalg, ideal: Subalg) -> bool:
+    amb = sub.ambient
+    return all(
+        ideal.space.contains(amb.bracket(a, b))
+        for a in sub.space.basis
+        for b in ideal.space.basis
+    )
 
 
 def is_subalgebra(sub: Subalg) -> bool:
-    mats = sub.matrices()
-    for i, a in enumerate(mats):
-        for b in mats[i + 1 :]:
-            if not sub.contains_matrix(a.bracket(b)):
-                return False
-    return True
+    return all(sub.space.contains(c) for c in _pair_brackets(sub.ambient, sub.space.basis))
 
 
 def bracket_closure(sub: Subalg) -> Subalg:
     """Smallest bracket-closed subspace containing the input."""
     space = sub.space
     while True:
-        mats = [sub.ambient.from_coords(row) for row in space.basis]
-        rows = [list(r) for r in space.basis]
-        rows += _bracket_span_rows(sub.ambient, mats, mats)
+        rows = list(space.basis) + _pair_brackets(sub.ambient, space.basis)
         new = canonicalize(rows, sub.ambient.dim)
         if new == space:
             return Subalg(sub.ambient, space)
@@ -238,8 +261,7 @@ def derived_series(sub: Subalg):
     out = [sub.space]
     current = sub
     while current.dim:
-        mats = current.matrices()
-        rows = _bracket_span_rows(sub.ambient, mats, mats)
+        rows = _pair_brackets(sub.ambient, current.space.basis)
         nxt = Subalg(sub.ambient, canonicalize(rows, sub.ambient.dim))
         if nxt.space == current.space:
             break
@@ -249,11 +271,11 @@ def derived_series(sub: Subalg):
 
 
 def lower_central_series(sub: Subalg):
+    amb = sub.ambient
     out = [sub.space]
-    vmats = sub.matrices()
     current = sub
     while current.dim:
-        rows = _bracket_span_rows(sub.ambient, vmats, current.matrices())
+        rows = [amb.bracket(a, b) for a in sub.space.basis for b in current.space.basis]
         nxt = Subalg(sub.ambient, canonicalize(rows, sub.ambient.dim))
         if nxt.space == current.space:
             break
@@ -270,75 +292,48 @@ def is_nilpotent_algebra(sub: Subalg) -> bool:
     return lower_central_series(sub)[-1].dim == 0
 
 
-def _residual_fn(space: Subspace):
-    rows, pivots = space.basis, space.pivots
-
-    def res(u):
-        u = list(u)
-        for row, p in zip(rows, pivots):
-            f = u[p]
-            if f:
-                for t in range(len(u)):
-                    u[t] = u[t] - f * row[t]
-        return u
-
-    return res
+def _bracket_kernel(sub: Subalg, target: Subspace) -> Subalg:
+    """{w in ambient : [w, s] lies in target for every s in sub}."""
+    amb = sub.ambient
+    equations = []
+    for s in sub.space.basis:
+        cols = [target.reduce(amb.bracket(e, s))[0] for e in amb.unit_coords]
+        equations.extend([col[t] for col in cols] for t in range(amb.dim))
+    if not equations:
+        return amb.full_subalg()
+    return Subalg(amb, kernel(DenseMatrix(equations)))
 
 
 def normalizer(sub: Subalg) -> Subalg:
     """N(v) = {w in ambient : [w, v] inside v}."""
-    amb = sub.ambient
-    res = _residual_fn(sub.space)
-    smats = sub.matrices()
-    equations = []
-    for s in smats:
-        cols = []
-        for b in amb.basis:
-            c = amb.coords(b.bracket(s))
-            assert c is not None
-            cols.append(res(c))
-        for t in range(amb.dim):
-            equations.append([cols[i][t] for i in range(amb.dim)])
-    if not equations:
-        return amb.full_subalg()
-    return Subalg(amb, kernel(DenseMatrix(equations)))
+    return _bracket_kernel(sub, sub.space)
 
 
 def centralizer(sub: Subalg) -> Subalg:
     """Z(v) = {w in ambient : [w, v] = 0}."""
-    amb = sub.ambient
-    equations = []
-    for s in sub.matrices():
-        cols = [amb.coords(b.bracket(s)) for b in amb.basis]
-        for t in range(amb.dim):
-            equations.append([cols[i][t] for i in range(amb.dim)])
-    if not equations:
-        return amb.full_subalg()
-    return Subalg(amb, kernel(DenseMatrix(equations)))
+    return _bracket_kernel(sub, Subspace.zero(sub.ambient.dim))
 
 
 def centralizer_element(amb: AmbientAlgebra, x: DenseMatrix) -> Subalg:
     return centralizer(Subalg.from_matrices(amb, [x]))
 
 
+def _internal_coords(space: Subspace, vector, failure="not a subalgebra") -> tuple:
+    """Coordinates of a vector of space in its RREF basis (the vector's
+    entries at the pivots); AssertionError(failure) if it lies outside."""
+    residual, coeffs = space.reduce(vector)
+    if any(residual):
+        raise AssertionError(failure)
+    return coeffs
+
+
 def _internal_ads(sub: Subalg):
     """ad matrices of the subalgebra on itself, in its own basis coordinates."""
-    mats = sub.matrices()
-    tracker = SpanTracker(sub.ambient.n ** 2)
-    for m in mats:
-        added = tracker.add(m.flatten())
-        assert added, "subalgebra basis is linearly dependent"
-    ads = []
-    for a in mats:
-        cols = []
-        for b in mats:
-            c = tracker.express(a.bracket(b).flatten())
-            assert c is not None, "not a subalgebra"
-            cols.append(c)
-        ads.append(
-            DenseMatrix([[cols[j][i] for j in range(len(mats))] for i in range(len(mats))])
-        )
-    return ads
+    amb, space = sub.ambient, sub.space
+    return [
+        _from_columns([_internal_coords(space, amb.bracket(a, b)) for b in space.basis])
+        for a in space.basis
+    ]
 
 
 def _radical_space_from_ads(ads, dim):
@@ -377,7 +372,8 @@ def radical(sub: Subalg) -> Subalg:
     """Solvable radical of a subalgebra, verified solvable."""
     if sub.dim == 0:
         return sub
-    assert is_subalgebra(sub), "radical needs a bracket-closed input"
+    if not is_subalgebra(sub):
+        raise AssertionError("radical needs a bracket-closed input")
     ads = _internal_ads(sub)
     rad_internal = _radical_space_from_ads(ads, sub.dim)
     rows = []
@@ -388,11 +384,10 @@ def radical(sub: Subalg) -> Subalg:
                 combo[t] = combo[t] + coeff * brow[t]
         rows.append(combo)
     rad = Subalg(sub.ambient, canonicalize(rows, sub.ambient.dim))
-    assert is_solvable(rad), "radical candidate is not solvable"
-    # the radical is an ideal
-    for a in sub.matrices():
-        for b in rad.matrices():
-            assert rad.contains_matrix(a.bracket(b))
+    if not is_solvable(rad):
+        raise AssertionError("radical candidate is not solvable")
+    if not _is_ideal(sub, rad):
+        raise AssertionError("radical candidate is not an ideal")
     return rad
 
 
@@ -420,33 +415,25 @@ def _associative_hull(mats, n):
 
 def _quotient_ads(sub: Subalg, ideal: Subalg):
     """Structure of v / ideal: ad matrices on a complement of the ideal."""
-    mats = sub.matrices()
-    tracker = SpanTracker(sub.ambient.n ** 2)
-    for m in mats:
-        tracker.add(m.flatten())
-    ideal_internal_rows = []
-    for row in ideal.space.basis:
-        c = tracker.express(sub.ambient.from_coords(row).flatten())
-        assert c is not None, "ideal is not inside the subalgebra"
-        ideal_internal_rows.append(list(c))
-    ideal_internal = canonicalize(ideal_internal_rows, sub.dim)
-    resq = _residual_fn(ideal_internal)
+    amb, space = sub.ambient, sub.space
+    ideal_internal = canonicalize(
+        [
+            _internal_coords(space, row, "ideal is not inside the subalgebra")
+            for row in ideal.space.basis
+        ],
+        sub.dim,
+    )
     pivset = set(ideal_internal.pivots)
     free = [i for i in range(sub.dim) if i not in pivset]
-    qdim = len(free)
     ads = []
     for c1 in free:
         cols = []
         for c2 in free:
-            br = mats[c1].bracket(mats[c2])
-            c = tracker.express(br.flatten())
-            assert c is not None
-            red = resq(c)
+            br = amb.bracket(space.basis[c1], space.basis[c2])
+            red, _ = ideal_internal.reduce(_internal_coords(space, br))
             cols.append([red[t] for t in free])
-        ads.append(
-            DenseMatrix([[cols[j][i] for j in range(qdim)] for i in range(qdim)])
-        )
-    return ads, qdim
+        ads.append(_from_columns(cols))
+    return ads, len(free)
 
 
 def nilradical_nr(sub: Subalg) -> Subalg:
@@ -470,11 +457,12 @@ def nilradical_nr(sub: Subalg) -> Subalg:
     nil = Subalg(amb, perp.meet(rad.space))
 
     for m in nil.matrices():
-        assert (m ** amb.n).is_zero(), "nilradical candidate contains a non-nilpotent"
-    for a in sub.matrices():
-        for b in nil.matrices():
-            assert nil.contains_matrix(a.bracket(b)), "nilradical candidate is not an ideal"
-    assert is_nilpotent_algebra(nil)
+        if not (m ** amb.n).is_zero():
+            raise AssertionError("nilradical candidate contains a non-nilpotent")
+    if not _is_ideal(sub, nil):
+        raise AssertionError("nilradical candidate is not an ideal")
+    if not is_nilpotent_algebra(nil):
+        raise AssertionError("nilradical candidate is not a nilpotent algebra")
     qads, qdim = _quotient_ads(sub, nil)
     qrad = _radical_space_from_ads(qads, qdim)
     for c in qrad.basis:
@@ -486,7 +474,8 @@ def nilradical_nr(sub: Subalg) -> Subalg:
                 )
                 for t in range(qdim)
             ]
-            assert all(not x for x in img), "quotient by the nilradical is not reductive"
+            if any(img):
+                raise AssertionError("quotient by the nilradical is not reductive")
     return nil
 
 
@@ -581,12 +570,9 @@ def maximal_torus(sub: Subalg, seed: int = 0) -> Subalg:
         for g in generators:
             y = y + g.scale(GaussRational.of(Fraction(rng.randrange(-9, 10))))
         t = centralizer_element(sub.ambient, y).meet(sub)
-        tm = t.matrices()
-        ok = all(
-            a.bracket(b).is_zero() for i, a in enumerate(tm) for b in tm[i + 1 :]
-        )
+        ok = not any(any(c) for c in _pair_brackets(sub.ambient, t.space.basis))
         ok = ok and t.is_sigma_stable()
-        ok = ok and all(is_semisimple_matrix(m) for m in tm)
+        ok = ok and all(is_semisimple_matrix(m) for m in t.matrices())
         ok = ok and centralizer(t).meet(sub).space == t.space
         if ok:
             return t

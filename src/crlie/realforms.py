@@ -73,14 +73,12 @@ _PARAM_COUNT = {
 class RealFormSpec:
     """A family tag plus integer parameters, e.g. su:2,3 or compact-so:7.
 
-    Only the anti-diagonal convention for the invariant forms is implemented,
-    so the flag stays fixed at True; it exists to make the convention an
-    explicit part of the data.
+    The invariant forms of every family use the anti-diagonal convention;
+    it is the only one implemented.
     """
 
     family: str
     params: tuple
-    antidiagonal: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
@@ -89,8 +87,6 @@ class RealFormSpec:
                 f"unsupported family {self.family!r}; expected one of "
                 + ", ".join(sorted(_PARAM_COUNT))
             )
-        if not self.antidiagonal:
-            raise ValueError("only the anti-diagonal form convention is implemented")
         if len(self.params) != _PARAM_COUNT[self.family]:
             raise ValueError(
                 f"family {self.family} takes {_PARAM_COUNT[self.family]} "

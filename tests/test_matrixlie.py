@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,14 +9,17 @@ from crlie.exactlin import (
     DenseMatrix,
     GaussRational,
     IUNIT,
+    SpanTracker,
     Subspace,
     canonicalize,
+    kernel,
     min_poly,
     squarefree_part,
 )
 from crlie.matrixlie import (
     AmbientAlgebra,
     Subalg,
+    _internal_ads,
     bracket_closure,
     centralizer,
     centralizer_element,
@@ -37,6 +42,7 @@ from crlie.matrixlie import (
     sl_ambient,
     splittable_evidence,
 )
+from crlie.realforms import build_real_form
 
 
 def g(re, im=0):
@@ -68,6 +74,81 @@ def rand_matrix(rng, n, span=3):
             for _ in range(n)
         ]
     )
+
+
+def rand_coords(rng, dim, density=0.5):
+    return tuple(
+        g(rng.randrange(-3, 4), rng.randrange(-2, 3)) if rng.random() < density else g(0)
+        for _ in range(dim)
+    )
+
+
+def oracle_ambients():
+    """gl_3, sl_3 and the compact parts k of five real forms."""
+    forms = ("su:2,2", "slH:2", "so:2,3", "compact-sp:2", "compact-so:5")
+    return [GL3, SL3] + [build_real_form(tag).k for tag in forms]
+
+
+# The matrix route that the coordinate route replaced: brackets of n x n
+# matrices read back through coords or a SpanTracker.  Kept as oracles.
+
+
+def matrix_route_normalizer(sub):
+    amb = sub.ambient
+    rows, pivots = sub.space.basis, sub.space.pivots
+
+    def res(u):
+        u = list(u)
+        for row, p in zip(rows, pivots):
+            f = u[p]
+            if f:
+                for t in range(len(u)):
+                    u[t] = u[t] - f * row[t]
+        return u
+
+    equations = []
+    for s in sub.matrices():
+        cols = []
+        for b in amb.basis:
+            c = amb.coords(b.bracket(s))
+            assert c is not None
+            cols.append(res(c))
+        for t in range(amb.dim):
+            equations.append([cols[i][t] for i in range(amb.dim)])
+    if not equations:
+        return amb.full_subalg()
+    return Subalg(amb, kernel(DenseMatrix(equations)))
+
+
+def matrix_route_centralizer(sub):
+    amb = sub.ambient
+    equations = []
+    for s in sub.matrices():
+        cols = [amb.coords(b.bracket(s)) for b in amb.basis]
+        for t in range(amb.dim):
+            equations.append([cols[i][t] for i in range(amb.dim)])
+    if not equations:
+        return amb.full_subalg()
+    return Subalg(amb, kernel(DenseMatrix(equations)))
+
+
+def matrix_route_internal_ads(sub):
+    mats = sub.matrices()
+    tracker = SpanTracker(sub.ambient.n ** 2)
+    for m in mats:
+        added = tracker.add(m.flatten())
+        assert added, "subalgebra basis is linearly dependent"
+    ads = []
+    for a in mats:
+        cols = []
+        for b in mats:
+            c = tracker.express(a.bracket(b).flatten())
+            assert c is not None, "not a subalgebra"
+            cols.append(c)
+        ads.append(
+            DenseMatrix([[cols[j][i] for j in range(len(mats))] for i in range(len(mats))])
+        )
+    return ads
 
 
 class TestAmbient:
@@ -102,6 +183,23 @@ class TestAmbient:
             x = rand_matrix(rng, 3)
             c = GL3.coords(x)
             assert GL3.from_coords(GL3.sigma_coords(c)) == sigma(x)
+        for amb in oracle_ambients():
+            for _ in range(10):
+                c = rand_coords(rng, amb.dim)
+                assert amb.from_coords(amb.sigma_coords(c)) == sigma(amb.from_coords(c))
+
+    def test_bracket_matches_matrix_bracket(self):
+        rng = random.Random(23)
+        pairs = 0
+        for amb in oracle_ambients():
+            for _ in range(30):
+                density = rng.choice((0.2, 0.5, 1.0))
+                x = rand_coords(rng, amb.dim, density)
+                y = rand_coords(rng, amb.dim, density)
+                product = amb.from_coords(x).bracket(amb.from_coords(y))
+                assert amb.bracket(x, y) == amb.coords(product)
+                pairs += 1
+        assert pairs >= 200
 
     def test_ad_matrix(self):
         rng = random.Random(9)
@@ -207,6 +305,54 @@ class TestNormalizerCentralizer:
                     assert v.contains_matrix(a.bracket(b))
             zc = centralizer(v)
             assert zc.is_subspace_of(nm)
+
+
+class TestCoordinateRouteOracles:
+    def test_against_matrix_route(self):
+        # spans of basis elements or of random vectors; their normalizers are
+        # subalgebras, so they also feed the internal ad matrices
+        rng = random.Random(29)
+        cases = 0
+        for amb in oracle_ambients():
+            for _ in range(9):
+                k = rng.randint(1, 3)
+                if rng.random() < 0.5:
+                    rows = rng.sample(amb.unit_coords, k)
+                else:
+                    rows = [rand_coords(rng, amb.dim, rng.choice((0.15, 0.3))) for _ in range(k)]
+                span = Subalg(amb, canonicalize(rows, amb.dim))
+                assert normalizer(span) == matrix_route_normalizer(span)
+                assert centralizer(span) == matrix_route_centralizer(span)
+                v = normalizer(span)
+                assert _internal_ads(v) == matrix_route_internal_ads(v)
+                cases += 1
+        assert cases >= 60
+
+    def test_checks_survive_optimized_interpreter(self):
+        # span{E12, E21} is not bracket-closed in sl_2; each structure
+        # routine must refuse it under python -O too
+        script = (
+            "from crlie.exactlin import DenseMatrix\n"
+            "from crlie.matrixlie import Subalg, sl_ambient, radical, nilradical_nr, _internal_ads\n"
+            "amb = sl_ambient(2)\n"
+            "v = Subalg.from_matrices(amb, [DenseMatrix.unit(2, 0, 1), DenseMatrix.unit(2, 1, 0)])\n"
+            "for fn in (radical, nilradical_nr, _internal_ads):\n"
+            "    try:\n"
+            "        fn(v)\n"
+            "    except AssertionError:\n"
+            "        print(fn.__name__, 'AssertionError')\n"
+            "    else:\n"
+            "        print(fn.__name__, 'returned')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().splitlines() == [
+            "radical AssertionError",
+            "nilradical_nr AssertionError",
+            "_internal_ads AssertionError",
+        ]
 
 
 class TestRadical:

@@ -94,10 +94,6 @@ class TestRealFormSpec:
         with pytest.raises(ValueError, match="malformed"):
             RealFormSpec.parse("su23")
 
-    def test_antidiagonal_is_pinned(self):
-        with pytest.raises(ValueError, match="anti-diagonal"):
-            RealFormSpec("su", (1, 3), antidiagonal=False)
-
 
 EXPECTED_K_DIM = {
     "su:1,3": 9,
