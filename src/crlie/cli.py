@@ -443,7 +443,11 @@ def _cmd_analyze(ws: Workspace, problem: ProblemFile):
     if ws.orbit is not None:
         crit = type_criteria(ws.orbit.form, list(problem.crosses), orbit=ws.orbit)
     if ws.backend == "matrix":
-        n_reductive, nr, levi = n_reductive_split(ws.v)
+        if ws.orbit is not None:
+            # build_minimal_orbit split v and verified that it is n-reductive
+            n_reductive, nr, levi = True, ws.orbit.nr, ws.orbit.levi
+        else:
+            n_reductive, nr, levi = n_reductive_split(ws.v)
         cr_dim, cr_codim = cr_dims(ws.v)
         dims = {
             "ambient": ws.v.ambient.dim,

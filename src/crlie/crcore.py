@@ -128,7 +128,8 @@ def is_n_reductive_regular(v: RegularSubalgebra) -> bool:
     direct = v.toral == v.toral.conjugate()
     levi = levi_part_regular(v)
     counted = v.dim == len(v.nilpotent_roots) + levi.dim
-    assert direct == counted
+    if direct != counted:
+        raise AssertionError("n-reductivity tests disagree on t-regular data")
     return direct
 
 

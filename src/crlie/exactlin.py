@@ -293,7 +293,7 @@ class DenseMatrix:
 
     def scale(self, c) -> "DenseMatrix":
         c = GaussRational.of(c)
-        return DenseMatrix([[c * a for a in row] for row in self.entries])
+        return DenseMatrix([[c * a if a else a for a in row] for row in self.entries])
 
     def bracket(self, other: "DenseMatrix") -> "DenseMatrix":
         return self * other - other * self

@@ -8,13 +8,15 @@ to the theta-fixed subalgebra k, is the real structure of the maximal compact
 subgroup, so the CR machinery of crcore and regularize applies to subalgebras
 of k without any change of coordinates.
 
-From a list of crossed simple roots the module classifies roots under the
-permutation induced by sigma, forms the root sets of the flag parabolic f,
-and builds the CR algebra v = f cap k of the minimal real orbit in the flag
-manifold.  The central discipline here is that every root-combinatorial
-formula (for v, for its nilpotent ideal, for its reductive part) is
-recomputed by plain matrix linear algebra and the two answers are asserted
-equal on every build.
+The presentation is checked on matrices once per form.  From then on g is
+handled in the coordinates of its basis (the Cartan basis, then one root
+vector per root), where sigma and theta are sparse maps sending each root
+vector to a multiple of one root vector.  The root classification, k, the
+flag parabolic f and the CR algebra v = f cap k of the minimal real orbit
+are computed on those coordinates; k's matrices are made once, for its
+AmbientAlgebra.  Every root-combinatorial formula (for v, for its nilpotent
+ideal, for its reductive part) is checked against an independent route, the
+meet of f with k or the structure algorithms, on every build.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from crlie.crcore import (
     RegularityReport,
@@ -31,8 +33,11 @@ from crlie.crcore import (
 )
 from crlie.exactlin import (
     IUNIT,
+    ONE,
+    ZERO,
     DenseMatrix,
     GaussRational,
+    SpanTracker,
     Subspace,
     canonicalize,
 )
@@ -145,24 +150,29 @@ class AdaptedPair:
     """A theta-stable Cartan subalgebra of the real form, split into its
     compact and noncompact halves.
 
-    The basis tuples are real bases (matrices fixed by sigma); the Subspace
-    fields are their complex spans in flattened gl coordinates.  theta is the
-    Cartan involution the pair is adapted to.
+    The basis tuples are real bases (matrices fixed by sigma).  h_plus_coords
+    holds h_plus in g coordinates; the weights hold each h in the coordinates
+    of coord_elements, so a root alpha takes the value sum_i w_i alpha_i on h.
     """
 
-    theta: object
     h0_basis: tuple
     h_plus_basis: tuple
     h_minus_basis: tuple
-    cartan_h0: Subspace
-    h_plus: Subspace
-    h_minus: Subspace
+    h_plus_coords: tuple
+    h_plus_weights: tuple
+    h_minus_weights: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class RealForm:
     """A built real form: verified involutions, the compact subalgebra k as
-    an AmbientAlgebra, root vectors, and the adapted Cartan pair."""
+    an AmbientAlgebra, root vectors, and the adapted Cartan pair.
+
+    g coordinates refer to cartan_basis, then the root vectors in the order
+    of root_index.  g_sigma and g_theta hold sigma(b_j) and theta(b_j) as
+    sparse (index, coefficient) lists; k's basis is the RREF basis of
+    k_space, its span in g coordinates.
+    """
 
     spec: RealFormSpec
     n: int
@@ -171,11 +181,12 @@ class RealForm:
     adapted: AdaptedPair
     sigma: object
     theta: object
-    tau: object
     cartan_basis: tuple
     coord_elements: tuple
     root_vectors: dict
-    cartan_space: Subspace
+    root_index: dict
+    g_sigma: tuple
+    g_theta: tuple
     k_space: Subspace
 
     @property
@@ -262,7 +273,6 @@ class MinimalOrbit:
     v: Subalg
     nr: Subalg
     levi: Subalg
-    flag_space: Subspace
 
 
 @dataclass(eq=False)
@@ -520,46 +530,30 @@ def _k_dimension(spec: RealFormSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _first_nonzero(x: DenseMatrix):
-    for i, row in enumerate(x.entries):
-        for j, v in enumerate(row):
-            if v:
-                return i, j
-    raise ValueError("zero matrix has no nonzero entry")
+def _require(ok, message):
+    """An internal check; unlike assert it also runs under python -O."""
+    if not ok:
+        raise AssertionError(message)
 
 
-def _ad_eigenvalue(h: DenseMatrix, x: DenseMatrix) -> GaussRational:
-    """The scalar c with [h, x] = c x; asserts x really is an eigenvector."""
-    b = h.bracket(x)
-    i, j = _first_nonzero(x)
-    val = b[i, j] / x[i, j]
-    assert b == x.scale(val), "not an ad-eigenvector"
-    return val
+def _unit_row(dim: int, j: int) -> tuple:
+    return tuple(ONE if i == j else ZERO for i in range(dim))
 
 
-def _root_image(form: RealForm, y: DenseMatrix):
-    """Identify y as c * X_beta for a root beta; returns (beta, c)."""
-    assert not y.is_zero()
-    coords = []
-    for h in form.coord_elements:
-        val = _ad_eigenvalue(h, y)
-        assert not val.im and val.re.denominator == 1
-        coords.append(int(val.re))
-    beta = tuple(coords)
-    assert form.system.is_root(beta), f"{beta} is not a root"
-    xb = form.root_vector(beta)
-    i, j = _first_nonzero(xb)
-    c = y[i, j] / xb[i, j]
-    assert y == xb.scale(c)
-    return beta, c
+def _apply(columns, c, antilinear=False) -> tuple:
+    """c under the map whose j-th column is the sparse list columns[j]; an
+    antilinear map conjugates c first."""
+    out = [ZERO] * len(columns)
+    for x, col in zip(c, columns):
+        if x:
+            x = x.conjugate() if antilinear else x
+            for k, s in col:
+                out[k] = out[k] + x * s
+    return tuple(out)
 
 
-def _unflatten(row, n: int) -> DenseMatrix:
-    return DenseMatrix([[row[i * n + j] for j in range(n)] for i in range(n)])
-
-
-def _gl_space(sub: Subalg, n: int) -> Subspace:
-    return canonicalize([m.flatten() for m in sub.matrices()], n * n)
+def _project(g_theta, c) -> tuple:
+    return tuple((a + b) * _HALF for a, b in zip(c, _apply(g_theta, c)))
 
 
 def _psd_rank(gram):
@@ -594,11 +588,12 @@ def _psd_rank(gram):
     return rank
 
 
-def _assert_compact_trace_form(g_basis, tau):
+def _assert_compact_trace_form(g_basis):
     """The tau-fixed real span must carry a negative-definite trace form."""
     vecs = []
     for b in g_basis:
-        for y in (b + tau(b), (b - tau(b)).scale(IUNIT)):
+        tb = compact_conjugation(b)
+        for y in (b + tb, (b - tb).scale(IUNIT)):
             if not y.is_zero():
                 vecs.append(y)
     gram = []
@@ -606,24 +601,27 @@ def _assert_compact_trace_form(g_basis, tau):
         row = []
         for c in vecs:
             t = a.trace_product(c)
-            assert not t.im, "trace form is not real on the tau-fixed span"
+            _require(not t.im, "trace form is not real on the tau-fixed span")
             row.append(-t.re)
         gram.append(row)
     rank = _psd_rank(gram)
-    assert rank is not None, "trace form is not negative semidefinite"
-    assert rank == len(g_basis), "tau-fixed span has the wrong real dimension"
+    _require(rank is not None, "trace form is not negative semidefinite")
+    _require(rank == len(g_basis), "tau-fixed span has the wrong real dimension")
 
 
 def build_real_form(spec) -> RealForm:
     """Build and verify a real form from a RealFormSpec or a tag string.
 
-    Verification covers: the basis really spans g and is stable under both
-    involutions, sigma and theta are commuting involutions whose composite is
-    X -> -conj(X)^T, the root vectors have the advertised Cartan eigenvalues,
-    k has the expected dimension and closes under brackets, the adapted
-    Cartan pair has the right splitting, the induced root permutations are
-    consistent, and the trace form on the tau-fixed real span is negative
-    definite.  Results are cached per spec.
+    On matrices: the basis of g is independent, its root vectors have the
+    advertised Cartan eigenvalues, tau = sigma o theta is X -> -conj(X)^T,
+    h0 is abelian, and the trace form on the tau-fixed real span is negative
+    definite.  sigma and theta keep g and are stored as sparse maps on its
+    coordinates, which must keep the Cartan and send each root vector to a
+    multiple of one root vector.  On coordinates: sigma and theta are
+    commuting involutions, k has the expected dimension (its closure under
+    brackets is checked by AmbientAlgebra), h0 is a sigma-fixed basis of
+    the Cartan split by theta, and the induced root permutations are
+    consistent.  Results are cached per spec.
     """
     if isinstance(spec, str):
         spec = RealFormSpec.parse(spec)
@@ -636,62 +634,79 @@ def _build(spec: RealFormSpec) -> RealForm:
     n = spec.matrix_size
     system = pres.system
     sigma, theta = pres.sigma, pres.theta
-
-    def tau(x):
-        return sigma(theta(x))
-
+    rank = len(pres.cartan_basis)
     g_basis = tuple(pres.cartan_basis) + tuple(
         pres.root_vectors[a] for a in system.roots_sorted
     )
-    g_space = canonicalize([m.flatten() for m in g_basis], n * n)
-    assert g_space.dim == len(g_basis), "presentation basis is dependent"
+    dim = len(g_basis)
+    tracker = SpanTracker(n * n)
     for b in g_basis:
-        assert sigma(sigma(b)) == b, "sigma is not an involution"
-        assert theta(theta(b)) == b, "theta is not an involution"
-        assert sigma(theta(b)) == theta(sigma(b)), "sigma and theta do not commute"
-        assert tau(b) == compact_conjugation(b), "tau is not -conj(X)^T"
-        assert g_space.contains(sigma(b).flatten()), "sigma leaves g"
-        assert g_space.contains(theta(b).flatten()), "theta leaves g"
+        _require(tracker.add(b.flatten()), "presentation basis is dependent")
+
+    def coords(x):
+        c = tracker.express(x.flatten())
+        _require(c is not None, "sigma, theta or h0 leaves g")
+        return c
+
+    g_sigma, g_theta = [], []
+    for j, b in enumerate(g_basis):
+        tb = theta(b)
+        _require(sigma(tb) == compact_conjugation(b), "tau is not -conj(X)^T")
+        for image, columns in ((sigma(b), g_sigma), (tb, g_theta)):
+            col = tuple((k, x) for k, x in enumerate(coords(image)) if x)
+            keeps_roots = len(col) == 1 and col[0][0] >= rank
+            _require(
+                all(k < rank for k, _ in col) if j < rank else keeps_roots,
+                "sigma or theta mixes the Cartan and the root spaces",
+            )
+            columns.append(col)
+    sig = partial(_apply, g_sigma, antilinear=True)
+    th = partial(_apply, g_theta)
+    units = [_unit_row(dim, j) for j in range(dim)]
+    for e in units:
+        _require(sig(sig(e)) == e, "sigma is not an involution")
+        _require(th(th(e)) == e, "theta is not an involution")
+        _require(sig(th(e)) == th(sig(e)), "sigma and theta do not commute")
     for alpha in system.roots_sorted:
         x = pres.root_vectors[alpha]
         for c, h in zip(alpha, pres.coord_elements):
-            assert h.bracket(x) == x.scale(c), "root vector eigenvalue mismatch"
+            _require(h.bracket(x) == x.scale(c), "root vector eigenvalue mismatch")
 
-    k_rows = []
-    for b in g_basis:
-        y = (b + theta(b)).scale(_HALF)
-        if not y.is_zero():
-            k_rows.append(y.flatten())
-    k_space = canonicalize(k_rows, n * n)
-    assert k_space.dim == _k_dimension(spec), "unexpected dim for the compact part"
-    k_basis = [_unflatten(row, n) for row in k_space.basis]
+    k_space = canonicalize([_project(g_theta, e) for e in units], dim)
+    _require(k_space.dim == _k_dimension(spec), "unexpected dim for the compact part")
+    k_basis = [
+        sum((b.scale(x) for x, b in zip(row, g_basis) if x), DenseMatrix.zero(n, n))
+        for row in k_space.basis
+    ]
     k = AmbientAlgebra(n, k_basis, name=f"k({spec})")
 
     h0 = tuple(pres.h_minus) + tuple(pres.h_plus)
-    for b in h0:
-        assert sigma(b) == b, "Cartan basis element is not sigma-fixed"
-    for b in pres.h_minus:
-        assert theta(b) == b.scale(-1)
-    for b in pres.h_plus:
-        assert theta(b) == b
+    h0_coords = [coords(h) for h in h0]
+    signs = [-1] * len(pres.h_minus) + [1] * len(pres.h_plus)
+    for c, sign in zip(h0_coords, signs):
+        _require(sig(c) == c, "Cartan basis element is not sigma-fixed")
+        _require(th(c) == tuple(sign * x for x in c), "wrong theta-eigenvalue on h0")
+    _require(
+        len(h0) == rank and canonicalize(h0_coords, dim).basis == tuple(units[:rank]),
+        "h0 is not a basis of the Cartan",
+    )
     for i, a in enumerate(h0):
         for b in h0[i + 1 :]:
-            assert a.bracket(b).is_zero(), "adapted Cartan is not abelian"
-    cartan_space = canonicalize([m.flatten() for m in pres.cartan_basis], n * n)
-    cartan_h0 = canonicalize([m.flatten() for m in h0], n * n)
-    assert cartan_h0 == cartan_space, "h0 is not a real form of the Cartan"
-    h_plus_space = canonicalize([m.flatten() for m in pres.h_plus], n * n)
-    h_minus_space = canonicalize([m.flatten() for m in pres.h_minus], n * n)
-    assert h_plus_space.dim == len(pres.h_plus)
-    assert h_minus_space.dim == len(pres.h_minus)
+            _require(a.bracket(b).is_zero(), "adapted Cartan is not abelian")
+    on_coord = SpanTracker(n * n)
+    for h in pres.coord_elements:
+        on_coord.add(h.flatten())
+    weights = [on_coord.express(h.flatten()) for h in h0]
+    _require(None not in weights, "h0 leaves the span of the coordinate elements")
+
+    split = len(pres.h_minus)
     adapted = AdaptedPair(
-        theta=theta,
         h0_basis=h0,
         h_plus_basis=tuple(pres.h_plus),
         h_minus_basis=tuple(pres.h_minus),
-        cartan_h0=cartan_h0,
-        h_plus=h_plus_space,
-        h_minus=h_minus_space,
+        h_plus_coords=tuple(h0_coords[split:]),
+        h_plus_weights=tuple(weights[split:]),
+        h_minus_weights=tuple(weights[:split]),
     )
     form = RealForm(
         spec=spec,
@@ -701,15 +716,16 @@ def _build(spec: RealFormSpec) -> RealForm:
         adapted=adapted,
         sigma=sigma,
         theta=theta,
-        tau=tau,
         cartan_basis=tuple(pres.cartan_basis),
         coord_elements=tuple(pres.coord_elements),
         root_vectors=dict(pres.root_vectors),
-        cartan_space=cartan_space,
+        root_index={a: rank + i for i, a in enumerate(system.roots_sorted)},
+        g_sigma=tuple(g_sigma),
+        g_theta=tuple(g_theta),
         k_space=k_space,
     )
     form.classification  # classify_roots verifies the root tags during the build
-    _assert_compact_trace_form(g_basis, tau)
+    _assert_compact_trace_form(g_basis)
     return form
 
 
@@ -721,52 +737,52 @@ def _build(spec: RealFormSpec) -> RealForm:
 def classify_roots(form: RealForm) -> RootClassification:
     """Tag every root as real, imaginary (compact or noncompact) or complex.
 
-    The permutation sigma_star is read off from sigma acting on the actual
-    root spaces, then checked three ways: it must be an involution, theta
-    must induce its negative, and the coarse tag must agree with the
-    independent test by root values on the split and compact halves of h0.
-    The fixed positive system is checked to be compatible (the conjugate of
-    a positive complex root stays positive).
+    sigma_star and theta_star are read off sigma and theta on g's root
+    coordinates, then checked: sigma_star is an involution, theta induces
+    its negative, k holds the compact and not the noncompact imaginary root
+    vectors, and the coarse tag agrees with the independent test by root
+    values on the split and compact halves of h0.  The fixed positive system
+    is checked to be compatible (the conjugate of a positive complex root
+    stays positive).
     """
     pair = form.adapted
     system = form.system
+    roots = system.roots_sorted
+    rank = len(form.cartan_basis)
     sigma_star = {}
     theta_star = {}
-    for alpha in system.roots_sorted:
-        x = form.root_vector(alpha)
-        sigma_star[alpha], _ = _root_image(form, form.sigma(x))
-        theta_star[alpha], _ = _root_image(form, form.theta(x))
-    for alpha in system.roots_sorted:
-        assert sigma_star[sigma_star[alpha]] == alpha
-        assert theta_star[alpha] == neg(sigma_star[alpha])
+    for alpha in roots:
+        ((s, _),) = form.g_sigma[form.root_index[alpha]]
+        ((t, _),) = form.g_theta[form.root_index[alpha]]
+        sigma_star[alpha], theta_star[alpha] = roots[s - rank], roots[t - rank]
+    for alpha in roots:
+        _require(sigma_star[sigma_star[alpha]] == alpha, "sigma_star is no involution")
+        _require(theta_star[alpha] == neg(sigma_star[alpha]), "theta_star != -sigma_star")
+
+    def vanishes(weights, alpha):
+        return all(not sum((w * a for w, a in zip(ws, alpha)), ZERO) for ws in weights)
+
     positive = set(system.positive_roots)
     tags = {}
-    for alpha in system.roots_sorted:
-        x = form.root_vector(alpha)
+    for alpha in roots:
         bar = sigma_star[alpha]
         if bar == alpha:
             tag = REAL
         elif bar == neg(alpha):
-            tx = form.theta(x)
-            if tx == x:
-                tag = IMAGINARY_COMPACT
-                assert form.k.contains_matrix(x)
-            else:
-                assert tx == x.scale(-1)
-                tag = IMAGINARY_NONCOMPACT
-                assert not form.k.contains_matrix(x)
+            # theta_star fixes alpha: theta x = c x with c = +-1
+            j = form.root_index[alpha]
+            ((_, c),) = form.g_theta[j]
+            in_k = form.k_space.contains(_unit_row(form.k_space.ambient_dim, j))
+            _require(in_k == (c == ONE), "imaginary root vector misplaced in k")
+            tag = IMAGINARY_COMPACT if c == ONE else IMAGINARY_NONCOMPACT
         else:
             tag = COMPLEX
             if alpha in positive:
-                assert bar in positive, "positive system is not compatible"
-        vanishes_plus = all(
-            not _ad_eigenvalue(b, x) for b in pair.h_plus_basis
-        )
-        vanishes_minus = all(
-            not _ad_eigenvalue(b, x) for b in pair.h_minus_basis
-        )
-        assert vanishes_plus == (tag == REAL)
-        assert vanishes_minus == (tag in (IMAGINARY_COMPACT, IMAGINARY_NONCOMPACT))
+                _require(bar in positive, "positive system is not compatible")
+        on_plus = vanishes(pair.h_plus_weights, alpha)
+        on_minus = vanishes(pair.h_minus_weights, alpha)
+        _require(on_plus == (tag == REAL), "real tag disagrees with h_plus")
+        _require(on_minus == (bar == neg(alpha)), "imaginary tag disagrees with h_minus")
         tags[alpha] = tag
     return RootClassification(
         system=system, tags=tags, sigma_star=sigma_star, theta_star=theta_star
@@ -796,7 +812,7 @@ def theta_sets(form: RealForm, crosses) -> ThetaSets:
         a for a in flag_reductive if cls.theta_star[a] in flag_reductive
     )
     for part in (theta_core, theta_core_nilpotent, theta_core_reductive):
-        assert is_closed(form.system, part), "theta core is not closed"
+        _require(is_closed(form.system, part), "theta core is not closed")
     return ThetaSets(
         crosses=tuple(sorted(set(int(c) for c in crosses))),
         flag=flag,
@@ -815,78 +831,71 @@ def theta_sets(form: RealForm, crosses) -> ThetaSets:
 # ---------------------------------------------------------------------------
 
 
+def _k_span(form: RealForm, rows) -> Subspace:
+    """The span of rows of g coordinates, in k's coordinates.  k's basis is
+    the RREF basis of k_space, so reducing a row of k by it leaves no
+    residual and its coefficients are the row's k coordinates."""
+    out = []
+    for row in rows:
+        residual, coeffs = form.k_space.reduce(row)
+        _require(not any(residual), "element outside k")
+        out.append(coeffs)
+    return canonicalize(out, form.k.dim)
+
+
 def build_minimal_orbit(form, crosses) -> MinimalOrbit:
     """The CR algebra v = f cap k for the flag parabolic f marked by crosses.
 
-    v is computed twice: as a plain intersection of matrix spaces, and as
-    the span of h_plus together with the k-projections of the theta-core
-    root spaces.  The nilpotent ideal and the reductive part are likewise
-    computed twice (structure algorithms vs root formula).  Any disagreement
-    raises; so does a failure of n-reductivity.
+    v is computed twice, on g's coordinates: as the intersection of the
+    flag space (the Cartan plus the flag root vectors) with k, and as the
+    span of h_plus together with the k-projections of the theta-core root
+    vectors.  The nilpotent ideal and the reductive part are likewise
+    computed twice (structure algorithms vs root formula).  Any
+    disagreement raises; so does a failure of n-reductivity.
     """
     if isinstance(form, (str, RealFormSpec)):
         form = build_real_form(form)
     sets = theta_sets(form, crosses)
-    cls = form.classification
-    n = form.n
+    dim = form.k_space.ambient_dim
 
-    def project(x):
-        return (x + form.theta(x)).scale(_HALF)
-
-    for alpha in form.system.roots_sorted:
-        x = form.root_vector(alpha)
-        px = project(x)
-        assert project(px) == px, "projection is not idempotent"
-        assert px.is_zero() == (alpha in cls.imaginary_noncompact_roots)
-        if not px.is_zero():
-            assert form.k.contains_matrix(px)
-            partner = neg(cls.sigma_star[alpha])
-            pm = project(form.root_vector(partner))
-            assert canonicalize([px.flatten()], n * n) == canonicalize(
-                [pm.flatten()], n * n
-            ), "projected root spaces of alpha and -bar(alpha) differ"
+    def projected(alphas):
+        return [
+            _project(form.g_theta, _unit_row(dim, form.root_index[a]))
+            for a in sorted(alphas)
+        ]
 
     flag_space = canonicalize(
-        [m.flatten() for m in form.cartan_basis]
-        + [form.root_vector(a).flatten() for a in sorted(sets.flag_roots)],
-        n * n,
+        [_unit_row(dim, j) for j in range(len(form.cartan_basis))]
+        + [_unit_row(dim, form.root_index[a]) for a in sorted(sets.flag_roots)],
+        dim,
     )
     meet_space = flag_space.meet(form.k_space)
-    formula_rows = [b.flatten() for b in form.adapted.h_plus_basis]
-    for alpha in sorted(sets.theta_core):
-        formula_rows.append(project(form.root_vector(alpha)).flatten())
-    assert meet_space == canonicalize(formula_rows, n * n), (
-        "matrix intersection and root formula disagree for v"
+    h_plus = list(form.adapted.h_plus_coords)
+    _require(
+        meet_space == canonicalize(h_plus + projected(sets.theta_core), dim),
+        "flag space meet k and root formula disagree for v",
     )
-    v = Subalg.from_matrices(form.k, [_unflatten(r, n) for r in meet_space.basis])
+    v = Subalg(form.k, _k_span(form, meet_space.basis))
 
     n_reductive, nr, levi = n_reductive_split(v)
-    nr_rows = [
-        project(form.root_vector(a)).flatten()
-        for a in sorted(sets.theta_core_nilpotent)
-    ]
-    assert _gl_space(nr, n) == canonicalize(nr_rows, n * n), (
-        "matrix nilpotent ideal and root formula disagree"
+    _require(
+        nr.space == _k_span(form, projected(sets.theta_core_nilpotent)),
+        "matrix nilpotent ideal and root formula disagree",
     )
-    levi_rows = [b.flatten() for b in form.adapted.h_plus_basis]
-    for alpha in sorted(sets.theta_core_reductive):
-        y = project(form.root_vector(alpha))
-        if not y.is_zero():
-            levi_rows.append(y.flatten())
-    assert _gl_space(levi, n) == canonicalize(levi_rows, n * n), (
-        "matrix reductive part and root formula disagree"
+    _require(
+        levi.space == _k_span(form, h_plus + projected(sets.theta_core_reductive)),
+        "matrix reductive part and root formula disagree",
     )
-    assert n_reductive
+    _require(n_reductive, "minimal orbit algebra is not n-reductive")
     return MinimalOrbit(
         form=form,
         crosses=sets.crosses,
         sets=sets,
-        classification=cls,
+        classification=form.classification,
         k=form.k,
         v=v,
         nr=nr,
         levi=levi,
-        flag_space=flag_space,
     )
 
 
@@ -965,11 +974,13 @@ def type_criteria(form, crosses, orbit: MinimalOrbit | None = None) -> TypeCrite
             witnesses[label] = {"holds": False, "counterexamples": tuple(failures)}
 
     report = regularity_type(orbit.v)
-    assert verdicts["type_I"] == (report.kind == "I"), (
-        "type-I criterion disagrees with the matrix rank test"
+    _require(
+        verdicts["type_I"] == (report.kind == "I"),
+        "type-I criterion disagrees with the matrix rank test",
     )
-    assert verdicts["type_II"] == (report.kind in ("I", "II")), (
-        "type-II criterion disagrees with the matrix rank test"
+    _require(
+        verdicts["type_II"] == (report.kind in ("I", "II")),
+        "type-II criterion disagrees with the matrix rank test",
     )
     return TypeCriteria(
         type_I=verdicts["type_I"],
@@ -986,11 +997,12 @@ def type_criteria(form, crosses, orbit: MinimalOrbit | None = None) -> TypeCrite
 
 
 def embed_regular(form, reg: RegularSpan) -> Subalg:
-    """Realize toral-plus-rootset data as matrices inside k.
+    """Realize toral-plus-rootset data as a subalgebra of k.
 
     Only compact forms qualify: there g = k, the root system of the
-    presentation is the root system of k, and the coordinate elements span
-    the Cartan, so the translation is basis bookkeeping.
+    presentation is the root system of k, and the coordinate elements are
+    the Cartan basis, so a toral row and a root are g coordinates as they
+    stand, and k's coordinates follow from its RREF basis.
     """
     if isinstance(form, (str, RealFormSpec)):
         form = build_real_form(form)
@@ -1003,13 +1015,12 @@ def embed_regular(form, reg: RegularSpan) -> Subalg:
         raise ValueError(
             f"regular data lives in {reg.system}, the form presents {form.system}"
         )
-    mats = []
-    for row in reg.toral.basis:
-        h = DenseMatrix.zero(form.n, form.n)
-        for c, elt in zip(row, form.coord_elements):
-            if c:
-                h = h + elt.scale(c)
-        mats.append(h)
-    for alpha in sorted(reg.rootset):
-        mats.append(form.root_vector(alpha))
-    return Subalg.from_matrices(form.k, mats)
+    _require(
+        form.coord_elements == form.cartan_basis,
+        "the coordinate elements of a compact form are not its Cartan basis",
+    )
+    dim = form.k_space.ambient_dim
+    pad = (ZERO,) * (dim - len(form.cartan_basis))
+    rows = [tuple(row) + pad for row in reg.toral.basis]
+    rows += [_unit_row(dim, form.root_index[a]) for a in sorted(reg.rootset)]
+    return Subalg(form.k, _k_span(form, rows))

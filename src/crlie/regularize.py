@@ -88,7 +88,8 @@ def regularize(v: Subalg) -> RegularizationChain:
     guard = v.ambient.dim + 2
     while len(steps) <= guard:
         nxt = normalizer(nr)
-        assert steps[-1].is_subspace_of(nxt), "regularization chain must increase"
+        if not steps[-1].is_subspace_of(nxt):
+            raise AssertionError("regularization chain must increase")
         steps.append(nxt)
         if nxt.space == steps[-2].space:
             break
@@ -121,7 +122,8 @@ def regularize_regular(v: RegularSubalgebra) -> RegularizationChain:
     guard = system.cartan.dim + len(system.roots) + 2
     while len(steps) <= guard:
         nxt = normalizer_regular(system, steps[-1].nilpotent_roots)
-        assert steps[-1].is_contained_in(nxt), "regularization chain must increase"
+        if not steps[-1].is_contained_in(nxt):
+            raise AssertionError("regularization chain must increase")
         steps.append(nxt)
         if nxt.same_span(steps[-2]):
             break

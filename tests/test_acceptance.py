@@ -634,7 +634,7 @@ def test_criterion_7d_backend_agreement_suite():
         if delta:
             center = DenseMatrix.diag([IUNIT] * size)
             expected = expected.join(
-                canonicalize([center.flatten()], size * size)
+                canonicalize([form.k.coords(center)], form.k.dim)
             )
         assert chain_m.result.space == expected
         final_nr = embed_regular(

@@ -297,7 +297,9 @@ class TestRun:
 
     def test_analyze_computes_each_object_once(self, monkeypatch):
         realforms.build_real_form("su:1,3")
-        calls = dict.fromkeys(("regularity_type", "theta_sets", "classify_roots"), 0)
+        calls = dict.fromkeys(
+            ("regularity_type", "theta_sets", "classify_roots", "nilradical_nr"), 0
+        )
         for module in (cli, crcore, realforms):
             for name in calls:
                 original = getattr(module, name, None)
@@ -311,7 +313,13 @@ class TestRun:
                 monkeypatch.setattr(module, name, counted)
         report = run("analyze", parse_problem(ORBIT_SU13))
         assert report["types"] is not None
-        assert calls == {"regularity_type": 1, "theta_sets": 1, "classify_roots": 0}
+        # the orbit's own split serves the report: one nilradical, no repeat
+        assert calls == {
+            "regularity_type": 1,
+            "theta_sets": 1,
+            "classify_roots": 0,
+            "nilradical_nr": 1,
+        }
 
 
 class TestEmitReport:

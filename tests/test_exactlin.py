@@ -208,11 +208,14 @@ def _rand_sparse_matrix(rng, n):
 
 def test_matrix_add_sub_bracket_match_entrywise_reference():
     rng = random.Random(4242)
+    scalars = random.Random(4343)
     for _ in range(200):
         n = rng.randint(1, 6)
         a, b = _rand_sparse_matrix(rng, n), _rand_sparse_matrix(rng, n)
         assert a + b == _entrywise(a, b, lambda x, y: x + y)
         assert a - b == _entrywise(a, b, lambda x, y: x - y)
+        c = rand_scalar(scalars) if scalars.random() < 0.8 else g(0)
+        assert a.scale(c) == _entrywise(a, a, lambda x, _: c * x)
         product = [
             [
                 sum((a[i, k] * b[k, j] for k in range(n)), g(0))

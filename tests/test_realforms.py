@@ -1,7 +1,10 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from crlie.crcore import cr_dims, is_n_reductive, regularity_type
-from crlie.exactlin import IUNIT, DenseMatrix, Subspace, canonicalize
+from crlie.exactlin import IUNIT, DenseMatrix, GaussRational, Subspace, canonicalize
 from crlie.matrixlie import nilradical_nr, normalizer
 from crlie.realforms import (
     COMPLEX,
@@ -147,10 +150,13 @@ class TestBuildRealForm:
             "compact-sp:2": (0, 2),
         }
         for tag, (minus, plus) in expected.items():
-            pair = build_real_form(tag).adapted
+            form = build_real_form(tag)
+            pair = form.adapted
             assert len(pair.h_minus_basis) == minus
             assert len(pair.h_plus_basis) == plus
-            assert pair.cartan_h0.dim == len(pair.h0_basis)
+            h0 = gl_span(pair.h0_basis, form.n)
+            assert h0.dim == len(pair.h0_basis)
+            assert h0 == gl_span(form.cartan_basis, form.n)
 
     def test_su13_compact_part_matches_display(self):
         # the nine-parameter family tied by the outer exchange of rows 0, 3
@@ -167,7 +173,7 @@ class TestBuildRealForm:
             e(2, 0) + e(2, 3),
             e(2, 1),
         ]
-        assert gl_span(lines, 4) == form.k_space
+        assert gl_span(lines, 4) == sub_span(form.k.full_subalg())
 
     def test_su23_compact_part_matches_display(self):
         form = build_real_form("su:2,3")
@@ -186,7 +192,7 @@ class TestBuildRealForm:
             e(2, 0) + e(2, 4),
             e(2, 1) + e(2, 3),
         ]
-        assert gl_span(lines, 5) == form.k_space
+        assert gl_span(lines, 5) == sub_span(form.k.full_subalg())
 
     def test_slh2_compact_part_is_sp2(self):
         # sp for the paired 2x2 blocks: X: (0,1) and (2,3) are the diagonal
@@ -202,7 +208,7 @@ class TestBuildRealForm:
             e(0, 3) + e(2, 1),
             e(3, 0) + e(1, 2),
         ]
-        assert gl_span(lines, 4) == form.k_space
+        assert gl_span(lines, 4) == sub_span(form.k.full_subalg())
 
 
 class TestClassifyRoots:
@@ -559,7 +565,7 @@ class TestEmbedRegular:
         embedded = embed_regular("compact-u:3", reg)
         assert embedded.dim == 2
         form = build_real_form("compact-u:3")
-        assert sub_span(embedded).is_subspace_of(form.cartan_space)
+        assert sub_span(embedded).is_subspace_of(gl_span(form.cartan_basis, 3))
 
     def test_nilpotent_pair_in_so7(self):
         reg = RegularSpan(
@@ -597,3 +603,118 @@ class TestRegularityReports:
             assert report.ambient_rank == amb
             assert report.v_normalizer_rank == vrank
             assert report.levi_normalizer_rank == lrank
+
+
+# ---------------------------------------------------------------------------
+# reference: the matrix route.  Roots are identified by ad-eigenvalues of the
+# images of root vectors under sigma and theta, and v, nr(v) and L(v) are
+# spans of flattened matrices in gl_n.  The build works on g's coordinates
+# instead; both must give the same classification and the same spans.
+# ---------------------------------------------------------------------------
+
+ORACLE_FORMS = (
+    "su:1,2", "su:2,2", "su:1,3", "su:2,3", "slH:2", "slH:3", "so:1,4",
+    "so:2,3", "compact-u:3", "compact-sp:2", "compact-so:5",
+)
+HALF = GaussRational(Fraction(1, 2))
+
+
+def _first_nonzero(x):
+    return next(
+        (i, j) for i, row in enumerate(x.entries) for j, v in enumerate(row) if v
+    )
+
+
+def _ad_eigenvalue(h, x):
+    b = h.bracket(x)
+    i, j = _first_nonzero(x)
+    val = b[i, j] / x[i, j]
+    assert b == x.scale(val), "not an ad-eigenvector"
+    return val
+
+
+def _root_image(form, y):
+    """Identify y as c * X_beta for a root beta; returns beta."""
+    beta = []
+    for h in form.coord_elements:
+        val = _ad_eigenvalue(h, y)
+        assert not val.im and val.re.denominator == 1
+        beta.append(int(val.re))
+    beta = tuple(beta)
+    xb = form.root_vector(beta)
+    i, j = _first_nonzero(xb)
+    assert y == xb.scale(y[i, j] / xb[i, j])
+    return beta
+
+
+def matrix_classification(form):
+    sigma_star, theta_star, tags = {}, {}, {}
+    for alpha in form.system.roots_sorted:
+        x = form.root_vector(alpha)
+        sigma_star[alpha] = _root_image(form, form.sigma(x))
+        theta_star[alpha] = _root_image(form, form.theta(x))
+        bar = sigma_star[alpha]
+        if bar == alpha:
+            tags[alpha] = REAL
+        elif bar == neg(alpha):
+            tx = form.theta(x)
+            assert tx in (x, x.scale(-1))
+            tags[alpha] = IMAGINARY_COMPACT if tx == x else IMAGINARY_NONCOMPACT
+        else:
+            tags[alpha] = COMPLEX
+    return sigma_star, theta_star, tags
+
+
+def matrix_orbit_spans(form, sets):
+    """v as the meet of the flag space with k, and the root formulas for
+    nr(v) and L(v), all in flattened gl_n coordinates."""
+    n = form.n
+
+    def project(x):
+        return (x + form.theta(x)).scale(HALF)
+
+    roots = form.system.roots_sorted
+    g_basis = list(form.cartan_basis) + [form.root_vector(a) for a in roots]
+    k_space = gl_span([project(b) for b in g_basis], n)
+    flag = gl_span(
+        list(form.cartan_basis) + [form.root_vector(a) for a in sets.flag_roots], n
+    )
+    h_plus = list(form.adapted.h_plus_basis)
+    nr = gl_span([project(form.root_vector(a)) for a in sets.theta_core_nilpotent], n)
+    levi = gl_span(
+        h_plus + [project(form.root_vector(a)) for a in sets.theta_core_reductive], n
+    )
+    return k_space, flag.meet(k_space), nr, levi
+
+
+def _crosses_sets(rank):
+    for size in range(1, rank + 1):
+        yield from itertools.combinations(range(1, rank + 1), size)
+
+
+class TestMatrixRouteOracle:
+    @pytest.mark.parametrize("tag", ORACLE_FORMS)
+    def test_classification_matches_matrix_route(self, tag):
+        form = build_real_form(tag)
+        cls = form.classification
+        sigma_star, theta_star, tags = matrix_classification(form)
+        assert cls.sigma_star == sigma_star
+        assert cls.theta_star == theta_star
+        assert cls.tags == tags
+
+    @pytest.mark.parametrize(
+        "tag", [t for t in ORACLE_FORMS if t not in ("su:2,3", "slH:3")]
+    )
+    def test_orbit_spans_match_matrix_route(self, tag):
+        form = build_real_form(tag)
+        assert form.system.rank <= 3
+        checked = 0
+        for crosses in _crosses_sets(form.system.rank):
+            orbit = build_minimal_orbit(form, list(crosses))
+            k_space, v, nr, levi = matrix_orbit_spans(form, orbit.sets)
+            assert sub_span(orbit.k.full_subalg()) == k_space
+            assert sub_span(orbit.v) == v
+            assert sub_span(orbit.nr) == nr
+            assert sub_span(orbit.levi) == levi
+            checked += 1
+        assert checked == 2 ** form.system.rank - 1
