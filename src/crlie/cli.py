@@ -439,15 +439,9 @@ def _backend(ws: Workspace) -> _Backend:
 
 
 def _cmd_analyze(ws: Workspace, problem: ProblemFile):
-    crit = None
-    if ws.orbit is not None:
-        crit = type_criteria(ws.orbit.form, list(problem.crosses), orbit=ws.orbit)
+    crit = type_criteria(ws.orbit) if ws.orbit is not None else None
     if ws.backend == "matrix":
-        if ws.orbit is not None:
-            # build_minimal_orbit split v and verified that it is n-reductive
-            n_reductive, nr, levi = True, ws.orbit.nr, ws.orbit.levi
-        else:
-            n_reductive, nr, levi = n_reductive_split(ws.v)
+        n_reductive, nr, levi = n_reductive_split(ws.v)
         cr_dim, cr_codim = cr_dims(ws.v)
         dims = {
             "ambient": ws.v.ambient.dim,

@@ -15,7 +15,6 @@ from crlie.matrixlie import (
     Subalg,
     centralizer,
     maximal_torus,
-    nilradical_nr,
     normalizer,
 )
 from crlie.rootsys import RegularSubalgebra
@@ -35,7 +34,7 @@ def cr_dims(v: Subalg) -> tuple[int, int]:
 
 def n_reductive_split(v: Subalg):
     """Whether v = nr(v) (+) L(v), together with both pieces."""
-    nr = nilradical_nr(v)
+    nr = v.nilradical()
     levi = levi_part(v)
     ok = (
         nr.meet(levi).dim == 0
@@ -71,17 +70,17 @@ def regularity_type(v: Subalg, seed: int = 0) -> RegularityReport:
 
     Any normalizing torus lies in N(v) meet sigma(N(v)), which is sigma-stable
     and hence reductive, so the test compares its rank with the ambient rank.
+    When that space is the whole ambient, its rank is the ambient rank.
     """
     amb = v.ambient
     ambient_rank = maximal_torus(amb.full_subalg(), seed=seed).dim
 
-    nv = normalizer(v)
-    m1 = nv.meet(nv.sigma_image())
-    rank1 = maximal_torus(m1, seed=seed).dim
+    def rank(n):
+        m = n.meet(n.sigma_image())
+        return ambient_rank if m.dim == amb.dim else maximal_torus(m, seed=seed).dim
 
-    nl = normalizer(levi_part(v))
-    m2 = nl.meet(nl.sigma_image())
-    rank2 = maximal_torus(m2, seed=seed).dim
+    rank1 = rank(normalizer(v))
+    rank2 = rank(normalizer(levi_part(v)))
 
     if rank1 == ambient_rank:
         kind = "I"

@@ -607,9 +607,11 @@ class SpanTracker:
             return False
         pivot = next(i for i, a in enumerate(w) if a)
         piv = w[pivot]
-        row = [a / piv for a in w]
-        rcombo = [-a / piv for a in combo] + [ONE / piv]
-        self.rows.append([row, pivot, rcombo])
+        if piv != ONE:
+            w = [a / piv if a else a for a in w]
+            combo = [a / piv if a else a for a in combo]
+        rcombo = [-a if a else a for a in combo] + [ONE / piv]
+        self.rows.append([w, pivot, rcombo])
         return True
 
 

@@ -29,7 +29,6 @@ from crlie.matrixlie import (
     derived_series,
     is_subalgebra,
     maximal_torus,
-    nilradical_nr,
 )
 from crlie.regularize import certify_parabolic
 from crlie.rootsys import (
@@ -59,10 +58,12 @@ class MapClassification:
     witnesses: dict
 
     def __post_init__(self):
-        assert not self.is_submersion or self.is_spread
-        assert not self.is_deployment or (
-            self.is_spread and self.fibers_totally_real
-        )
+        if self.is_submersion and not self.is_spread:
+            raise AssertionError("a submersion that is not a spread")
+        if self.is_deployment and not (self.is_spread and self.fibers_totally_real):
+            raise AssertionError(
+                "a deployment that is not a spread with totally real fibers"
+            )
 
     def flags(self) -> dict:
         """Fixed-key boolean map, for reports."""
@@ -166,7 +167,7 @@ def par_membership(v: Subalg, q: Subalg) -> bool:
         raise ValueError("q does not certify as a parabolic subalgebra")
     return (
         v.is_subspace_of(q)
-        and nilradical_nr(v).meet(levi_part(q)).dim == 0
+        and v.nilradical().meet(levi_part(q)).dim == 0
     )
 
 
@@ -178,6 +179,15 @@ def par_membership_regular(v: RegularSubalgebra, q: ParabolicRootSet) -> bool:
     return v.rootset <= q.q and not (v.nilpotent_roots & q.q_r)
 
 
+def _par_members(v: RegularSubalgebra, rank_cap: int) -> list[ParabolicRootSet]:
+    """Every member of Par(v), in enumeration order."""
+    return [
+        q
+        for q in enumerate_parabolics(v.system, rank_cap)
+        if par_membership_regular(v, q)
+    ]
+
+
 def maximal_par(
     v: RegularSubalgebra,
     containing: ParabolicRootSet | None = None,
@@ -187,11 +197,7 @@ def maximal_par(
     containing a given parabolic.  Any member strictly above a restricted
     element still contains the constraint, so the restricted maximal elements
     are maximal in Par(v) as well."""
-    members = [
-        q
-        for q in enumerate_parabolics(v.system, rank_cap)
-        if par_membership_regular(v, q)
-    ]
+    members = _par_members(v, rank_cap)
     if containing is not None:
         members = [q for q in members if q.contains_parabolic(containing)]
     out = [
@@ -209,11 +215,7 @@ def minimal_par(
     """Inclusion-minimal elements of Par(v).  Each must absorb nr(v) into its
     nilradical and all their Levi root sets must be Weyl conjugate; both facts
     are rechecked here."""
-    members = [
-        q
-        for q in enumerate_parabolics(v.system, rank_cap)
-        if par_membership_regular(v, q)
-    ]
+    members = _par_members(v, rank_cap)
     out = [
         q
         for q in members
@@ -224,7 +226,7 @@ def minimal_par(
         if not v.nilpotent_roots <= q.q_n:
             raise AssertionError(f"minimal element {q!r} does not absorb nr(v)")
     if out:
-        index = {a: i for i, a in enumerate(v.system.roots_sorted)}
+        index = v.system.root_index
         first = frozenset(index[a] for a in out[0].q_r)
         orbit = {
             frozenset(perm[i] for i in first)
@@ -245,10 +247,11 @@ def combine_parabolics(
     q1, q2 and of the result in Par(v) is enforced."""
     if v is not None and not (par_membership(v, q1) and par_membership(v, q2)):
         raise ValueError("inputs are not both in Par(v)")
-    q = nilradical_nr(q1).join(q1.meet(q2))
-    assert certify_parabolic(q).ok, "combined subalgebra failed the certificate"
-    if v is not None:
-        assert par_membership(v, q)
+    q = q1.nilradical().join(q1.meet(q2))
+    if not certify_parabolic(q).ok:
+        raise AssertionError("combined subalgebra failed the certificate")
+    if v is not None and not par_membership(v, q):
+        raise AssertionError("combined subalgebra is not in Par(v)")
     return q
 
 
@@ -264,8 +267,8 @@ def combine_parabolics_regular(
     ):
         raise ValueError("inputs are not both in Par(v)")
     q = ParabolicRootSet(q1.system, q1.q_n | (q1.q & q2.q))
-    if v is not None:
-        assert par_membership_regular(v, q)
+    if v is not None and not par_membership_regular(v, q):
+        raise AssertionError("combined parabolic is not in Par(v)")
     return q
 
 
@@ -298,7 +301,8 @@ def deployment_verify(
     ok = closure.same_span(q.to_regular())
     if ok and mode == "algebra":
         flags = classify_regular(v, q.to_regular())
-        assert flags.is_deployment, "generating parabolic is not a deployment"
+        if not flags.is_deployment:
+            raise AssertionError("generating parabolic is not a deployment")
     return ok
 
 
@@ -456,14 +460,20 @@ def lift(v: Subalg, q: Subalg) -> Subalg:
     when v is n-reductive, v_q strengthens v with the same Levi part."""
     if not par_membership(v, q):
         raise ValueError("q is not in Par(v)")
-    nrq = nilradical_nr(q)
-    vq = v.join(nrq)
-    assert is_subalgebra(vq)
-    assert nilradical_nr(vq).space == nilradical_nr(v).join(nrq).space
+    nrq = q.nilradical()
+    # when nr(q) lies in v, v_q is v itself and keeps v's nilradical
+    vq = v if nrq.is_subspace_of(v) else v.join(nrq)
+    if not is_subalgebra(vq):
+        raise AssertionError("the lift is not a subalgebra")
+    if vq.nilradical().space != v.nilradical().join(nrq).space:
+        raise AssertionError("the nilradical of the lift is not nr(v) + nr(q)")
     if is_n_reductive(v):
-        assert levi_part(vq).space == levi_part(v).space
-        assert is_n_reductive(vq)
-        assert strengthens(v, vq)
+        if levi_part(vq).space != levi_part(v).space:
+            raise AssertionError("the lift changes the Levi part")
+        if not is_n_reductive(vq):
+            raise AssertionError("the lift of an n-reductive v is not n-reductive")
+        if not strengthens(v, vq):
+            raise AssertionError("the lift does not strengthen v")
     return vq
 
 
@@ -471,11 +481,15 @@ def lift_regular(v: RegularSubalgebra, q: ParabolicRootSet) -> RegularSubalgebra
     if not par_membership_regular(v, q):
         raise ValueError("q is not in Par(v)")
     vq = RegularSubalgebra(v.system, v.toral, v.rootset | q.q_n)
-    assert vq.nilpotent_roots == v.nilpotent_roots | q.q_n
+    if vq.nilpotent_roots != v.nilpotent_roots | q.q_n:
+        raise AssertionError("the nilradical of the lift is not nr(v) + nr(q)")
     if is_n_reductive_regular(v):
-        assert levi_part_regular(vq).same_span(levi_part_regular(v))
-        assert is_n_reductive_regular(vq)
-        assert strengthens_regular(v, vq)
+        if not levi_part_regular(vq).same_span(levi_part_regular(v)):
+            raise AssertionError("the lift changes the Levi part")
+        if not is_n_reductive_regular(vq):
+            raise AssertionError("the lift of an n-reductive v is not n-reductive")
+        if not strengthens_regular(v, vq):
+            raise AssertionError("the lift does not strengthen v")
     return vq
 
 
@@ -504,8 +518,10 @@ def homotopic_characteristic(q: Subalg, m: Subalg, seed: int = 0) -> int:
     c = rank_s - tau.meet(s).dim
     l = m.join(s)
     rank_l = maximal_torus(l, seed=seed).dim if l.dim else 0
-    assert c == rank_l - tau.dim, "torus count disagrees with rank formula"
-    assert c >= 0
+    if c != rank_l - tau.dim:
+        raise AssertionError("torus count disagrees with rank formula")
+    if c < 0:
+        raise AssertionError("negative homotopic characteristic")
     return c
 
 
@@ -519,7 +535,8 @@ def euler_positive_clause(q: Subalg, m: Subalg, seed: int = 0) -> bool:
     s = _semisimple_part(lq)
     tau = maximal_torus(m, seed=seed) if m.dim else m
     adapted = maximal_torus(centralizer(tau).meet(lq), seed=seed)
-    assert tau.is_subspace_of(adapted)
+    if not tau.is_subspace_of(adapted):
+        raise AssertionError("the adapted maximal torus does not contain tau")
     return adapted.meet(s).is_subspace_of(tau)
 
 
@@ -536,11 +553,12 @@ def homotopic_characteristic_regular(
     if not (m.rootset <= q.q_r and m.toral.is_subspace_of(q.system.cartan)):
         raise ValueError("m must lie inside the Levi part of q")
     span = _coroot_span(q)
-    assert span.dim == canonicalize(
-        [list(a) for a in sorted(q.q_r)], q.system.coord_dim
-    ).dim
+    roots = canonicalize([list(a) for a in sorted(q.q_r)], q.system.coord_dim)
+    if span.dim != roots.dim:
+        raise AssertionError("coroot span and root span differ in dimension")
     c = span.dim - span.meet(m.toral).dim
-    assert c >= 0
+    if c < 0:
+        raise AssertionError("negative homotopic characteristic")
     return c
 
 

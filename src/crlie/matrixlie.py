@@ -163,7 +163,10 @@ class Subalg:
     """A subspace of an ambient algebra, in ambient coordinates.
 
     Nothing here checks bracket closure; use bracket_closure or is_subalgebra
-    when the distinction matters.
+    when the distinction matters.  A Subalg keeps its matrices and its
+    nilradical once they have been computed: matrices() and nilradical()
+    fill them on first use, so every caller holding the same object shares
+    one computation.
     """
 
     def __init__(self, ambient: AmbientAlgebra, space: Subspace):
@@ -172,6 +175,7 @@ class Subalg:
         self.ambient = ambient
         self.space = space
         self._mats = None
+        self._nr = None
 
     @classmethod
     def from_matrices(cls, ambient: AmbientAlgebra, mats) -> "Subalg":
@@ -193,6 +197,12 @@ class Subalg:
                 self.ambient.from_coords(row) for row in self.space.basis
             ]
         return self._mats
+
+    def nilradical(self) -> "Subalg":
+        """nr of this subalgebra: nilradical_nr on first use, then kept."""
+        if self._nr is None:
+            self._nr = nilradical_nr(self)
+        return self._nr
 
     def contains_matrix(self, x: DenseMatrix) -> bool:
         c = self.ambient.coords(x)
@@ -486,7 +496,8 @@ def jordan_chevalley(x: DenseMatrix):
     p = squarefree_part(m)
     # p squarefree, so gcd(p, p') = 1 and u inverts p' modulo p
     g, u, _ = poly_xgcd(p.derivative(), p)
-    assert g.degree == 0
+    if g.degree != 0:
+        raise AssertionError("squarefree part shares a factor with its derivative")
     y = x
     guard = 0
     while True:
@@ -495,12 +506,16 @@ def jordan_chevalley(x: DenseMatrix):
             break
         y = y - val * u(y)
         guard += 1
-        assert guard <= x.rows + 2, "Newton iteration failed to converge"
+        if guard > x.rows + 2:
+            raise AssertionError("Newton iteration failed to converge")
     s, n = y, x - y
-    assert s.bracket(n).is_zero()
-    assert (n ** x.rows).is_zero()
+    if not s.bracket(n).is_zero():
+        raise AssertionError("Jordan parts do not commute")
+    if not (n ** x.rows).is_zero():
+        raise AssertionError("nilpotent Jordan part is not nilpotent")
     sf = min_poly(s)
-    assert squarefree_part(sf).degree == sf.degree
+    if squarefree_part(sf).degree != sf.degree:
+        raise AssertionError("semisimple Jordan part is not semisimple")
     return s, n
 
 
@@ -627,7 +642,8 @@ def rational_roots_complete(p: Poly):
         quot, rem = divmod(
             current, Poly([GaussRational.of(-root), GaussRational.of(1)])
         )
-        assert rem.degree < 0
+        if rem.degree >= 0:
+            raise AssertionError("rational root does not divide the polynomial")
         current = quot
     return sorted(roots)
 
@@ -664,9 +680,13 @@ def parabolic_from_element(amb: AmbientAlgebra, a: DenseMatrix) -> Subalg:
         total += ker.dim
         if lam >= 0:
             q_rows.extend(list(r) for r in ker.basis)
-    assert total == amb.dim, "grading element is not semisimple on the ambient algebra"
+    if total != amb.dim:
+        raise AssertionError("grading element is not semisimple on the ambient algebra")
     q = Subalg(amb, canonicalize(q_rows, amb.dim))
-    assert bracket_closure(q).space == q.space
-    assert q.join(q.sigma_image()).dim == amb.dim
-    assert q.meet(q.sigma_image()).space == centralizer_element(amb, a).space
+    if bracket_closure(q).space != q.space:
+        raise AssertionError("q_A is not a subalgebra")
+    if q.join(q.sigma_image()).dim != amb.dim:
+        raise AssertionError("q_A + sigma(q_A) is not the ambient")
+    if q.meet(q.sigma_image()).space != centralizer_element(amb, a).space:
+        raise AssertionError("q_A meet sigma(q_A) is not the centralizer of A")
     return q

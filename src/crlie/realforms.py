@@ -913,9 +913,8 @@ def _first_violation(assignment, universe, system):
     return None
 
 
-def type_criteria(form, crosses, orbit: MinimalOrbit | None = None) -> TypeCriteria:
-    """Test the two strongly-orthogonal-system criteria for the minimal
-    orbit marked by crosses.
+def type_criteria(orbit: MinimalOrbit) -> TypeCriteria:
+    """Test the two strongly-orthogonal-system criteria for a minimal orbit.
 
     For each maximal set of pairwise strongly orthogonal real roots of the
     flag parabolic, and each admissible choice of signs, the type-I test
@@ -923,15 +922,10 @@ def type_criteria(form, crosses, orbit: MinimalOrbit | None = None) -> TypeCrite
     test asks the same of theta_core_reductive.  A criterion holds when some
     system passes.  The verdicts are cross-checked against the rank-based
     regularity report of the matrix build, which must agree exactly.  The
-    root sets and the classification are read off the orbit, which is
-    built here when not given.
+    root sets and the classification are read off the orbit.
     """
-    if isinstance(form, (str, RealFormSpec)):
-        form = build_real_form(form)
-    if orbit is None:
-        orbit = build_minimal_orbit(form, crosses)
     sets, cls = orbit.sets, orbit.classification
-    system = form.system
+    system = orbit.form.system
     positive = set(system.positive_roots)
 
     available = {}

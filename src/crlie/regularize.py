@@ -1,8 +1,9 @@
 """Parabolic regularization: iterate v -> N_k(nr(v)) until it stabilizes.
 
 The chain is increasing, so it terminates; the fixed point is a parabolic
-subalgebra, which the certificate re-verifies from scratch (self-normalizing,
-q + sigma(q) = k, and k = nr(q) (+) L(q) (+) sigma(nr(q))).
+subalgebra q.  The certificate takes nr(q) from q, which computed it during
+the chain, and re-checks the three properties: q is self-normalizing,
+q + sigma(q) = k, and k = nr(q) (+) L(q) (+) sigma(nr(q)).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from crlie.crcore import levi_part
-from crlie.matrixlie import Subalg, nilradical_nr, normalizer
+from crlie.matrixlie import Subalg, normalizer
 from crlie.rootsys import (
     ParabolicRootSet,
     RegularSubalgebra,
@@ -68,7 +69,7 @@ def certify_parabolic(q: Subalg) -> ParabolicCertificate:
     amb = q.ambient
     self_norm = normalizer(q).space == q.space
     spans = q.join(q.sigma_image()).dim == amb.dim
-    nr = nilradical_nr(q)
+    nr = q.nilradical()
     levi = levi_part(q)
     snr = nr.sigma_image()
     triple = (
@@ -83,24 +84,21 @@ def certify_parabolic(q: Subalg) -> ParabolicCertificate:
 
 def regularize(v: Subalg) -> RegularizationChain:
     steps = [v]
-    nr = nilradical_nr(v)
-    nr_dims = [nr.dim]
     guard = v.ambient.dim + 2
     while len(steps) <= guard:
-        nxt = normalizer(nr)
+        nxt = normalizer(steps[-1].nilradical())
         if not steps[-1].is_subspace_of(nxt):
             raise AssertionError("regularization chain must increase")
-        steps.append(nxt)
-        if nxt.space == steps[-2].space:
+        if nxt.space == steps[-1].space:
+            # the fixed point: repeat the step, which keeps its nilradical
+            steps.append(steps[-1])
             break
-        nr = nilradical_nr(nxt)
-        nr_dims.append(nr.dim)
+        steps.append(nxt)
     else:
         raise RuntimeError("regularization did not stabilize")
-    nr_dims.append(nr.dim)
-    return RegularizationChain(
-        "matrix", steps, nr_dims, certify_parabolic(steps[-1]), steps[-1]
-    )
+    q = steps[-1]
+    nr_dims = [s.nilradical().dim for s in steps]
+    return RegularizationChain("matrix", steps, nr_dims, certify_parabolic(q), q)
 
 
 def certify_parabolic_regular(q: ParabolicRootSet) -> ParabolicCertificate:
@@ -118,7 +116,6 @@ def certify_parabolic_regular(q: ParabolicRootSet) -> ParabolicCertificate:
 def regularize_regular(v: RegularSubalgebra) -> RegularizationChain:
     system: RootSystem = v.system
     steps = [v]
-    nr_dims = [len(v.nilpotent_roots)]
     guard = system.cartan.dim + len(system.roots) + 2
     while len(steps) <= guard:
         nxt = normalizer_regular(system, steps[-1].nilpotent_roots)
@@ -127,10 +124,9 @@ def regularize_regular(v: RegularSubalgebra) -> RegularizationChain:
         steps.append(nxt)
         if nxt.same_span(steps[-2]):
             break
-        nr_dims.append(len(nxt.nilpotent_roots))
     else:
         raise RuntimeError("regularization did not stabilize")
-    nr_dims.append(len(steps[-1].nilpotent_roots))
+    nr_dims = [len(s.nilpotent_roots) for s in steps]
     result = ParabolicRootSet(system, steps[-1].rootset)
     return RegularizationChain(
         "regular", steps, nr_dims, certify_parabolic_regular(result), result

@@ -79,6 +79,7 @@ class RootSystem:
         self.coord_dim = rank + 1 if family == "A" else rank
         self.roots = frozenset(self._generate())
         self.roots_sorted = tuple(sorted(self.roots))
+        self.root_index = {a: i for i, a in enumerate(self.roots_sorted)}
         self.positive_roots = tuple(
             sorted(a for a in self.roots if self._is_positive(a))
         )
@@ -91,7 +92,8 @@ class RootSystem:
             "C": 2 * rank * rank,
             "D": 2 * rank * (rank - 1),
         }[family]
-        assert len(self.roots) == expected
+        if len(self.roots) != expected:
+            raise AssertionError(f"{family}{rank} has {len(self.roots)} roots")
 
     def _generate(self):
         n = self.coord_dim
@@ -166,7 +168,8 @@ class RootSystem:
     def coroot(self, alpha: Root) -> Root:
         norm = sum(a * a for a in alpha)
         scaled = [Fraction(2 * a, norm) for a in alpha]
-        assert all(c.denominator == 1 for c in scaled)
+        if any(c.denominator != 1 for c in scaled):
+            raise AssertionError(f"{alpha} has no integral coroot")
         return tuple(int(c) for c in scaled)
 
     def simple_coefficients(self, alpha: Root) -> tuple:
@@ -179,10 +182,12 @@ class RootSystem:
             [[s[i] for s in self.simple_roots] for i in range(self.coord_dim)]
         )
         sol = solve_linear(columns, list(alpha))
-        assert sol is not None, "root outside the simple-root span"
+        if sol is None:
+            raise AssertionError("root outside the simple-root span")
         coeffs = []
         for c in sol:
-            assert not c.im and c.re.denominator == 1
+            if c.im or c.re.denominator != 1:
+                raise AssertionError(f"{alpha} has non-integral simple coefficients")
             coeffs.append(int(c.re))
         out = tuple(coeffs)
         self._simple_coeffs[alpha] = out
@@ -195,7 +200,8 @@ class RootSystem:
         rows = DenseMatrix([list(s) for s in self.simple_roots])
         rhs = [1 if j == index - 1 else 0 for j in range(self.rank)]
         sol = solve_linear(rows, rhs)
-        assert sol is not None
+        if sol is None:
+            raise AssertionError("simple roots are not independent")
         return tuple(c.re for c in sol)
 
     def parse_root(self, text: str) -> Root:
@@ -547,7 +553,7 @@ def weyl_root_permutations(system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT)
         raise ValueError(
             f"rank {system.rank} exceeds the Weyl enumeration cap {rank_cap}"
         )
-    index = {a: i for i, a in enumerate(system.roots_sorted)}
+    index = system.root_index
     out = []
     for element in _weyl_signed_perms(system):
         out.append(
@@ -561,7 +567,7 @@ def enumerate_parabolics(
 ) -> list[ParabolicRootSet]:
     """All parabolic subsets of R: Weyl orbits of the standard parabolics."""
     perms = weyl_root_permutations(system, rank_cap)
-    index = {a: i for i, a in enumerate(system.roots_sorted)}
+    index = system.root_index
     seen = set()
     for subset in itertools.product((0, 1), repeat=system.rank):
         chosen = [i + 1 for i, bit in enumerate(subset) if bit]
@@ -585,7 +591,7 @@ def weyl_conjugate_sets(
     s2 = frozenset(tuple(a) for a in set2)
     if len(s1) != len(s2):
         return False
-    index = {a: i for i, a in enumerate(system.roots_sorted)}
+    index = system.root_index
     i1 = frozenset(index[a] for a in s1)
     i2 = frozenset(index[a] for a in s2)
     for perm in weyl_root_permutations(system, rank_cap):

@@ -304,7 +304,7 @@ def test_criterion_4_su23_root_sets_two_paths_and_rank_test():
     assert report.v_normalizer_rank < report.ambient_rank
 
     # the first type criterion fails with the displayed obstruction
-    crit = type_criteria(form, [1, 3], orbit=orbit)
+    crit = type_criteria(orbit)
     assert not crit.type_I
     record = crit.witnesses["type_I"]
     assert not record["holds"]
@@ -344,7 +344,7 @@ def test_criterion_5_so35_orthogonal_systems_and_type_failures():
         system, "e1-e2", "-e1+e2", "e1-e3", "-e1+e3", "e2-e3", "-e2+e3"
     )
 
-    crit = type_criteria(form, [4], orbit=orbit)
+    crit = type_criteria(orbit)
     expected_systems = {
         frozenset(roots_of(system, "e1-e2", "e1+e2")),
         frozenset(roots_of(system, "e1-e3", "e1+e3")),

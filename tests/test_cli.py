@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from crlie import cli, crcore, realforms
+from crlie import cli, crcore, matrixlie, realforms
 from crlie.cli import (
     ProblemError,
     emit_report,
@@ -300,7 +300,7 @@ class TestRun:
         calls = dict.fromkeys(
             ("regularity_type", "theta_sets", "classify_roots", "nilradical_nr"), 0
         )
-        for module in (cli, crcore, realforms):
+        for module in (cli, crcore, realforms, matrixlie):
             for name in calls:
                 original = getattr(module, name, None)
                 if original is None:
@@ -320,6 +320,45 @@ class TestRun:
             "classify_roots": 0,
             "nilradical_nr": 1,
         }
+
+    @pytest.mark.parametrize(
+        "fixture", ["su13-crosses12-lift.json", "su23-regularize.json"]
+    )
+    def test_one_nilradical_per_subalgebra(self, monkeypatch, fixture):
+        spaces = []
+        original = matrixlie.nilradical_nr
+
+        def counted(sub):
+            spaces.append(sub.space)
+            return original(sub)
+
+        monkeypatch.setattr(matrixlie, "nilradical_nr", counted)
+        assert cli._run_fixture(fixture)["ok"]
+        assert spaces and len(set(spaces)) == len(spaces)
+
+    def test_analyze_searches_the_full_torus_once(self, monkeypatch):
+        # N(0) and N(L(0)) are the whole of u(3), whose rank is already known
+        full = []
+        original = matrixlie.maximal_torus
+
+        def counted(sub, *args, **kwargs):
+            full.append(sub.dim == sub.ambient.dim)
+            return original(sub, *args, **kwargs)
+
+        for module in (crcore, matrixlie):
+            monkeypatch.setattr(module, "maximal_torus", counted)
+        problem = {
+            "ambient": {"form": "compact-u:3"},
+            "subalgebra": {"roots": [], "toral": "zero"},
+        }
+        report = run("analyze", parse_problem(problem))
+        assert report["flags"]["regularity"] == {
+            "kind": "I",
+            "ambient_rank": 3,
+            "v_normalizer_rank": 3,
+            "levi_normalizer_rank": 3,
+        }
+        assert full.count(True) == 1
 
 
 class TestEmitReport:

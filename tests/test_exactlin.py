@@ -364,6 +364,41 @@ def test_span_tracker_expressions():
         assert rebuilt == target
 
 
+def test_span_tracker_express_matches_solve_linear():
+    # sparse vectors with unit entries exercise the zero-skipping and
+    # unit-pivot paths of add; repeats and sums exercise dependent inserts.
+    # Free variables of solve_linear are the dependent inserts, which
+    # express leaves at zero, so the two solutions coincide.
+    rng = random.Random(71)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        tracker = SpanTracker(n)
+        inserted = []
+        for _ in range(rng.randint(1, 2 * n)):
+            if inserted and rng.random() < 0.25:
+                a, b = rng.choice(inserted), rng.choice(inserted)
+                v = [x + rand_scalar(rng) * y for x, y in zip(a, b)]
+            else:
+                v = [
+                    rng.choice((g(1), g(-1), g(0, 1), rand_scalar(rng)))
+                    if rng.random() < 0.4
+                    else g(0)
+                    for _ in range(n)
+                ]
+            inserted.append(v)
+            tracker.add(v)
+        columns = DenseMatrix([[v[i] for v in inserted] for i in range(n)])
+        for _ in range(4):
+            if rng.random() < 0.5:
+                target = rand_vector(rng, n)
+            else:
+                target = [g(0)] * n
+                for v in inserted:
+                    c = rand_scalar(rng)
+                    target = [a + c * b for a, b in zip(target, v)]
+            assert tracker.express(target) == solve_linear(columns, target)
+
+
 # ---------------------------------------------------------------------------
 # polynomials and minimal polynomials
 # ---------------------------------------------------------------------------

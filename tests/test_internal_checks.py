@@ -14,7 +14,9 @@ import crlie
 PACKAGE = Path(crlie.__file__).parent
 
 
-@pytest.mark.parametrize("module", ["realforms", "crcore", "regularize"])
+@pytest.mark.parametrize(
+    "module", ["realforms", "crcore", "regularize", "fibration", "matrixlie", "rootsys"]
+)
 def test_no_bare_asserts(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text("utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -50,3 +52,39 @@ def test_build_checks_survive_optimized_interpreter():
     )
     assert done.returncode == 1
     assert "AssertionError: theta is not an involution" in done.stderr
+
+
+# one tripped check per module, each with the message it must carry
+TRIPPED = {
+    "fibration": (
+        "from crlie.fibration import MapClassification\n"
+        "MapClassification(is_cr=True, is_submersion=True, is_spread=False,\n"
+        "                  is_deployment=False, fibers_totally_real=False,\n"
+        "                  fibers_totally_complex=False, witnesses={})\n",
+        "AssertionError: a submersion that is not a spread",
+    ),
+    # t^2 passed off as squarefree shares the factor t with its derivative
+    "matrixlie": (
+        "from crlie import matrixlie\n"
+        "from crlie.exactlin import DenseMatrix\n"
+        "matrixlie.squarefree_part = lambda p: p\n"
+        "matrixlie.jordan_chevalley(DenseMatrix.unit(2, 0, 1))\n",
+        "AssertionError: squarefree part shares a factor with its derivative",
+    ),
+    # 2(1,1,1)/3 is not integral: (1,1,1) is not a root of B3
+    "rootsys": (
+        "from crlie.rootsys import build_root_system\n"
+        "build_root_system('B', 3).coroot((1, 1, 1))\n",
+        "AssertionError: (1, 1, 1) has no integral coroot",
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(TRIPPED))
+def test_module_checks_survive_optimized_interpreter(module):
+    script, message = TRIPPED[module]
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert done.returncode == 1
+    assert message in done.stderr

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from crlie import matrixlie
 from crlie.exactlin import (
     DenseMatrix,
     GaussRational,
@@ -425,6 +426,37 @@ class TestNilradical:
         # pairing must still exclude it from the nilradical
         v = Subalg.from_matrices(GL2, [DenseMatrix.diag([g(1), IUNIT])])
         assert nilradical_nr(v).dim == 0
+
+
+class TestNilradicalAccessor:
+    def test_matches_a_fresh_computation_once(self, monkeypatch):
+        # normalizers of seeded spans are subalgebras, most with a nonzero
+        # nilradical
+        rng = random.Random(31)
+        fresh = matrixlie.nilradical_nr
+        calls = []
+
+        def counted(sub):
+            calls.append(sub)
+            return fresh(sub)
+
+        monkeypatch.setattr(matrixlie, "nilradical_nr", counted)
+        nonzero = 0
+        for amb in oracle_ambients()[:4]:
+            for _ in range(6):
+                k = rng.randint(1, 2)
+                if rng.random() < 0.5:
+                    rows = rng.sample(amb.unit_coords, k)
+                else:
+                    rows = [rand_coords(rng, amb.dim, 0.2) for _ in range(k)]
+                v = normalizer(Subalg(amb, canonicalize(rows, amb.dim)))
+                expected = fresh(Subalg(amb, v.space))
+                calls.clear()
+                assert v.nilradical().space == expected.space
+                assert v.nilradical() is v.nilradical()
+                assert len(calls) == 1 and calls[0] is v
+                nonzero += expected.dim > 0
+        assert nonzero >= 12
 
 
 class TestJordanChevalley:

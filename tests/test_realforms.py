@@ -496,7 +496,7 @@ class TestMinimalOrbit:
 
 class TestTypeCriteria:
     def test_su23_fails_type_one_with_witness(self):
-        crit = type_criteria("su:2,3", [1, 3])
+        crit = type_criteria(build_minimal_orbit("su:2,3", [1, 3]))
         assert not crit.type_I
         assert crit.type_II
         assert crit.regularity.kind == "II"
@@ -509,7 +509,7 @@ class TestTypeCriteria:
 
     def test_so35_fails_both_types_on_every_system(self):
         form = build_real_form("so:3,5")
-        crit = type_criteria(form, [4])
+        crit = type_criteria(build_minimal_orbit(form, [4]))
         assert not crit.type_I
         assert not crit.type_II
         assert crit.regularity.kind == "III"
@@ -528,13 +528,13 @@ class TestTypeCriteria:
             assert cex["sum"] not in sets.theta_core_reductive
 
     def test_slh2_is_type_one_vacuously(self):
-        crit = type_criteria("slH:2", [1, 3])
+        crit = type_criteria(build_minimal_orbit("slH:2", [1, 3]))
         assert crit.type_I and crit.type_II
         assert crit.regularity.kind == "I"
         assert crit.systems == ((),)
 
     def test_su13_cross_2_is_regular(self):
-        crit = type_criteria("su:1,3", [2])
+        crit = type_criteria(build_minimal_orbit("su:1,3", [2]))
         assert crit.type_I and crit.type_II
         assert crit.regularity.kind == "I"
         assert crit.systems == ((r(1, 0, 0, -1),),)
@@ -543,7 +543,7 @@ class TestTypeCriteria:
         }
 
     def test_compact_orbit_is_type_one(self):
-        crit = type_criteria("compact-u:3", [1])
+        crit = type_criteria(build_minimal_orbit("compact-u:3", [1]))
         assert crit.type_I and crit.type_II
         assert crit.regularity.kind == "I"
 
