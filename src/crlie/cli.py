@@ -137,12 +137,18 @@ def _parse_system(obj, bad):
         family, rank = m.group(1), int(m.group(2))
     elif isinstance(obj, dict) and set(obj) == {"family", "rank"}:
         family, rank = obj["family"], obj["rank"]
+        if not isinstance(family, str) or type(rank) is not int:
+            bad(
+                "ambient.system",
+                f"expected a string family and an int rank, got {obj!r}",
+            )
+            return None
     else:
         bad("ambient.system", "expected 'B3' or {\"family\": ..., \"rank\": ...}")
         return None
     try:
-        return build_root_system(str(family), int(rank))
-    except (ValueError, TypeError) as err:
+        return build_root_system(family, rank)
+    except ValueError as err:
         bad("ambient.system", str(err))
         return None
 

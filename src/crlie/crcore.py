@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from crlie.matrixlie import (
-    Subalg,
-    centralizer,
-    maximal_torus,
-    normalizer,
-)
+from crlie.matrixlie import Subalg, maximal_torus, normalizer
 from crlie.rootsys import RegularSubalgebra
 
 
@@ -27,20 +22,16 @@ def levi_part(v: Subalg) -> Subalg:
 
 def cr_dims(v: Subalg) -> tuple[int, int]:
     """(CR dimension, CR codimension) of the orbit attached to v."""
-    cr_dim = v.dim - levi_part(v).dim
-    cr_codim = v.ambient.dim - v.join(v.sigma_image()).dim
-    return cr_dim, cr_codim
+    levi, span = v.meet_join(v.sigma_image())
+    return v.dim - levi.dim, v.ambient.dim - span.dim
 
 
 def n_reductive_split(v: Subalg):
     """Whether v = nr(v) (+) L(v), together with both pieces."""
     nr = v.nilradical()
     levi = levi_part(v)
-    ok = (
-        nr.meet(levi).dim == 0
-        and nr.join(levi).space == v.space
-    )
-    return ok, nr, levi
+    meet, join = nr.meet_join(levi)
+    return meet.dim == 0 and join.space == v.space, nr, levi
 
 
 def is_n_reductive(v: Subalg) -> bool:

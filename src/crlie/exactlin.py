@@ -6,6 +6,12 @@ vectors with Gaussian-rational coordinates.  This module provides the
 scalar type, dense matrices, canonical subspaces (unique reduced row
 echelon basis, so structural equality is subspace equality), and minimal
 polynomials.  No floats anywhere.
+
+_rref is the one row-elimination routine.  The coordinate primitives the
+Lie algebra modules share live here too: sparse and apply_sparse (maps
+stored as sparse columns, linear or antilinear), combine (linear
+combinations of rows), DenseMatrix.mul_vec, DenseMatrix.from_flat and
+Subspace.full (the unit rows).
 """
 
 from __future__ import annotations
@@ -232,6 +238,11 @@ class DenseMatrix:
         )
 
     @staticmethod
+    def from_flat(values: Sequence, cols: int) -> "DenseMatrix":
+        """The matrix whose rows, read one after another, are values."""
+        return DenseMatrix([values[i : i + cols] for i in range(0, len(values), cols)])
+
+    @staticmethod
     def parse(entries: Sequence[Sequence[str]]) -> "DenseMatrix":
         return DenseMatrix([[GaussRational.parse(e) for e in row] for row in entries])
 
@@ -290,6 +301,15 @@ class DenseMatrix:
             if k:
                 base = base * base
         return out
+
+    def mul_vec(self, vector) -> tuple:
+        """self times vector taken as a column, as a tuple."""
+        if len(vector) != self.cols:
+            raise ValueError("matrix-vector shape mismatch")
+        return tuple(
+            sum((a * x for a, x in zip(row, vector) if a and x), ZERO)
+            for row in self.entries
+        )
 
     def scale(self, c) -> "DenseMatrix":
         c = GaussRational.of(c)
@@ -438,10 +458,12 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return canonicalize(
-            [[1 if i == j else 0 for j in range(ambient_dim)] for i in range(ambient_dim)],
-            ambient_dim,
+        """The whole space; its RREF basis is the unit rows."""
+        units = tuple(
+            tuple(ONE if i == j else ZERO for j in range(ambient_dim))
+            for i in range(ambient_dim)
         )
+        return Subspace(ambient_dim, units, tuple(range(ambient_dim)))
 
     def reduce(self, vector: Sequence):
         """Return (residual, coefficients w.r.t. basis rows) for a vector."""
@@ -561,6 +583,35 @@ def solve_linear(a: DenseMatrix, b: Sequence):
     for row, p in zip(reduced, pivots):
         x[p] = row[-1]
     return tuple(x)
+
+
+def sparse(vector) -> tuple:
+    """The nonzero entries of a vector as (index, value) pairs."""
+    return tuple((k, x) for k, x in enumerate(vector) if x)
+
+
+def apply_sparse(columns, vector, antilinear=False) -> tuple:
+    """vector under the map whose j-th column is the sparse list columns[j];
+    an antilinear map conjugates the entries of vector first."""
+    out = [ZERO] * len(columns)
+    for x, col in zip(vector, columns):
+        if x:
+            if antilinear:
+                x = GaussRational.of(x).conjugate()
+            for k, s in col:
+                out[k] = out[k] + x * s
+    return tuple(out)
+
+
+def combine(coeffs, rows, width: int) -> tuple:
+    """sum of coeffs[i] * rows[i], skipping zero coefficients and entries."""
+    out = [ZERO] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] = out[j] + c * x
+    return tuple(out)
 
 
 class SpanTracker:

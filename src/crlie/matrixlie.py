@@ -25,10 +25,14 @@ from crlie.exactlin import (
     SpanTracker,
     Subspace,
     ZERO,
+    apply_sparse,
     canonicalize,
+    combine,
     kernel,
+    meet_join,
     min_poly,
     poly_xgcd,
+    sparse,
     squarefree_part,
 )
 
@@ -36,10 +40,6 @@ from crlie.exactlin import (
 def sigma(x: DenseMatrix) -> DenseMatrix:
     """The compact real structure X -> -conj(X)^T."""
     return x.conj_transpose().scale(GaussRational.of(-1))
-
-
-def _sparse(c) -> tuple:
-    return tuple((k, x) for k, x in enumerate(c) if x)
 
 
 class AmbientAlgebra:
@@ -57,6 +57,7 @@ class AmbientAlgebra:
         self.basis = list(basis)
         self.dim = len(self.basis)
         self._tracker = SpanTracker(n * n)
+        self._flat = [b.flatten() for b in self.basis]
         for b in self.basis:
             if b.rows != n or b.cols != n:
                 raise ValueError("basis matrix has wrong shape")
@@ -68,7 +69,7 @@ class AmbientAlgebra:
                 c = self.coords(a.bracket(self.basis[j]))
                 if c is None:
                     raise ValueError("ambient basis does not close under brackets")
-                terms = _sparse(c)
+                terms = sparse(c)
                 self._brackets[i][j] = terms
                 self._brackets[j][i] = tuple((k, -x) for k, x in terms)
         self._sigma = []
@@ -76,7 +77,7 @@ class AmbientAlgebra:
             c = self.coords(sigma(b))
             if c is None:
                 raise ValueError("ambient algebra is not sigma-stable")
-            self._sigma.append(_sparse(c))
+            self._sigma.append(sparse(c))
         self.unit_coords = Subspace.full(self.dim).basis
 
     def coords(self, x: DenseMatrix):
@@ -86,20 +87,11 @@ class AmbientAlgebra:
         return self.coords(x) is not None
 
     def from_coords(self, c) -> DenseMatrix:
-        acc = [[ZERO] * self.n for _ in range(self.n)]
-        for coeff, b in zip(c, self.basis):
-            coeff = GaussRational.of(coeff)
-            if coeff:
-                for i, row in enumerate(b.entries):
-                    arow = acc[i]
-                    for j, x in enumerate(row):
-                        if x:
-                            arow[j] = arow[j] + coeff * x
-        return DenseMatrix(acc)
+        return DenseMatrix.from_flat(combine(c, self._flat, self.n * self.n), self.n)
 
     def bracket(self, x, y) -> tuple:
         """[x, y] for coordinate vectors x and y."""
-        ys = _sparse(y)
+        ys = sparse(y)
         out = [ZERO] * self.dim
         for i, a in enumerate(x):
             if a:
@@ -113,13 +105,7 @@ class AmbientAlgebra:
     def sigma_coords(self, c) -> tuple:
         """sigma on coordinates; sigma is antilinear, so the coefficients
         are conjugated."""
-        out = [ZERO] * self.dim
-        for x, terms in zip(c, self._sigma):
-            if x:
-                x = GaussRational.of(x).conjugate()
-                for k, s in terms:
-                    out[k] = out[k] + x * s
-        return tuple(out)
+        return apply_sparse(self._sigma, c, antilinear=True)
 
     def ad_matrix(self, x: DenseMatrix) -> DenseMatrix:
         """Matrix of ad_x on the ambient algebra in basis coordinates."""
@@ -210,6 +196,11 @@ class Subalg:
 
     def is_subspace_of(self, other: "Subalg") -> bool:
         return self.space.is_subspace_of(other.space)
+
+    def meet_join(self, other: "Subalg"):
+        """(self meet other, self join other) from one reduction."""
+        pair = meet_join(self.space, other.space)
+        return tuple(Subalg(self.ambient, s) for s in pair)
 
     def meet(self, other: "Subalg") -> "Subalg":
         return Subalg(self.ambient, self.space.meet(other.space))
@@ -351,28 +342,16 @@ def _radical_space_from_ads(ads, dim):
     taken inside v.  Works on abstract ad matrices."""
     if dim == 0:
         return Subspace.zero(0)
-    killing = [[ZERO] * dim for _ in range(dim)]
+    gram = [[ZERO] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
             val = ads[i].trace_product(ads[j])
-            killing[i][j] = val
-            killing[j][i] = val
-    derived_rows = []
-    for i in range(dim):
-        for j in range(dim):
-            derived_rows.append([ads[i][t, j] for t in range(dim)])
-    derived = canonicalize(derived_rows, dim)
-    equations = []
-    for d in derived.basis:
-        equations.append(
-            [
-                sum(
-                    (killing[i][j] * d[j] for j in range(dim)),
-                    GaussRational.of(0),
-                )
-                for i in range(dim)
-            ]
-        )
+            gram[i][j] = val
+            gram[j][i] = val
+    killing = DenseMatrix(gram)
+    # [v, v] is spanned by the columns of the ad matrices
+    derived = canonicalize([col for ad in ads for col in ad.transpose().entries], dim)
+    equations = [killing.mul_vec(d) for d in derived.basis]
     if not equations:
         return Subspace.full(dim)
     return kernel(DenseMatrix(equations))
@@ -386,13 +365,7 @@ def radical(sub: Subalg) -> Subalg:
         raise AssertionError("radical needs a bracket-closed input")
     ads = _internal_ads(sub)
     rad_internal = _radical_space_from_ads(ads, sub.dim)
-    rows = []
-    for c in rad_internal.basis:
-        combo = [GaussRational.of(0)] * sub.ambient.dim
-        for coeff, brow in zip(c, sub.space.basis):
-            for t in range(sub.ambient.dim):
-                combo[t] = combo[t] + coeff * brow[t]
-        rows.append(combo)
+    rows = [combine(c, sub.space.basis, sub.ambient.dim) for c in rad_internal.basis]
     rad = Subalg(sub.ambient, canonicalize(rows, sub.ambient.dim))
     if not is_solvable(rad):
         raise AssertionError("radical candidate is not solvable")
@@ -477,14 +450,7 @@ def nilradical_nr(sub: Subalg) -> Subalg:
     qrad = _radical_space_from_ads(qads, qdim)
     for c in qrad.basis:
         for ad in qads:
-            img = [
-                sum(
-                    (ad[t, j] * c[j] for j in range(qdim)),
-                    GaussRational.of(0),
-                )
-                for t in range(qdim)
-            ]
-            if any(img):
+            if any(ad.mul_vec(c)):
                 raise AssertionError("quotient by the nilradical is not reductive")
     return nil
 
@@ -547,13 +513,12 @@ def splittable_evidence(sub: Subalg, trials: int = 12, seed: int = 0) -> SplitEv
         s, _ = jordan_chevalley(m)
         if not sub.contains_matrix(s):
             return SplitEvidence(False, samples, witness=m)
+    amb = sub.ambient
     for _ in range(trials):
-        combo = DenseMatrix.zero(sub.ambient.n, sub.ambient.n)
-        for m in mats:
-            c = GaussRational(
-                Fraction(rng.randrange(-6, 7)), Fraction(rng.randrange(-6, 7))
-            )
-            combo = combo + m.scale(c)
+        coeffs = [
+            GaussRational(rng.randrange(-6, 7), rng.randrange(-6, 7)) for _ in mats
+        ]
+        combo = amb.from_coords(combine(coeffs, sub.space.basis, amb.dim))
         samples += 1
         s, _ = jordan_chevalley(combo)
         if not sub.contains_matrix(s):
@@ -574,16 +539,16 @@ def maximal_torus(sub: Subalg, seed: int = 0) -> Subalg:
         raise ValueError("maximal_torus needs a sigma-stable subalgebra")
     if sub.dim == 0:
         return sub
+    n = sub.ambient.n
     generators = []
     for b in sub.matrices():
         for g in (b + sigma(b), (b - sigma(b)).scale(IUNIT)):
             if not g.is_zero():
-                generators.append(g)
+                generators.append(g.flatten())
     rng = random.Random(seed)
     for attempt in range(8):
-        y = DenseMatrix.zero(sub.ambient.n, sub.ambient.n)
-        for g in generators:
-            y = y + g.scale(GaussRational.of(Fraction(rng.randrange(-9, 10))))
+        coeffs = [rng.randrange(-9, 10) for _ in generators]
+        y = DenseMatrix.from_flat(combine(coeffs, generators, n * n), n)
         t = centralizer_element(sub.ambient, y).meet(sub)
         ok = not any(any(c) for c in _pair_brackets(sub.ambient, t.space.basis))
         ok = ok and t.is_sigma_stable()

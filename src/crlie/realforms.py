@@ -39,7 +39,10 @@ from crlie.exactlin import (
     GaussRational,
     SpanTracker,
     Subspace,
+    apply_sparse,
     canonicalize,
+    combine,
+    sparse,
 )
 from crlie.matrixlie import AmbientAlgebra, Subalg
 from crlie.matrixlie import sigma as compact_conjugation
@@ -536,77 +539,8 @@ def _require(ok, message):
         raise AssertionError(message)
 
 
-def _unit_row(dim: int, j: int) -> tuple:
-    return tuple(ONE if i == j else ZERO for i in range(dim))
-
-
-def _apply(columns, c, antilinear=False) -> tuple:
-    """c under the map whose j-th column is the sparse list columns[j]; an
-    antilinear map conjugates c first."""
-    out = [ZERO] * len(columns)
-    for x, col in zip(c, columns):
-        if x:
-            x = x.conjugate() if antilinear else x
-            for k, s in col:
-                out[k] = out[k] + x * s
-    return tuple(out)
-
-
 def _project(g_theta, c) -> tuple:
-    return tuple((a + b) * _HALF for a, b in zip(c, _apply(g_theta, c)))
-
-
-def _psd_rank(gram):
-    """Rank of a symmetric rational matrix if it is positive semidefinite,
-    else None.  Diagonal-pivot Schur elimination; for a PSD matrix a zero
-    diagonal forces a zero row, which is exactly what gets checked."""
-    m = [list(row) for row in gram]
-    active = list(range(len(m)))
-    rank = 0
-    while active:
-        piv = None
-        for i in active:
-            if m[i][i] < 0:
-                return None
-            if m[i][i] > 0:
-                piv = i
-                break
-        if piv is None:
-            for i in active:
-                for j in active:
-                    if m[i][j]:
-                        return None
-            break
-        rank += 1
-        active.remove(piv)
-        p = m[piv][piv]
-        for i in active:
-            f = m[i][piv] / p
-            if f:
-                for j in active:
-                    m[i][j] -= f * m[piv][j]
-    return rank
-
-
-def _assert_compact_trace_form(g_basis):
-    """The tau-fixed real span must carry a negative-definite trace form."""
-    vecs = []
-    for b in g_basis:
-        tb = compact_conjugation(b)
-        for y in (b + tb, (b - tb).scale(IUNIT)):
-            if not y.is_zero():
-                vecs.append(y)
-    gram = []
-    for a in vecs:
-        row = []
-        for c in vecs:
-            t = a.trace_product(c)
-            _require(not t.im, "trace form is not real on the tau-fixed span")
-            row.append(-t.re)
-        gram.append(row)
-    rank = _psd_rank(gram)
-    _require(rank is not None, "trace form is not negative semidefinite")
-    _require(rank == len(g_basis), "tau-fixed span has the wrong real dimension")
+    return tuple((a + b) * _HALF for a, b in zip(c, apply_sparse(g_theta, c)))
 
 
 def build_real_form(spec) -> RealForm:
@@ -614,14 +548,15 @@ def build_real_form(spec) -> RealForm:
 
     On matrices: the basis of g is independent, its root vectors have the
     advertised Cartan eigenvalues, tau = sigma o theta is X -> -conj(X)^T,
-    h0 is abelian, and the trace form on the tau-fixed real span is negative
-    definite.  sigma and theta keep g and are stored as sparse maps on its
-    coordinates, which must keep the Cartan and send each root vector to a
-    multiple of one root vector.  On coordinates: sigma and theta are
+    and h0 is abelian.  sigma and theta keep g and are stored as sparse maps
+    on its coordinates, which must keep the Cartan and send each root vector
+    to a multiple of one root vector.  On coordinates: sigma and theta are
     commuting involutions, k has the expected dimension (its closure under
     brackets is checked by AmbientAlgebra), h0 is a sigma-fixed basis of
     the Cartan split by theta, and the induced root permutations are
-    consistent.  Results are cached per spec.
+    consistent.  The trace form is then negative definite on the tau-fixed
+    real span of g: that span consists of skew-Hermitian matrices, where
+    -tr(YZ) is the Frobenius inner product.  Results are cached per spec.
     """
     if isinstance(spec, str):
         spec = RealFormSpec.parse(spec)
@@ -651,18 +586,22 @@ def _build(spec: RealFormSpec) -> RealForm:
     g_sigma, g_theta = [], []
     for j, b in enumerate(g_basis):
         tb = theta(b)
+        # tau and X -> -conj(X)^T are antilinear, so this makes them agree on
+        # g; sigma(b), theta(b) lie in g (coords below), so g is tau-stable and
+        # its tau-fixed real span, of real dimension dim g, is skew-Hermitian.
+        # There -tr(YZ) is the Frobenius inner product: definite, rank dim g.
         _require(sigma(tb) == compact_conjugation(b), "tau is not -conj(X)^T")
         for image, columns in ((sigma(b), g_sigma), (tb, g_theta)):
-            col = tuple((k, x) for k, x in enumerate(coords(image)) if x)
+            col = sparse(coords(image))
             keeps_roots = len(col) == 1 and col[0][0] >= rank
             _require(
                 all(k < rank for k, _ in col) if j < rank else keeps_roots,
                 "sigma or theta mixes the Cartan and the root spaces",
             )
             columns.append(col)
-    sig = partial(_apply, g_sigma, antilinear=True)
-    th = partial(_apply, g_theta)
-    units = [_unit_row(dim, j) for j in range(dim)]
+    sig = partial(apply_sparse, g_sigma, antilinear=True)
+    th = partial(apply_sparse, g_theta)
+    units = Subspace.full(dim).basis
     for e in units:
         _require(sig(sig(e)) == e, "sigma is not an involution")
         _require(th(th(e)) == e, "theta is not an involution")
@@ -674,9 +613,9 @@ def _build(spec: RealFormSpec) -> RealForm:
 
     k_space = canonicalize([_project(g_theta, e) for e in units], dim)
     _require(k_space.dim == _k_dimension(spec), "unexpected dim for the compact part")
+    g_flat = [b.flatten() for b in g_basis]
     k_basis = [
-        sum((b.scale(x) for x, b in zip(row, g_basis) if x), DenseMatrix.zero(n, n))
-        for row in k_space.basis
+        DenseMatrix.from_flat(combine(row, g_flat, n * n), n) for row in k_space.basis
     ]
     k = AmbientAlgebra(n, k_basis, name=f"k({spec})")
 
@@ -687,7 +626,7 @@ def _build(spec: RealFormSpec) -> RealForm:
         _require(sig(c) == c, "Cartan basis element is not sigma-fixed")
         _require(th(c) == tuple(sign * x for x in c), "wrong theta-eigenvalue on h0")
     _require(
-        len(h0) == rank and canonicalize(h0_coords, dim).basis == tuple(units[:rank]),
+        len(h0) == rank and canonicalize(h0_coords, dim).basis == units[:rank],
         "h0 is not a basis of the Cartan",
     )
     for i, a in enumerate(h0):
@@ -725,7 +664,6 @@ def _build(spec: RealFormSpec) -> RealForm:
         k_space=k_space,
     )
     form.classification  # classify_roots verifies the root tags during the build
-    _assert_compact_trace_form(g_basis)
     return form
 
 
@@ -749,6 +687,7 @@ def classify_roots(form: RealForm) -> RootClassification:
     system = form.system
     roots = system.roots_sorted
     rank = len(form.cartan_basis)
+    units = Subspace.full(form.k_space.ambient_dim).basis
     sigma_star = {}
     theta_star = {}
     for alpha in roots:
@@ -772,7 +711,7 @@ def classify_roots(form: RealForm) -> RootClassification:
             # theta_star fixes alpha: theta x = c x with c = +-1
             j = form.root_index[alpha]
             ((_, c),) = form.g_theta[j]
-            in_k = form.k_space.contains(_unit_row(form.k_space.ambient_dim, j))
+            in_k = form.k_space.contains(units[j])
             _require(in_k == (c == ONE), "imaginary root vector misplaced in k")
             tag = IMAGINARY_COMPACT if c == ONE else IMAGINARY_NONCOMPACT
         else:
@@ -857,16 +796,16 @@ def build_minimal_orbit(form, crosses) -> MinimalOrbit:
         form = build_real_form(form)
     sets = theta_sets(form, crosses)
     dim = form.k_space.ambient_dim
+    units = Subspace.full(dim).basis
 
     def projected(alphas):
         return [
-            _project(form.g_theta, _unit_row(dim, form.root_index[a]))
-            for a in sorted(alphas)
+            _project(form.g_theta, units[form.root_index[a]]) for a in sorted(alphas)
         ]
 
     flag_space = canonicalize(
-        [_unit_row(dim, j) for j in range(len(form.cartan_basis))]
-        + [_unit_row(dim, form.root_index[a]) for a in sorted(sets.flag_roots)],
+        list(units[: len(form.cartan_basis)])
+        + [units[form.root_index[a]] for a in sorted(sets.flag_roots)],
         dim,
     )
     meet_space = flag_space.meet(form.k_space)
@@ -1014,7 +953,8 @@ def embed_regular(form, reg: RegularSpan) -> Subalg:
         "the coordinate elements of a compact form are not its Cartan basis",
     )
     dim = form.k_space.ambient_dim
+    units = Subspace.full(dim).basis
     pad = (ZERO,) * (dim - len(form.cartan_basis))
     rows = [tuple(row) + pad for row in reg.toral.basis]
-    rows += [_unit_row(dim, form.root_index[a]) for a in sorted(reg.rootset)]
+    rows += [units[form.root_index[a]] for a in sorted(reg.rootset)]
     return Subalg(form.k, _k_span(form, rows))

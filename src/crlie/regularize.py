@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from crlie.crcore import levi_part
 from crlie.matrixlie import Subalg, normalizer
 from crlie.rootsys import (
     ParabolicRootSet,
@@ -68,18 +67,18 @@ class RegularizationChain:
 def certify_parabolic(q: Subalg) -> ParabolicCertificate:
     amb = q.ambient
     self_norm = normalizer(q).space == q.space
-    spans = q.join(q.sigma_image()).dim == amb.dim
+    levi, span = q.meet_join(q.sigma_image())
     nr = q.nilradical()
-    levi = levi_part(q)
     snr = nr.sigma_image()
+    nr_meet_levi, nr_join_levi = nr.meet_join(levi)
     triple = (
         nr.dim + levi.dim + snr.dim == amb.dim
-        and nr.meet(levi).dim == 0
+        and nr_meet_levi.dim == 0
         and nr.meet(snr).dim == 0
         and levi.meet(snr).dim == 0
-        and nr.join(levi).join(snr).dim == amb.dim
+        and nr_join_levi.join(snr).dim == amb.dim
     )
-    return ParabolicCertificate(self_norm, spans, triple)
+    return ParabolicCertificate(self_norm, span.dim == amb.dim, triple)
 
 
 def regularize(v: Subalg) -> RegularizationChain:

@@ -466,6 +466,27 @@ class TestMain:
         err = capsysbinary.readouterr().err.decode()
         assert "ambient" in err and "subalgebra" in err
 
+    @pytest.mark.parametrize(
+        "system",
+        [
+            {"family": "B", "rank": 3.7},
+            {"family": "C", "rank": True},
+            {"family": "B", "rank": "3"},
+            {"family": ["B"], "rank": 3},
+        ],
+        ids=["float-rank", "bool-rank", "string-rank", "list-family"],
+    )
+    def test_malformed_system_object_exits_one(self, tmp_path, capsysbinary, system):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**EMPTY, "ambient": {"system": system}}))
+        assert cli.main(["analyze", str(path)]) == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.decode() == (
+            "crlie: ambient.system: expected a string family and an int rank, "
+            f"got {system!r}\n"
+        )
+
     def test_missing_file_exits_one(self, tmp_path, capsysbinary):
         assert cli.main(["analyze", str(tmp_path / "nope.json")]) == 1
         assert b"cannot read" in capsysbinary.readouterr().err

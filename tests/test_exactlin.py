@@ -12,7 +12,9 @@ from crlie.exactlin import (
     SpanTracker,
     Subspace,
     _rref,
+    apply_sparse,
     canonicalize,
+    combine,
     kernel,
     meet_join,
     min_poly,
@@ -20,6 +22,7 @@ from crlie.exactlin import (
     poly_xgcd,
     solve_linear,
     solve_membership,
+    sparse,
     squarefree_part,
 )
 
@@ -245,6 +248,95 @@ def test_meet_join_equals_canonicalized_halves():
         assert (meet, meet.pivots) == (want_meet, want_meet.pivots)
         assert (join, join.pivots) == (want_join, want_join.pivots)
         assert join == canonicalize(list(a.basis) + list(b.basis), n)
+
+
+# ---------------------------------------------------------------------------
+# coordinate primitives against dense and entrywise references
+# ---------------------------------------------------------------------------
+
+
+def _column(v):
+    return DenseMatrix([[x] for x in v])
+
+
+def _sparse_vector(rng, n):
+    return [rand_scalar(rng) if rng.random() < 0.4 else g(0) for _ in range(n)]
+
+
+def test_apply_sparse_matches_dense_product():
+    rng = random.Random(6161)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = _rand_sparse_matrix(rng, n)
+        columns = [sparse([m[i, j] for i in range(n)]) for j in range(n)]
+        v = _sparse_vector(rng, n)
+        assert apply_sparse(columns, v) == (m * _column(v)).flatten()
+        conj = [x.conjugate() for x in v]
+        assert apply_sparse(columns, v, antilinear=True) == (m * _column(conj)).flatten()
+
+
+def test_apply_sparse_antilinear_is_sigma_on_gl_coordinates():
+    # gl_n in the basis E_ij, where the coordinates of X are X.flatten()
+    def sigma(x):
+        return x.conj_transpose().scale(-1)
+
+    rng = random.Random(6262)
+    maps = {
+        n: [
+            sparse(sigma(DenseMatrix.unit(n, i, j)).flatten())
+            for i in range(n)
+            for j in range(n)
+        ]
+        for n in range(1, 5)
+    }
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        x = _rand_sparse_matrix(rng, n)
+        assert apply_sparse(maps[n], x.flatten(), antilinear=True) == sigma(x).flatten()
+
+
+def test_sparse_keeps_exactly_the_nonzero_entries():
+    rng = random.Random(6363)
+    for _ in range(200):
+        v = _sparse_vector(rng, rng.randint(0, 8))
+        assert sparse(v) == tuple((k, x) for k, x in enumerate(v) if x != g(0))
+
+
+def test_combine_matches_entrywise_sum():
+    rng = random.Random(6464)
+    for _ in range(200):
+        width, count = rng.randint(0, 7), rng.randint(0, 5)
+        rows = [_sparse_vector(rng, width) for _ in range(count)]
+        coeffs = _sparse_vector(rng, count)
+        want = tuple(
+            sum((c * row[j] for c, row in zip(coeffs, rows)), g(0)) for j in range(width)
+        )
+        assert combine(coeffs, rows, width) == want
+
+
+def test_mul_vec_matches_dense_product():
+    rng = random.Random(6565)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = DenseMatrix([_sparse_vector(rng, cols) for _ in range(rows)])
+        v = _sparse_vector(rng, cols)
+        assert m.mul_vec(v) == (m * _column(v)).flatten()
+    with pytest.raises(ValueError, match="shape mismatch"):
+        DenseMatrix.identity(2).mul_vec([g(1)])
+
+
+def test_from_flat_inverts_flatten():
+    rng = random.Random(6666)
+    for _ in range(200):
+        m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        assert DenseMatrix.from_flat(m.flatten(), m.cols) == m
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_full_subspace_is_canonical_identity(n):
+    full = Subspace.full(n)
+    want = canonicalize(DenseMatrix.identity(n).entries, n)
+    assert (full, full.pivots, full.dim) == (want, want.pivots, n)
 
 
 def test_value_types_pickle_round_trip():

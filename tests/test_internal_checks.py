@@ -14,13 +14,19 @@ import crlie
 PACKAGE = Path(crlie.__file__).parent
 
 
-@pytest.mark.parametrize(
-    "module", ["realforms", "crcore", "regularize", "fibration", "matrixlie", "rootsys"]
-)
-def test_no_bare_asserts(module):
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text("utf-8"))
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def test_every_module_is_scanned():
+    names = {path.stem for path in MODULES}
+    assert {"cli", "exactlin", "realforms", "matrixlie"} <= names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_bare_asserts(path):
+    tree = ast.parse(path.read_text("utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert lines == [], f"bare assert in {module}.py at lines {lines}"
+    assert lines == [], f"bare assert in {path.name} at lines {lines}"
 
 
 # theta' = i theta squares to -1.  sigma' = i sigma keeps sigma' an
@@ -52,6 +58,35 @@ def test_build_checks_survive_optimized_interpreter():
     )
     assert done.returncode == 1
     assert "AssertionError: theta is not an involution" in done.stderr
+
+
+# theta' = -theta still keeps g, but tau' = sigma o theta' is X -> conj(X)^T.
+# The tau check is what makes the trace form on the tau-fixed span negative
+# definite, so it must trip before anything is built on a wrong tau.
+BROKEN_TAU = """
+from crlie import realforms
+
+present = realforms._present
+
+
+def broken(spec):
+    pres = present(spec)
+    theta = pres.theta
+    pres.theta = lambda x: theta(x).scale(-1)
+    return pres
+
+
+realforms._present = broken
+realforms.build_real_form("su:1,2")
+"""
+
+
+def test_tau_check_survives_optimized_interpreter():
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_TAU], capture_output=True, text=True
+    )
+    assert done.returncode == 1
+    assert "AssertionError: tau is not -conj(X)^T" in done.stderr
 
 
 # one tripped check per module, each with the message it must carry

@@ -5,7 +5,7 @@ import pytest
 
 from crlie.crcore import cr_dims, is_n_reductive, regularity_type
 from crlie.exactlin import IUNIT, DenseMatrix, GaussRational, Subspace, canonicalize
-from crlie.matrixlie import nilradical_nr, normalizer
+from crlie.matrixlie import nilradical_nr, normalizer, sigma
 from crlie.realforms import (
     COMPLEX,
     IMAGINARY_COMPACT,
@@ -99,24 +99,94 @@ class TestRealFormSpec:
 
 
 EXPECTED_K_DIM = {
+    "su:1,2": 4,
+    "su:2,2": 7,
     "su:1,3": 9,
     "su:2,3": 12,
     "slH:2": 10,
+    "slH:3": 21,
+    "so:1,4": 6,
+    "so:2,3": 4,
     "so:3,5": 13,
     "compact-u:3": 9,
+    "compact-u:4": 16,
+    "compact-so:5": 10,
     "compact-so:7": 21,
     "compact-sp:2": 10,
 }
 
 EXPECTED_SYSTEM = {
+    "su:1,2": ("A", 2),
+    "su:2,2": ("A", 3),
     "su:1,3": ("A", 3),
     "su:2,3": ("A", 4),
     "slH:2": ("A", 3),
+    "slH:3": ("A", 5),
+    "so:1,4": ("B", 2),
+    "so:2,3": ("B", 2),
     "so:3,5": ("D", 4),
     "compact-u:3": ("A", 2),
+    "compact-u:4": ("A", 3),
+    "compact-so:5": ("B", 2),
     "compact-so:7": ("B", 3),
     "compact-sp:2": ("C", 2),
 }
+
+
+def psd_rank(gram):
+    """Rank of a symmetric rational matrix if it is positive semidefinite,
+    else None.  Diagonal-pivot Schur elimination; for a PSD matrix a zero
+    diagonal forces a zero row, which is exactly what gets checked."""
+    m = [list(row) for row in gram]
+    active = list(range(len(m)))
+    rank = 0
+    while active:
+        piv = None
+        for i in active:
+            if m[i][i] < 0:
+                return None
+            if m[i][i] > 0:
+                piv = i
+                break
+        if piv is None:
+            for i in active:
+                for j in active:
+                    if m[i][j]:
+                        return None
+            break
+        rank += 1
+        active.remove(piv)
+        p = m[piv][piv]
+        for i in active:
+            f = m[i][piv] / p
+            if f:
+                for j in active:
+                    m[i][j] -= f * m[piv][j]
+    return rank
+
+
+def compact_trace_form_rank(form):
+    """Reference for the build: the Gram matrix of -tr(YZ) on a real
+    spanning set of the tau-fixed span of g, and its rank if it is
+    positive semidefinite (None otherwise)."""
+    g_basis = list(form.cartan_basis) + [
+        form.root_vectors[a] for a in form.system.roots_sorted
+    ]
+    vecs = []
+    for b in g_basis:
+        tb = sigma(b)
+        for y in (b + tb, (b - tb).scale(IUNIT)):
+            if not y.is_zero():
+                vecs.append(y)
+    gram = []
+    for a in vecs:
+        row = []
+        for c in vecs:
+            t = a.trace_product(c)
+            assert not t.im, "trace form is not real on the tau-fixed span"
+            row.append(-t.re)
+        gram.append(row)
+    return psd_rank(gram)
 
 
 class TestBuildRealForm:
@@ -126,6 +196,8 @@ class TestBuildRealForm:
         assert form.k.dim == EXPECTED_K_DIM[tag]
         assert (form.system.family, form.system.rank) == EXPECTED_SYSTEM[tag]
         assert len(form.root_vectors) == len(form.system.roots)
+        g_dim = len(form.cartan_basis) + len(form.root_vectors)
+        assert compact_trace_form_rank(form) == g_dim
 
     def test_builds_are_cached(self):
         a = build_real_form("su:1,3")
