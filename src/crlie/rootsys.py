@@ -4,14 +4,23 @@ Roots live in integer e_i coordinates (A_n inside the zero-sum hyperplane of
 R^{n+1}, B/C/D in R^n).  A t-regular subalgebra is a pair (toral subspace of
 the Cartan coordinate space, closed set of roots); parabolic sets, normalizers,
 Lie/module closures and Weyl orbits are all finite set manipulations here.
+
+Root sets are checked on index masks: an int whose bit i stands for
+``roots_sorted[i]``.  Closedness, the parabolic checks (closed, Q | -Q full),
+the split into Q_n and Q_r and the Weyl images of parabolic sets run on
+masks, through two tables each ``RootSystem`` builds once: the sum-pair table
+(for every root, the masks of the index pairs summing to it) and the negation
+permutation.  The latter is checked to reverse the lexicographic order of
+``roots_sorted``, so negating a mask reverses its bits.  The public API still
+takes and returns frozensets of root tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from crlie.exactlin import (
@@ -22,6 +31,8 @@ from crlie.exactlin import (
 )
 
 Root = tuple  # integer coordinate tuple
+
+_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def neg(alpha: Root) -> Root:
@@ -94,6 +105,7 @@ class RootSystem:
         }[family]
         if len(self.roots) != expected:
             raise AssertionError(f"{family}{rank} has {len(self.roots)} roots")
+        self._build_mask_tables()
 
     def _generate(self):
         n = self.coord_dim
@@ -128,6 +140,54 @@ class RootSystem:
                 out.append(tuple(e(i, 2)))
                 out.append(tuple(e(i, -2)))
         return out
+
+    def _build_mask_tables(self):
+        n = len(self.roots_sorted)
+        self._full_mask = (1 << n) - 1
+        self._bit_format = f"0{n}b"
+        negation = tuple(self.root_index[neg(a)] for a in self.roots_sorted)
+        if negation != tuple(range(n - 1, -1, -1)):
+            raise AssertionError("negation does not reverse the root order")
+        pairs = [[] for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            k = self.root_index.get(
+                root_sum(self.roots_sorted[i], self.roots_sorted[j])
+            )
+            if k is not None:
+                pairs[k].append(1 << i | 1 << j)
+        self._sum_pairs = tuple(tuple(p) for p in pairs)
+
+    def _mask_of(self, rootset) -> int:
+        index = self.root_index
+        mask = 0
+        for a in rootset:
+            mask |= 1 << index[a]
+        return mask
+
+    def _flags(self, mask: int) -> bytes:
+        """Membership of each index in the mask, as bytes 0 or 1."""
+        return format(mask, self._bit_format)[::-1].encode().translate(_FLAG_BYTES)
+
+    def _mask_roots(self, mask: int) -> frozenset:
+        return frozenset(itertools.compress(self.roots_sorted, self._flags(mask)))
+
+    def _mask_indices(self, mask: int) -> tuple:
+        """Indices in the mask, ascending: a sort key that orders masks as
+        their sorted root tuples are ordered."""
+        n = len(self.roots_sorted)
+        return tuple(itertools.compress(range(n), self._flags(mask)))
+
+    def _neg_mask(self, mask: int) -> int:
+        return int(format(mask, self._bit_format)[::-1], 2)
+
+    def _mask_closed(self, mask: int) -> bool:
+        """No root outside the mask is the sum of a pair inside it."""
+        for k, pairs in enumerate(self._sum_pairs):
+            if not mask >> k & 1:
+                for p in pairs:
+                    if mask & p == p:
+                        return False
+        return True
 
     @staticmethod
     def _is_positive(alpha: Root) -> bool:
@@ -211,7 +271,7 @@ class RootSystem:
         return alpha
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RootSystem)
             and (self.family, self.rank) == (other.family, other.rank)
         )
@@ -222,17 +282,33 @@ class RootSystem:
     def __repr__(self):
         return f"RootSystem({self.family}{self.rank})"
 
+    def __reduce__(self):
+        return build_root_system, (self.family, self.rank)
 
-def build_root_system(family: str, rank: int) -> RootSystem:
+
+@lru_cache(maxsize=None)
+def _shared_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank)
 
 
+def build_root_system(family: str, rank: int) -> RootSystem:
+    """The root system of a family and rank.  A process holds one instance
+    per (family, rank), so its index tables are built once."""
+    return _shared_system(family.upper(), rank)
+
+
 def is_closed(system: RootSystem, rootset: Iterable[Root]) -> bool:
+    """Does every sum of two distinct members that is a root lie in the set?"""
     s = set(rootset)
-    for a, b in itertools.combinations(s, 2):
-        c = root_sum(a, b)
-        if c in system.roots and c not in s:
-            return False
+    inside = s & system.roots
+    if not system._mask_closed(system._mask_of(inside)):
+        return False
+    # a member that is no root may still sum with another member to a root
+    for a in s - inside:
+        for b in s - {a}:
+            c = root_sum(a, b)
+            if c in system.roots and c not in s:
+                return False
     return True
 
 
@@ -442,14 +518,25 @@ class ParabolicRootSet:
         q = frozenset(tuple(a) for a in rootset)
         if not q <= system.roots:
             raise ValueError("rootset contains non-roots")
-        if not is_closed(system, q):
+        self._set_mask(system, system._mask_of(q))
+
+    @classmethod
+    def _from_mask(cls, system: RootSystem, mask: int) -> "ParabolicRootSet":
+        out = cls.__new__(cls)
+        out._set_mask(system, mask)
+        return out
+
+    def _set_mask(self, system: RootSystem, mask: int):
+        if not system._mask_closed(mask):
             raise ValueError("parabolic set must be closed")
-        if not all(a in q or neg(a) in q for a in system.roots):
+        opposite = system._neg_mask(mask)
+        if mask | opposite != system._full_mask:
             raise ValueError("Q union -Q must be all of R")
         self.system = system
-        self.q = q
-        self.q_n = frozenset(a for a in q if neg(a) not in q)
-        self.q_r = frozenset(a for a in q if neg(a) in q)
+        self._mask = mask
+        self.q = system._mask_roots(mask)
+        self.q_n = system._mask_roots(mask & ~opposite)
+        self.q_r = system._mask_roots(mask & opposite)
 
     @property
     def dim(self) -> int:
@@ -471,7 +558,7 @@ class ParabolicRootSet:
         return (
             isinstance(other, ParabolicRootSet)
             and self.system == other.system
-            and self.q == other.q
+            and self._mask == other._mask
         )
 
     def __hash__(self):
@@ -565,22 +652,30 @@ def weyl_root_permutations(system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT)
 def enumerate_parabolics(
     system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT
 ) -> list[ParabolicRootSet]:
-    """All parabolic subsets of R: Weyl orbits of the standard parabolics."""
+    """All parabolic subsets of R: Weyl orbits of the standard parabolics.
+
+    The standard parabolic crossed at the simple roots C is the intersection
+    of the maximal parabolics crossed at each c in C, and a Weyl element
+    maps intersections to intersections.  So each element's images of the
+    rank maximal parabolics give its images of all 2^rank standard ones.
+    Every distinct image is checked to be parabolic."""
     perms = weyl_root_permutations(system, rank_cap)
-    index = system.root_index
-    seen = set()
-    for subset in itertools.product((0, 1), repeat=system.rank):
-        chosen = [i + 1 for i, bit in enumerate(subset) if bit]
-        std = standard_parabolic(system, chosen)
-        std_idx = frozenset(index[a] for a in std.q)
-        for perm in perms:
-            seen.add(frozenset(perm[i] for i in std_idx))
-    out = [
-        ParabolicRootSet(system, [system.roots_sorted[i] for i in idx_set])
-        for idx_set in seen
+    maximal = [
+        system._mask_indices(parabolic_from_crosses(system, [c])._mask)
+        for c in range(1, system.rank + 1)
     ]
-    out.sort(key=ParabolicRootSet.sort_key)
-    return out
+    bit = [1 << i for i in range(len(system.roots_sorted))]
+    seen = set()
+    for perm in perms:
+        images = [system._full_mask]
+        for indices in maximal:
+            image = sum(map(bit.__getitem__, map(perm.__getitem__, indices)))
+            images += [m & image for m in images]
+        seen.update(images)
+    return [
+        ParabolicRootSet._from_mask(system, m)
+        for m in sorted(seen, key=system._mask_indices)
+    ]
 
 
 def weyl_conjugate_sets(

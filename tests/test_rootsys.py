@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -389,6 +390,22 @@ class TestParabolics:
         with pytest.raises(ValueError):
             parabolic_from_crosses(B3, [4])
 
+    def test_checks_fire_on_both_paths(self):
+        # covers R, but e1-e2 + e2-e3 = e1-e3 is missing
+        not_closed = rs(A2, "e1-e2", "e2-e3", "e3-e1")
+        # closed, but neither e1-e2 nor e2-e1 is in it
+        not_covering = rs(C2, "2e1", "e1+e2", "2e2")
+        for system, q, message in [
+            (A2, not_closed, "closed"),
+            (C2, not_covering, "Q union -Q"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                ParabolicRootSet(system, q)
+            with pytest.raises(ValueError, match=message):
+                ParabolicRootSet._from_mask(system, system._mask_of(q))
+        with pytest.raises(ValueError, match="non-roots"):
+            ParabolicRootSet(C2, [(1, 0)] + list(C2.roots))
+
     def test_fundamental_coweights(self):
         for system in ALL_SYSTEMS:
             for i in range(1, system.rank + 1):
@@ -436,6 +453,17 @@ class TestWeyl:
         assert not weyl_conjugate_sets(B3, rs(B3, "e3"), rs(B3, "e1", "e2"))
 
 
+def closed_by_sums(system, rootset):
+    """Reference closedness: every sum of two distinct members that is a
+    root lies in the set, tried on all pairs of coordinate tuples."""
+    s = set(rootset)
+    for a, b in itertools.combinations(s, 2):
+        c = root_sum(a, b)
+        if c in system.roots and c not in s:
+            return False
+    return True
+
+
 def brute_force_parabolics(system):
     """Oracle: check every +/-/0 pattern over the positive roots."""
     found = []
@@ -447,9 +475,100 @@ def brute_force_parabolics(system):
                 q.add(alpha)
             if p <= 0:
                 q.add(neg(alpha))
-        if is_closed(system, q):
+        if closed_by_sums(system, q):
             found.append(frozenset(q))
     return sorted(found, key=lambda s: tuple(sorted(s)))
+
+
+def parabolics_by_index_sets(system):
+    """Reference enumeration on frozensets of root indices: the Weyl images
+    of each of the 2^rank standard parabolics, deduplicated, each checked
+    with tuple sums, sorted by their sorted root tuples."""
+    perms = weyl_root_permutations(system)
+    index = system.root_index
+    seen = set()
+    for subset in itertools.product((0, 1), repeat=system.rank):
+        chosen = [i + 1 for i, bit in enumerate(subset) if bit]
+        std_idx = frozenset(index[a] for a in standard_parabolic(system, chosen).q)
+        for perm in perms:
+            seen.add(frozenset(perm[i] for i in std_idx))
+    out = [frozenset(system.roots_sorted[i] for i in idx) for idx in seen]
+    for q in out:
+        assert closed_by_sums(system, q)
+        assert all(a in q or neg(a) in q for a in system.roots)
+    return sorted(out, key=lambda q: tuple(sorted(q)))
+
+
+CLOSEDNESS_SYSTEMS = [
+    build_root_system(tag[0], int(tag[1:]))
+    for tag in "A1 A2 A3 A4 B2 B3 B4 C2 C3 C4 D3 D4".split()
+]
+
+
+def closedness_cases(system, rng):
+    """Seeded root sets: random subsets, closed_closure outputs and those
+    outputs less one root, the standard parabolics and Weyl images of them."""
+    roots = system.roots_sorted
+    cases = [
+        frozenset(rng.sample(roots, rng.randrange(len(roots) + 1)))
+        for _ in range(80)
+    ]
+    for _ in range(60):
+        start = rng.sample(roots, rng.randrange(min(4, len(roots))))
+        closure = closed_closure(system, start)
+        cases.append(closure)
+        if closure:
+            cases.append(closure - {rng.choice(sorted(closure))})
+    standard = [
+        standard_parabolic(system, [i + 1 for i, bit in enumerate(bits) if bit]).q
+        for bits in itertools.product((0, 1), repeat=system.rank)
+    ]
+    perms = weyl_root_permutations(system)
+    index = system.root_index
+    cases += standard
+    for _ in range(60):
+        q = rng.choice(standard)
+        perm = rng.choice(perms)
+        cases.append(frozenset(roots[perm[index[a]]] for a in q))
+    return cases
+
+
+class TestClosednessOnMasks:
+    def test_matches_tuple_sums(self):
+        rng = random.Random(97)
+        for system in CLOSEDNESS_SYSTEMS:
+            cases = closedness_cases(system, rng)
+            assert len(cases) >= 200
+            answers = [closed_by_sums(system, s) for s in cases]
+            assert [is_closed(system, s) for s in cases] == answers, system
+            # in A1 every set is closed
+            assert set(answers) == ({True} if system.rank == 1 else {True, False})
+
+    def test_sets_with_non_roots_keep_their_answer(self):
+        rng = random.Random(101)
+        for system in CLOSEDNESS_SYSTEMS:
+            n = system.coord_dim
+            answers = set()
+            for _ in range(40):
+                size = rng.randrange(min(6, len(system.roots)))
+                s = set(rng.sample(system.roots_sorted, size))
+                for _ in range(rng.randrange(1, 3)):
+                    s.add(tuple(rng.randrange(-2, 3) for _ in range(n)))
+                answer = closed_by_sums(system, s)
+                answers.add(answer)
+                assert is_closed(system, s) == answer, (system, s)
+            assert answers == {True, False}
+
+    def test_sum_pair_table(self):
+        for system in CLOSEDNESS_SYSTEMS:
+            rs_ = system.roots_sorted
+            for k, pairs in enumerate(system._sum_pairs):
+                expected = {
+                    1 << i | 1 << j
+                    for i, j in itertools.combinations(range(len(rs_)), 2)
+                    if root_sum(rs_[i], rs_[j]) == rs_[k]
+                }
+                assert set(pairs) == expected
 
 
 class TestEnumerateParabolics:
@@ -458,6 +577,30 @@ class TestEnumerateParabolics:
         assert len(enumerate_parabolics(A2)) == 13
         assert len(enumerate_parabolics(B2)) == 17
         assert len(enumerate_parabolics(B3)) == 147
+
+    @pytest.mark.parametrize(
+        "family, rank, count",
+        [("A", 4, 541), ("B", 4, 1697), ("C", 4, 1697), ("D", 4, 865)],
+    )
+    def test_counts_rank_4(self, family, rank, count):
+        assert len(enumerate_parabolics(build_root_system(family, rank))) == count
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "family, rank, count", [("A", 5, 4683), ("D", 5, 12483), ("B", 5, 24483)]
+    )
+    def test_counts_rank_5(self, family, rank, count):
+        assert len(enumerate_parabolics(build_root_system(family, rank))) == count
+
+    @pytest.mark.parametrize("tag", ["A3", "A4", "B3", "B4", "C3", "C4", "D4"])
+    def test_matches_index_set_enumeration(self, tag):
+        system = build_root_system(tag[0], int(tag[1:]))
+        reference = parabolics_by_index_sets(system)
+        ours = enumerate_parabolics(system)
+        assert [q.q for q in ours] == reference
+        for q in ours:
+            assert q.q_n == frozenset(a for a in q.q if neg(a) not in q.q)
+            assert q.q_r == frozenset(a for a in q.q if neg(a) in q.q)
 
     def test_matches_brute_force_small(self):
         for system in [build_root_system("A", 1), A2, B2, C2]:
@@ -536,3 +679,37 @@ class TestStronglyOrthogonal:
                             not strongly_orthogonal(system, tuple(c), a)
                             for a in s
                         )
+
+
+class TestSharedSystemsAndPickle:
+    def test_one_instance_per_family_and_rank(self):
+        assert build_root_system("B", 3) is B3
+        assert build_root_system("b", 3) is B3
+        assert build_root_system("C", 3) is not B3
+
+    def test_root_system_round_trip(self):
+        for system in ALL_SYSTEMS:
+            back = pickle.loads(pickle.dumps(system))
+            assert back is system
+            assert hash(back) == hash(system)
+
+    def test_tables_are_not_pickled(self):
+        assert b"_sum_pairs" not in pickle.dumps(D4)
+
+    def test_regular_subalgebra_round_trip(self):
+        toral = canonicalize([[1, -1, 0]], 3)
+        roots = rs(B3, "e1-e2", "e2-e1", "e3", "e1+e3", "e2+e3")
+        v = RegularSubalgebra(B3, toral, roots)
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v
+        assert hash(back) == hash(v)
+        assert back.system is B3
+        assert back.nilpotent_roots == v.nilpotent_roots
+
+    def test_parabolic_round_trip(self):
+        for q in enumerate_parabolics(B2) + [parabolic_from_crosses(D4, [1, 3])]:
+            back = pickle.loads(pickle.dumps(q))
+            assert back == q
+            assert hash(back) == hash(q)
+            assert (back.q, back.q_n, back.q_r) == (q.q, q.q_n, q.q_r)
+            assert back.system is q.system
