@@ -60,11 +60,12 @@ def regularity_type(v: Subalg, seed: int = 0) -> RegularityReport:
     normalizes L(v) but none normalizes v.  Type III: neither.
 
     Any normalizing torus lies in N(v) meet sigma(N(v)), which is sigma-stable
-    and hence reductive, so the test compares its rank with the ambient rank.
-    When that space is the whole ambient, its rank is the ambient rank.
+    and hence reductive, so the test compares its rank with the ambient rank,
+    which the ambient keeps.  When that space is the whole ambient, its rank
+    is the ambient rank.
     """
     amb = v.ambient
-    ambient_rank = maximal_torus(amb.full_subalg(), seed=seed).dim
+    ambient_rank = amb.rank
 
     def rank(n):
         m = n.meet(n.sigma_image())

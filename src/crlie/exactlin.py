@@ -7,6 +7,11 @@ scalar type, dense matrices, canonical subspaces (unique reduced row
 echelon basis, so structural equality is subspace equality), and minimal
 polynomials.  No floats anywhere.
 
+A scalar (a + b*i)/d is three ints with d > 0 and gcd(a, b, d) = 1, zero
+being 0/1.  The form is unique, so equality and truth compare ints, and
+each +, -, * and / takes one gcd to restore it; .re and .im give the parts
+as Fractions at the boundary with the integer root code.
+
 _rref is the one row-elimination routine.  The coordinate primitives the
 Lie algebra modules share live here too: sparse and apply_sparse (maps
 stored as sparse columns, linear or antilinear), combine (linear
@@ -16,37 +21,63 @@ Subspace.full (the unit rows).
 
 from __future__ import annotations
 
+import math
 import re as _re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 
 class GaussRational:
-    """An element a + b*i of Q(i) with arbitrary-precision rational a, b."""
+    """An element (a + b*i)/d of Q(i), held as three ints a, b and d.
 
-    __slots__ = ("re", "im")
+    The triple is normalized: d > 0 and gcd(a, b, d) = 1, so zero is 0/1 and
+    equal scalars have equal triples.  Each +, -, * and / ends in one such
+    normalization.  The rational parts a/d and b/d are read as Fractions
+    through .re and .im; values are immutable.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        if type(re) is not Fraction:
-            re = Fraction(re)
-        if type(im) is not Fraction:
-            im = Fraction(im)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        p, q = _ratio(re)
+        s, t = _ratio(im)
+        if q == t:
+            a, b, d = p, s, q
+        else:
+            a, b, d = p * t, s * q, q * t
+        if d != 1:
+            g = _gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GaussRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __reduce__(self):
         return GaussRational, (self.re, self.im)
 
     @staticmethod
     def of(x) -> "GaussRational":
-        if isinstance(x, GaussRational):
+        if type(x) is GaussRational:
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRational(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to GaussRational")
+        z = _coerce(x)
+        if z is None:
+            raise TypeError(f"cannot coerce {type(x).__name__} to GaussRational")
+        return z
 
     @staticmethod
     def parse(s: str) -> "GaussRational":
@@ -66,27 +97,40 @@ class GaussRational:
         )
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _normalized(self._a + other._a, self._b + other._b, d)
+        return _normalized(
+            self._a * f + other._a * d, self._b * f + other._b * d, d * f
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _normalized(self._a - other._a, self._b - other._b, d)
+        return _normalized(
+            self._a * f - other._a * d, self._b * f - other._b * d, d * f
+        )
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -95,30 +139,36 @@ class GaussRational:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.im and not other.im:
-            return GaussRational(self.re * other.re)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if b or e:
+            a, b = a * c - b * e, a * e + b * c
+        else:
+            a *= c
+        return _normalized(a, b, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        n = other.norm2()
-        if not n:
+        if type(other) is not GaussRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        if e:
+            n = c * c + e * e
+            a, b = (a * c + b * e) * f, (b * c - a * e) * f
+        elif c > 0:
+            n, a, b = c, a * f, b * f
+        elif c:
+            n, a, b = -c, -a * f, -b * f
+        else:
             raise ZeroDivisionError("division by zero in Q(i)")
-        c = other.conjugate()
-        return GaussRational(
-            (self.re * c.re - self.im * c.im) / n,
-            (self.re * c.im + self.im * c.re) / n,
-        )
+        return _normalized(a, b, self._d * n)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -127,7 +177,7 @@ class GaussRational:
         return other / self
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -144,31 +194,81 @@ class GaussRational:
         return out
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return (
+            self._a == other._a and self._b == other._b and self._d == other._d
+        )
 
     def __hash__(self):
+        if self._d == 1:
+            # hash(Fraction(n)) == hash(n)
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        imag = "i" if self.im == 1 else ("-i" if self.im == -1 else f"{self.im}i")
-        if not self.re:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        imag = "i" if im == 1 else ("-i" if im == -1 else f"{im}i")
+        if not re:
             return imag
-        return f"{self.re}+{imag}" if self.im > 0 else f"{self.re}{imag}"
+        return f"{re}+{imag}" if im > 0 else f"{re}{imag}"
+
+
+_gcd = math.gcd
+_new = object.__new__
+_set_a = GaussRational._a.__set__
+_set_b = GaussRational._b.__set__
+_set_d = GaussRational._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussRational:
+    """The scalar (a + b*i)/d from an already normalized triple."""
+    z = _new(GaussRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _normalized(a: int, b: int, d: int) -> GaussRational:
+    """The scalar (a + b*i)/d for ints with d > 0, divided by their gcd."""
+    if d != 1:
+        g = _gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    # _make's body, inlined: every +, -, * and / ends here
+    z = _new(GaussRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of an int or of anything Fraction accepts."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def _coerce(x):
     if isinstance(x, GaussRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRational(x)
+    if isinstance(x, int):
+        return _make(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
     return None
 
 
@@ -192,7 +292,12 @@ IUNIT = GaussRational(0, 1)
 
 
 def _co_row(row) -> tuple:
-    return tuple(GaussRational.of(x) for x in row)
+    """row as a tuple of GaussRationals; a row of GaussRationals is kept."""
+    row = tuple(row)
+    for x in row:
+        if type(x) is not GaussRational:
+            return tuple(map(GaussRational.of, row))
+    return row
 
 
 class DenseMatrix:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from crlie.exactlin import (
     DenseMatrix,
@@ -116,6 +117,11 @@ class AmbientAlgebra:
 
     def full_subalg(self) -> "Subalg":
         return Subalg(self, Subspace.full(self.dim))
+
+    @cached_property
+    def rank(self) -> int:
+        """Dimension of a maximal torus, searched and verified once."""
+        return maximal_torus(self.full_subalg()).dim
 
     def zero_subalg(self) -> "Subalg":
         return Subalg(self, Subspace.zero(self.dim))

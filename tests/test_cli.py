@@ -321,6 +321,32 @@ class TestRun:
             "nilradical_nr": 1,
         }
 
+    def test_full_torus_searched_once_per_ambient(self, monkeypatch):
+        searches = {}
+        original = matrixlie.maximal_torus
+
+        def counted(sub, *args, **kwargs):
+            if sub.dim == sub.ambient.dim:
+                searches[sub.ambient] = searches.get(sub.ambient, 0) + 1
+            return original(sub, *args, **kwargs)
+
+        for module in (crcore, matrixlie):
+            monkeypatch.setattr(module, "maximal_torus", counted)
+        problems = [
+            ORBIT_SU13,
+            {**ORBIT_SU13, "crosses": [1, 3]},
+            {"ambient": {"form": "compact-sp:2"}, "subalgebra": HOROCYCLIC["subalgebra"]},
+        ]
+        for problem in problems:
+            k = realforms.build_real_form(problem["ambient"]["form"]).k
+            monkeypatch.delitem(k.__dict__, "rank", raising=False)
+        for seed in (0, 1):
+            for problem in problems:
+                prob = parse_problem({**problem, "options": {"seed": seed}})
+                assert run("analyze", prob)["flags"]["regularity"] is not None
+        # one search for su(1,3)'s k and one for sp(2)'s, each verified
+        assert list(searches.values()) == [1, 1]
+
     @pytest.mark.parametrize(
         "fixture", ["su13-crosses12-lift.json", "su23-regularize.json"]
     )
@@ -347,6 +373,9 @@ class TestRun:
 
         for module in (crcore, matrixlie):
             monkeypatch.setattr(module, "maximal_torus", counted)
+        # the rank is kept per ambient: start from one that has not searched
+        k = realforms.build_real_form("compact-u:3").k
+        monkeypatch.delitem(k.__dict__, "rank", raising=False)
         problem = {
             "ambient": {"form": "compact-u:3"},
             "subalgebra": {"roots": [], "toral": "zero"},

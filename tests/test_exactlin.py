@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -83,6 +84,231 @@ def test_scalar_parse_random_round_trip():
     for _ in range(300):
         v = rand_scalar(rng, span=30)
         assert GaussRational.parse(str(v)) == v
+
+
+# ---------------------------------------------------------------------------
+# the integer-triple scalar against a two-Fraction reference
+# ---------------------------------------------------------------------------
+
+
+class RefGaussRational:
+    """Reference scalar: a + b*i held as two Fractions, every operation
+    written out on them."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RefGaussRational is immutable")
+
+    def conjugate(self):
+        return RefGaussRational(self.re, -self.im)
+
+    def norm2(self):
+        return self.re * self.re + self.im * self.im
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __add__(self, other):
+        other = _ref(other)
+        return RefGaussRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _ref(other)
+        return RefGaussRational(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return _ref(other) - self
+
+    def __mul__(self, other):
+        other = _ref(other)
+        return RefGaussRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _ref(other)
+        n = other.norm2()
+        if not n:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        c = other.conjugate()
+        return RefGaussRational(
+            (self.re * c.re - self.im * c.im) / n,
+            (self.re * c.im + self.im * c.re) / n,
+        )
+
+    def __rtruediv__(self, other):
+        return _ref(other) / self
+
+    def __neg__(self):
+        return RefGaussRational(-self.re, -self.im)
+
+    def __pow__(self, k):
+        if k < 0:
+            return (RefGaussRational(1) / self) ** (-k)
+        out = RefGaussRational(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        other = _ref(other)
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        imag = "i" if self.im == 1 else ("-i" if self.im == -1 else f"{self.im}i")
+        if not self.re:
+            return imag
+        return f"{self.re}+{imag}" if self.im > 0 else f"{self.re}{imag}"
+
+
+def _ref(x):
+    return x if isinstance(x, RefGaussRational) else RefGaussRational(x)
+
+
+def _rand_part(rng):
+    kind = rng.random()
+    if kind < 0.2:
+        return Fraction(0)
+    if kind < 0.5:
+        return Fraction(rng.randint(-9, 9))
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+
+def _rand_pair_of_scalars(rng):
+    """The same random value as (GaussRational, RefGaussRational)."""
+    re, im = _rand_part(rng), _rand_part(rng)
+    return GaussRational(re, im), RefGaussRational(re, im)
+
+
+def _assert_normalized(x):
+    a, b, d = x._a, x._b, x._d
+    assert all(type(n) is int for n in (a, b, d))
+    assert d > 0 and math.gcd(a, b, d) == 1
+    if not a and not b:
+        assert d == 1
+
+
+def _assert_same(x, ref):
+    assert type(x) is GaussRational
+    _assert_normalized(x)
+    assert (x.re, x.im) == (ref.re, ref.im)
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert hash(x) == hash(ref)
+    assert str(x) == str(ref) and repr(x) == repr(ref)
+    assert bool(x) == bool(ref)
+
+
+def test_scalar_matches_two_fraction_reference():
+    rng = random.Random(1010)
+    for _ in range(400):
+        (x, rx), (y, ry) = _rand_pair_of_scalars(rng), _rand_pair_of_scalars(rng)
+        _assert_same(x, rx)
+        for op in (
+            lambda p, q: p + q,
+            lambda p, q: p - q,
+            lambda p, q: p * q,
+        ):
+            _assert_same(op(x, y), op(rx, ry))
+        if ry:
+            _assert_same(x / y, rx / ry)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        _assert_same(-x, -rx)
+        _assert_same(x.conjugate(), rx.conjugate())
+        assert x.norm2() == rx.norm2() and type(x.norm2()) is Fraction
+        k = rng.randint(-3, 4)
+        if k >= 0 or rx:
+            _assert_same(x**k, rx**k)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x**k
+        assert (x == y) == (rx == ry) and (x != y) == (not rx == ry)
+        assert (x == GaussRational(rx.re, rx.im)) and not (x != x)
+        assert GaussRational.parse(str(x)) == x
+        _assert_same(GaussRational.parse(str(x)), rx)
+        back = pickle.loads(pickle.dumps(x))
+        _assert_same(back, rx)
+        assert x.__reduce__() == (GaussRational, (rx.re, rx.im))
+
+
+def test_scalar_mixed_operands_match_reference():
+    rng = random.Random(2020)
+    for _ in range(300):
+        x, rx = _rand_pair_of_scalars(rng)
+        n = rng.choice([_rand_part(rng), rng.randint(-9, 9)])
+        for op in (
+            lambda p, q: p + q,
+            lambda p, q: q + p,
+            lambda p, q: p - q,
+            lambda p, q: q - p,
+            lambda p, q: p * q,
+            lambda p, q: q * p,
+        ):
+            _assert_same(op(x, n), op(rx, n))
+        if n:
+            _assert_same(x / n, rx / n)
+        if rx:
+            _assert_same(n / x, n / rx)
+        assert (x == n) == (rx == n) and (n == x) == (rx == n)
+        assert (x != n) == (not rx == n)
+        _assert_same(GaussRational(n), RefGaussRational(n))
+        _assert_same(GaussRational.of(n), RefGaussRational(n))
+
+
+def test_scalar_normal_form():
+    assert (g(0)._a, g(0)._b, g(0)._d) == (0, 0, 1)
+    zero = g(Fraction(3, 4), Fraction(-1, 6)) - g(Fraction(3, 4), Fraction(-1, 6))
+    assert (zero._a, zero._b, zero._d) == (0, 0, 1)
+    half = g(Fraction(1, 2), Fraction(1, 3))
+    assert (half._a, half._b, half._d) == (3, 2, 6)
+    q = g(Fraction(2, 4), Fraction(-6, 4))
+    assert (q._a, q._b, q._d) == (1, -3, 2)
+    w = g(1, 1) / g(1, -1)  # (1 + i)/(1 - i) = i
+    assert (w._a, w._b, w._d) == (0, 1, 1)
+    v = g(1) / g(-3)
+    assert (v._a, v._b, v._d) == (-1, 0, 3)
+    assert GaussRational("3/6", 0.5) == g(Fraction(1, 2), Fraction(1, 2))
+    assert GaussRational(True) == g(1) and type(GaussRational.of(True)._a) is int
+
+
+def test_scalar_zero_division_and_immutability():
+    x = g(Fraction(1, 2), 3)
+    for divisor in (0, Fraction(0), g(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / divisor
+    with pytest.raises(ZeroDivisionError):
+        1 / g(0)
+    with pytest.raises(ZeroDivisionError):
+        g(0) ** -1
+    for name in ("re", "im", "_a", "_b", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == g(Fraction(1, 2), 3)
+    with pytest.raises(TypeError):
+        GaussRational.of(1.5)
+    assert x.__eq__("x") is NotImplemented and x != "x"
+    assert x.__add__(1.5) is NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +779,31 @@ def test_squarefree_part():
     sf = squarefree_part(p)
     assert sf == ((x - Poly([1])) * (x + Poly([2]))).monic()
     assert squarefree_part(sf) == sf
+
+
+def test_matrix_coerces_mixed_rows_entrywise():
+    rng = random.Random(77)
+    kinds = [
+        lambda: rng.randint(-5, 5),
+        lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        lambda: rand_scalar(rng),
+        lambda: True,
+    ]
+    for _ in range(200):
+        rows, cols = rng.randint(0, 4), rng.randint(1, 4)
+        raw = [[rng.choice(kinds)() for _ in range(cols)] for _ in range(rows)]
+        m = DenseMatrix(raw)
+        want = tuple(tuple(GaussRational.of(x) for x in row) for row in raw)
+        assert m.entries == want and (m.rows, m.cols) == (rows, cols if rows else 0)
+        assert all(type(x) is GaussRational for row in m.entries for x in row)
+        # rows given as GaussRational tuples are kept as they are
+        assert DenseMatrix(m.entries).entries == want
+    with pytest.raises(ValueError, match="ragged"):
+        DenseMatrix([[1, g(2)], [Fraction(1, 2)]])
+    with pytest.raises(TypeError, match="cannot coerce float"):
+        DenseMatrix([[g(1), 0.5]])
+    with pytest.raises(TypeError, match="cannot coerce str"):
+        DenseMatrix([["1"]])
 
 
 def test_matrix_basics():
