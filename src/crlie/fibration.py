@@ -9,6 +9,7 @@ backends are implemented separately so tests can cross-check them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,8 +39,8 @@ from crlie.rootsys import (
     RegularSubalgebra,
     enumerate_parabolics,
     lie_closure_regular,
-    neg,
     regular_sum,
+    root_sum,
     weyl_root_permutations,
 )
 
@@ -317,8 +318,11 @@ class ZRootDecomposition:
 
     zroots lists every nonzero restriction nu together with its component
     k_nu as a sorted root tuple; positive is the sublist of nu whose
-    components fill nr(q); simple_zroots are the indecomposable positive
-    entries."""
+    components fill nr(q); simple_zroots are the positive entries with unit
+    coordinates in the basis of z* that they form (simple = unit
+    coordinates).  Every positive entry is a unique nonnegative integer
+    combination of the simple ones, which are the positive entries that are
+    not a sum of two or more positive entries."""
 
     center: Subspace
     zroots: tuple
@@ -326,49 +330,21 @@ class ZRootDecomposition:
     simple_zroots: tuple
 
 
-def _multiset_counter(keys, fvals):
-    """Counter of multisets of the integer keys summing to a target.
-
-    fvals are the values on the keys of an integer functional that is
-    positive on every key; it bounds the search.  Keys are tried in order of
-    decreasing value, and counts are memoized on (target, first usable key)
-    for the lifetime of the returned counter."""
-    order = sorted(range(len(keys)), key=lambda i: -fvals[i])
-    keys = [keys[i] for i in order]
-    fvals = [fvals[i] for i in order]
-    memo = {}
-
-    def count(target, fvalue, idx=0):
-        if not any(target):
-            return 1
-        while idx < len(keys) and fvals[idx] > fvalue:
-            idx += 1
-        if idx == len(keys):
-            return 0
-        state = (target, idx)
-        total = memo.get(state)
-        if total is None:
-            rest = tuple(a - b for a, b in zip(target, keys[idx]))
-            total = count(target, fvalue, idx + 1) + count(
-                rest, fvalue - fvals[idx], idx
-            )
-            memo[state] = total
-        return total
-
-    return count
-
-
 def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
     """Group all roots by their restriction to z = {H in t : Q_r(H) = 0}.
 
-    Each nonzero class lies entirely inside Q_n or entirely inside -Q_n, the
-    zero class is exactly Q_r, and every positive class decomposes uniquely
-    into simple ones; all three facts are verified on the way.  A positive
-    class is simple iff it has exactly one multiset decomposition into
-    positive classes; both the simplicity count and the uniqueness count
-    into simples are kept.  Restrictions and the values of 2*rho_n on them
-    are computed on integer coordinates, scaled by the common denominator of
-    the basis of z, which changes no count; the returned z-roots are the
+    Each nonzero class lies entirely inside Q_n or entirely inside -Q_n and
+    the zero class is exactly Q_r; both are verified.  The simple z-roots
+    come with a linear certificate.  For a parabolic q, B = Q_n | (Q_r cap
+    R+) is a positive system, and its simple roots outside Q_r restrict to a
+    basis S of z*.  One reduction of [S | positive classes] proves that S is
+    a basis and gives each positive class its coordinates in S, which must
+    be nonnegative integers.  So every positive class decomposes uniquely
+    into simple ones, and a class is simple iff its coordinates are a unit
+    vector, i.e. iff it is in S.  Last, the negative classes must be exactly
+    the negatives of the positive ones.  Restrictions are computed on
+    integer coordinates, scaled by the common denominator of the basis of
+    z, which changes no coordinate in S; the returned z-roots are the
     unscaled Fraction tuples.
     """
     system = q.system
@@ -380,15 +356,18 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
     scale = math.lcm(*(x.re.denominator for row in center.basis for x in row))
     basis = [[int(x.re * scale) for x in row] for row in center.basis]
 
+    def restrict(alpha):
+        return tuple(sum(a * x for a, x in zip(alpha, row)) for row in basis)
+
     def unscaled(key):
         return tuple(Fraction(k, scale) for k in key)
 
     classes: dict = {}
     for alpha in system.roots_sorted:
-        key = tuple(sum(a * x for a, x in zip(alpha, row)) for row in basis)
-        classes.setdefault(key, []).append(alpha)
+        classes.setdefault(restrict(alpha), []).append(alpha)
 
-    zero = (0,) * len(basis)
+    dim = len(basis)
+    zero = (0,) * dim
     if frozenset(classes.get(zero, [])) != q.q_r:
         raise AssertionError(
             "roots vanishing on z are not exactly the Levi roots"
@@ -410,40 +389,34 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
     if covered != q.q_n:
         raise AssertionError("positive components do not fill nr(q)")
 
-    # 2*rho of the nilradical lies in z and is positive on every positive
-    # class; it bounds the decomposition search below.
-    delta = tuple(sum(a[i] for a in q.q_n) for i in range(system.coord_dim))
-    for beta in q.q_r:
-        if sum(b * d for b, d in zip(beta, delta)) != 0:
-            raise AssertionError(f"2*rho_n does not vanish on {beta}")
-    coords = [delta[p] for p in center.pivots]
-    rebuilt = [
-        sum(c * row[i] for c, row in zip(coords, basis))
-        for i in range(system.coord_dim)
-    ]
-    if rebuilt != [d * scale for d in delta]:
-        raise AssertionError("2*rho_n is not in z")
+    borel = q.q_n | q.q_r.intersection(system.positive_roots)
+    sums = {root_sum(a, b) for a, b in itertools.combinations(borel, 2)}
+    simple = [restrict(a) for a in sorted(borel - sums - q.q_r)]
+    reduced = canonicalize(
+        [[key[i] for key in simple + positive] for i in range(dim)],
+        len(simple) + len(positive),
+    )
+    if len(simple) != dim or reduced.pivots != tuple(range(dim)):
+        raise AssertionError("simple restrictions are not a basis of z*")
+    for j, key in enumerate(positive, dim):
+        for row in reduced.basis:
+            c = row[j]
+            if c.re.denominator != 1 or c.re < 0:
+                raise AssertionError(
+                    f"positive z-root {unscaled(key)} is not a nonnegative "
+                    "integer combination of simple ones"
+                )
 
-    fvals = {key: sum(c * k for c, k in zip(coords, key)) for key in positive}
-    if not all(f > 0 for f in fvals.values()):
-        raise AssertionError("2*rho_n is not positive on every positive class")
-
-    keys = sorted(positive)
-    count_all = _multiset_counter(keys, [fvals[k] for k in keys])
-    simple = [k for k in keys if count_all(k, fvals[k]) == 1]
-    count_simple = _multiset_counter(simple, [fvals[k] for k in simple])
-    for key in keys:
-        count = count_simple(key, fvals[key])
-        if count != 1:
-            raise AssertionError(
-                f"positive z-root {unscaled(key)} has {count} decompositions "
-                "into simples"
-            )
+    negatives = {tuple(-k for k in key) for key in positive}
+    if {key for key, _ in zroots} - set(positive) != negatives:
+        raise AssertionError(
+            "the negative z-roots are not the negatives of the positive ones"
+        )
 
     return ZRootDecomposition(
         center=center,
         zroots=tuple((unscaled(key), comp) for key, comp in zroots),
-        positive=tuple(unscaled(key) for key in keys),
+        positive=tuple(unscaled(key) for key in positive),
         simple_zroots=tuple(
             (unscaled(key), comp) for key, comp in zroots if key in simple
         ),

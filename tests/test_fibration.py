@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -17,7 +18,6 @@ from crlie.exactlin import (
 )
 from crlie import fibration, rootsys
 from crlie.fibration import (
-    _multiset_counter,
     classify_map,
     classify_regular,
     combine_parabolics,
@@ -596,6 +596,92 @@ def _count_sums(target, fvalue, keys, fvals, idx) -> int:
     return total
 
 
+def _multiset_counter(keys, fvals):
+    """Counter of multisets of the integer keys summing to a target.
+
+    fvals are the values on the keys of an integer functional that is
+    positive on every key; it bounds the search.  Keys are tried in order of
+    decreasing value, and counts are memoized on (target, first usable key)
+    for the lifetime of the returned counter."""
+    order = sorted(range(len(keys)), key=lambda i: -fvals[i])
+    keys = [keys[i] for i in order]
+    fvals = [fvals[i] for i in order]
+    memo = {}
+
+    def count(target, fvalue, idx=0):
+        if not any(target):
+            return 1
+        while idx < len(keys) and fvals[idx] > fvalue:
+            idx += 1
+        if idx == len(keys):
+            return 0
+        state = (target, idx)
+        total = memo.get(state)
+        if total is None:
+            rest = tuple(a - b for a, b in zip(target, keys[idx]))
+            total = count(target, fvalue, idx + 1) + count(
+                rest, fvalue - fvals[idx], idx
+            )
+            memo[state] = total
+        return total
+
+    return count
+
+
+def _counted_zroots(q, center):
+    """Positive z-roots of q and their simple ones by counting multisets.
+
+    The positive z-roots are the restrictions of Q_n to the center.  One is
+    simple iff it is the only multiset of positive z-roots summing to it.
+    2*rho_n lies in the center and bounds the search; keys and its values
+    are scaled to integers.  Returns the positive z-roots, the simple ones,
+    and for each positive z-root its number of decompositions into simple
+    ones."""
+    delta = [sum(a[i] for a in q.q_n) for i in range(q.system.coord_dim)]
+    basis = [[x.re for x in row] for row in center.basis]
+    coords = [delta[p] for p in center.pivots]
+    assert [sum(c * row[i] for c, row in zip(coords, basis))
+            for i in range(len(delta))] == delta
+
+    def restrict(alpha):
+        return tuple(sum(a * x for a, x in zip(alpha, row)) for row in basis)
+
+    keys = sorted({restrict(a) for a in q.q_n})
+    fvals = [sum(c * x for c, x in zip(coords, nu)) for nu in keys]
+    assert all(f > 0 for f in fvals)
+    scale = math.lcm(
+        *(x.denominator for nu in keys for x in nu),
+        *(f.denominator for f in fvals),
+    )
+
+    def scaled(nu):
+        return tuple(int(x * scale) for x in nu)
+
+    ints = [scaled(nu) for nu in keys]
+    fints = [int(f * scale) for f in fvals]
+    count_all = _multiset_counter(ints, fints)
+    simple = [i for i, nu in enumerate(ints) if count_all(nu, fints[i]) == 1]
+    count_simple = _multiset_counter(
+        [ints[i] for i in simple], [fints[i] for i in simple]
+    )
+    counts = [count_simple(nu, f) for nu, f in zip(ints, fints)]
+    return keys, [keys[i] for i in simple], counts
+
+
+def _standard_parabolics(system):
+    indices = range(1, system.rank + 1)
+    for k in range(system.rank + 1):
+        for levi in itertools.combinations(indices, k):
+            yield standard_parabolic(system, levi)
+
+
+def _with_q_n(q, q_n):
+    """A copy of q whose nilradical root set is replaced by q_n."""
+    bad = copy.copy(q)
+    bad.q_n = frozenset(q_n)
+    return bad
+
+
 def _random_conjugate_parabolic(rng, system, perms):
     levi = [i for i in range(1, system.rank + 1) if rng.random() < 0.5]
     std = standard_parabolic(system, levi)
@@ -656,9 +742,60 @@ class TestZRootCounter:
                 count_simple(scaled(t), int(f * scale)) for t, f in zip(targets, tf)
             ] == into_simples
 
+    @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "A4", "D4"])
+    def test_every_parabolic_against_counter(self, tag):
+        # 1775 parabolics in all: the simple z-roots are exactly those the
+        # multiset counter finds indecomposable, and every positive z-root
+        # has exactly one decomposition into them
+        system = build_root_system(tag[0], int(tag[1:]))
+        for q in enumerate_parabolics(system):
+            z = z_root_decomposition(q)
+            keys, simple, counts = _counted_zroots(q, z.center)
+            assert list(z.positive) == keys
+            assert [nu for nu, _ in z.simple_zroots] == simple
+            assert counts == [1] * len(keys)
+
+    def test_dropped_nilradical_root_is_rejected(self):
+        # without one root of Q_n, Q_n | Q_r misses its negative, so no
+        # parabolic has this split
+        cases = 0
+        for tag in ("A3", "B3", "C3", "D4", "B4"):
+            system = build_root_system(tag[0], int(tag[1:]))
+            for q in _standard_parabolics(system):
+                for alpha in sorted(q.q_n):
+                    with pytest.raises(AssertionError):
+                        z_root_decomposition(_with_q_n(q, q.q_n - {alpha}))
+                    cases += 1
+        assert cases == 469
+
+    def test_flipped_nilradical_root_raises_iff_not_parabolic(self):
+        # the certificate passes exactly when Q_n' | Q_r is a parabolic
+        # that splits as Q_n' and Q_r, and then agrees with its answer
+        cases = raised = 0
+        for tag in ("A3", "B3", "C3", "D4", "B4"):
+            system = build_root_system(tag[0], int(tag[1:]))
+            for q in _standard_parabolics(system):
+                for alpha in sorted(q.q_n):
+                    q_n = q.q_n - {alpha} | {rootsys.neg(alpha)}
+                    try:
+                        p = ParabolicRootSet(system, q_n | q.q_r)
+                    except ValueError:
+                        p = None
+                    valid = p is not None and (p.q_n, p.q_r) == (q_n, q.q_r)
+                    cases += 1
+                    try:
+                        z = z_root_decomposition(_with_q_n(q, q_n))
+                    except AssertionError:
+                        raised += 1
+                        assert not valid
+                    else:
+                        assert valid
+                        assert z == z_root_decomposition(p)
+        assert (cases, raised) == (469, 429)
+
     def test_uniqueness_check_survives_optimized_interpreter(self):
-        # a q_n that misses its first root gives a positive z-root with two
-        # decompositions into simples; the check must hold under python -O
+        # a q_n that misses its first root leaves a Borel with more simple
+        # roots outside Q_r than dim z; the check must hold under python -O
         script = (
             "from crlie.fibration import z_root_decomposition\n"
             "from crlie.rootsys import build_root_system, standard_parabolic\n"
@@ -672,7 +809,7 @@ class TestZRootCounter:
         assert done.returncode == 1
         err = done.stderr.decode()
         assert "AssertionError" in err
-        assert "has 2 decompositions into simples" in err
+        assert "simple restrictions are not a basis of z*" in err
 
 
 class TestLift:

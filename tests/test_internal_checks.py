@@ -29,6 +29,24 @@ def test_no_bare_asserts(path):
     assert lines == [], f"bare assert in {path.name} at lines {lines}"
 
 
+# __init__ imports names to re-export them
+IMPORTING = [path for path in MODULES if path.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", IMPORTING, ids=[path.stem for path in IMPORTING])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text("utf-8"))
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for name in imported if name not in used]
+    assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
 # theta' = i theta squares to -1.  sigma' = i sigma keeps sigma' an
 # involution and tau = sigma' o theta' = -conj(X)^T, so the matrix checks pass
 # and the coordinate check of theta trips.
