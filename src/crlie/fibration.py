@@ -37,7 +37,8 @@ from crlie.rootsys import (
     ParabolicRootSet,
     RegularSpan,
     RegularSubalgebra,
-    enumerate_parabolics,
+    _parabolic_masks,
+    _sorted_parabolics,
     lie_closure_regular,
     regular_sum,
     root_sum,
@@ -180,13 +181,30 @@ def par_membership_regular(v: RegularSubalgebra, q: ParabolicRootSet) -> bool:
     return v.rootset <= q.q and not (v.nilpotent_roots & q.q_r)
 
 
-def _par_members(v: RegularSubalgebra, rank_cap: int) -> list[ParabolicRootSet]:
-    """Every member of Par(v), in enumeration order."""
+def _par_masks(v: RegularSubalgebra, perms) -> list[int]:
+    """Masks of every member of Par(v), from a Weyl table: Q contains V and
+    Q_r = Q & -Q misses nr(v)."""
+    system = v.system
+    vmask = system._mask_of(v.rootset)
+    nr = system._mask_of(v.nilpotent_roots)
+    neg = system._neg_mask
     return [
-        q
-        for q in enumerate_parabolics(v.system, rank_cap)
-        if par_membership_regular(v, q)
+        m
+        for m in _parabolic_masks(system, perms)
+        if m & vmask == vmask and not nr & m & neg(m)
     ]
+
+
+def _select(masks, largest: bool) -> list[int]:
+    """The inclusion-maximal (largest) or -minimal masks.  Masks are taken
+    by size, largest or smallest first, so a mask is dominated by some
+    member iff it is dominated by one already kept."""
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=largest):
+        # m below k iff m | k == k; m above k iff m & k == k
+        if all((m | k if largest else m & k) != k for k in kept):
+            kept.append(m)
+    return kept
 
 
 def maximal_par(
@@ -195,49 +213,45 @@ def maximal_par(
     rank_cap: int = RANK_CAP_DEFAULT,
 ) -> list[ParabolicRootSet]:
     """Inclusion-maximal elements of Par(v), optionally restricted to those
-    containing a given parabolic.  Any member strictly above a restricted
-    element still contains the constraint, so the restricted maximal elements
-    are maximal in Par(v) as well."""
-    members = _par_members(v, rank_cap)
+    containing a given parabolic of the same root system.  Any member
+    strictly above a restricted element still contains the constraint, so
+    the restricted maximal elements are maximal in Par(v) as well.
+
+    Members are found, filtered and selected as root-index masks over one
+    Weyl table; only the answers become ``ParabolicRootSet``s, sorted by
+    ``sort_key``."""
+    if containing is not None and containing.system != v.system:
+        raise ValueError("v and containing live in different root systems")
+    members = _par_masks(v, weyl_root_permutations(v.system, rank_cap))
     if containing is not None:
-        members = [q for q in members if q.contains_parabolic(containing)]
-    out = [
-        q
-        for q in members
-        if not any(o != q and o.contains_parabolic(q) for o in members)
-    ]
-    out.sort(key=ParabolicRootSet.sort_key)
-    return out
+        c = containing._mask
+        members = [m for m in members if m & c == c]
+    return _sorted_parabolics(v.system, _select(members, largest=True))
 
 
 def minimal_par(
     v: RegularSubalgebra, rank_cap: int = RANK_CAP_DEFAULT
 ) -> list[ParabolicRootSet]:
-    """Inclusion-minimal elements of Par(v).  Each must absorb nr(v) into its
-    nilradical and all their Levi root sets must be Weyl conjugate; both facts
-    are rechecked here."""
-    members = _par_members(v, rank_cap)
-    out = [
-        q
-        for q in members
-        if not any(o != q and q.contains_parabolic(o) for o in members)
-    ]
-    out.sort(key=ParabolicRootSet.sort_key)
+    """Inclusion-minimal elements of Par(v), sorted by ``sort_key``.  Each
+    must absorb nr(v) into its nilradical and all their Levi root sets must
+    be Weyl conjugate; both facts are rechecked here.
+
+    One Weyl table serves the member search (on root-index masks, as in
+    ``maximal_par``) and the conjugacy check, which tests each Levi mask
+    against the Weyl orbit of the first one."""
+    system = v.system
+    perms = weyl_root_permutations(system, rank_cap)
+    out = _sorted_parabolics(system, _select(_par_masks(v, perms), largest=False))
     for q in out:
         if not v.nilpotent_roots <= q.q_n:
             raise AssertionError(f"minimal element {q!r} does not absorb nr(v)")
     if out:
-        index = v.system.root_index
-        first = frozenset(index[a] for a in out[0].q_r)
-        orbit = {
-            frozenset(perm[i] for i in first)
-            for perm in weyl_root_permutations(v.system, rank_cap)
-        }
-        for q in out[1:]:
-            if frozenset(index[a] for a in q.q_r) not in orbit:
-                raise AssertionError(
-                    "minimal elements with non-conjugate Levi root sets"
-                )
+        levis = [q._mask & system._neg_mask(q._mask) for q in out]
+        bit = [1 << i for i in range(len(system.roots_sorted))]
+        first = system._mask_indices(levis[0])
+        orbit = {sum(bit[perm[i]] for i in first) for perm in perms}
+        if not orbit.issuperset(levis[1:]):
+            raise AssertionError("minimal elements with non-conjugate Levi root sets")
     return out
 
 

@@ -11,8 +11,11 @@ the split into Q_n and Q_r and the Weyl images of parabolic sets run on
 masks, through two tables each ``RootSystem`` builds once: the sum-pair table
 (for every root, the masks of the index pairs summing to it) and the negation
 permutation.  The latter is checked to reverse the lexicographic order of
-``roots_sorted``, so negating a mask reverses its bits.  The public API still
-takes and returns frozensets of root tuples.
+``roots_sorted``, so negating a mask reverses its bits.  ``_parabolic_masks``
+gives the checked masks of all parabolic sets from one Weyl table, so the
+Par(v) search in ``fibration`` filters and selects ints and builds objects
+for its answers only.  The public API still takes and returns frozensets of
+root tuples.
 """
 
 from __future__ import annotations
@@ -511,6 +514,14 @@ def lie_closure_regular(
     return RegularSpan(system, toral, frozenset(roots))
 
 
+def _check_parabolic_mask(system: RootSystem, mask: int):
+    """Raise ValueError unless the mask is parabolic: closed, Q | -Q = R."""
+    if not system._mask_closed(mask):
+        raise ValueError("parabolic set must be closed")
+    if mask | system._neg_mask(mask) != system._full_mask:
+        raise ValueError("Q union -Q must be all of R")
+
+
 class ParabolicRootSet:
     """A parabolic set of roots Q with Q union -Q = R, split as Q_n | Q_r."""
 
@@ -518,20 +529,19 @@ class ParabolicRootSet:
         q = frozenset(tuple(a) for a in rootset)
         if not q <= system.roots:
             raise ValueError("rootset contains non-roots")
-        self._set_mask(system, system._mask_of(q))
+        mask = system._mask_of(q)
+        _check_parabolic_mask(system, mask)
+        self._set_mask(system, mask)
 
     @classmethod
     def _from_mask(cls, system: RootSystem, mask: int) -> "ParabolicRootSet":
+        """The parabolic of a mask that has passed ``_check_parabolic_mask``."""
         out = cls.__new__(cls)
         out._set_mask(system, mask)
         return out
 
     def _set_mask(self, system: RootSystem, mask: int):
-        if not system._mask_closed(mask):
-            raise ValueError("parabolic set must be closed")
         opposite = system._neg_mask(mask)
-        if mask | opposite != system._full_mask:
-            raise ValueError("Q union -Q must be all of R")
         self.system = system
         self._mask = mask
         self.q = system._mask_roots(mask)
@@ -635,31 +645,42 @@ def weyl_apply(element, alpha: Root) -> Root:
 
 
 def weyl_root_permutations(system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT):
-    """Each Weyl element as a permutation of root indices (deterministic order)."""
+    """Each Weyl element as a permutation of root indices (deterministic order).
+
+    An element (perm, signs) permutes the coordinates, then flips signs, so
+    its root permutation is the composition of one map per coordinate
+    permutation and one per sign vector.  Those n! + 2^n maps are built root
+    by root; each element is then one composition of index tuples."""
     if system.rank > rank_cap:
         raise ValueError(
             f"rank {system.rank} exceeds the Weyl enumeration cap {rank_cap}"
         )
     index = system.root_index
+    n = system.coord_dim
+
+    def root_map(element):
+        return tuple(index[weyl_apply(element, a)] for a in system.roots_sorted)
+
+    perm_maps: dict = {}
+    sign_maps: dict = {}
     out = []
-    for element in _weyl_signed_perms(system):
-        out.append(
-            tuple(index[weyl_apply(element, a)] for a in system.roots_sorted)
-        )
+    for perm, signs in _weyl_signed_perms(system):
+        if perm not in perm_maps:
+            perm_maps[perm] = root_map((perm, (1,) * n))
+        if signs not in sign_maps:
+            sign_maps[signs] = root_map((range(n), signs)).__getitem__
+        out.append(tuple(map(sign_maps[signs], perm_maps[perm])))
     return out
 
 
-def enumerate_parabolics(
-    system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT
-) -> list[ParabolicRootSet]:
-    """All parabolic subsets of R: Weyl orbits of the standard parabolics.
+def _parabolic_masks(system: RootSystem, perms) -> set:
+    """The masks of all parabolic subsets of R, from a Weyl table.
 
     The standard parabolic crossed at the simple roots C is the intersection
     of the maximal parabolics crossed at each c in C, and a Weyl element
     maps intersections to intersections.  So each element's images of the
     rank maximal parabolics give its images of all 2^rank standard ones.
     Every distinct image is checked to be parabolic."""
-    perms = weyl_root_permutations(system, rank_cap)
     maximal = [
         system._mask_indices(parabolic_from_crosses(system, [c])._mask)
         for c in range(1, system.rank + 1)
@@ -672,9 +693,28 @@ def enumerate_parabolics(
             image = sum(map(bit.__getitem__, map(perm.__getitem__, indices)))
             images += [m & image for m in images]
         seen.update(images)
+    for mask in seen:
+        _check_parabolic_mask(system, mask)
+    return seen
+
+
+def enumerate_parabolics(
+    system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT
+) -> list[ParabolicRootSet]:
+    """All parabolic subsets of R, sorted by ``sort_key``: the Weyl orbits of
+    the standard parabolics (Bourbaki, Lie Groups and Lie Algebras, ch. VI
+    section 1.7), each image checked once, by ``_parabolic_masks``."""
+    return _sorted_parabolics(
+        system, _parabolic_masks(system, weyl_root_permutations(system, rank_cap))
+    )
+
+
+def _sorted_parabolics(system: RootSystem, masks) -> list[ParabolicRootSet]:
+    """Masks checked by ``_check_parabolic_mask`` as parabolics, sorted by
+    ``ParabolicRootSet.sort_key``, which orders them as ``_mask_indices``."""
     return [
         ParabolicRootSet._from_mask(system, m)
-        for m in sorted(seen, key=system._mask_indices)
+        for m in sorted(masks, key=system._mask_indices)
     ]
 
 

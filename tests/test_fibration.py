@@ -346,6 +346,11 @@ class TestMaximalPar:
         constrained = maximal_par(v, containing=standard_borel(B2))
         assert set(constrained) <= set(maximal_par(v))
 
+    def test_constraint_from_another_system_is_rejected(self):
+        for other in (standard_borel(B2), standard_borel(build_root_system("C", 3))):
+            with pytest.raises(ValueError, match="different root systems"):
+                maximal_par(SO7_V, containing=other)
+
 
 class TestMinimalPar:
     def test_parabolic_input_is_its_minimum(self):
@@ -398,7 +403,7 @@ class TestMinimalPar:
         res = minimal_par(v)
         assert len(res) > 1
         assert calls["weyl_conjugate_sets"] == 0
-        assert calls["weyl_root_permutations"] <= 2
+        assert calls["weyl_root_permutations"] == 1
 
     def test_non_conjugate_levi_sets_are_rejected(self, monkeypatch):
         borel = standard_borel(B3)
@@ -407,11 +412,67 @@ class TestMinimalPar:
             B3, std.q_r | {tuple(-x for x in a) for a in std.q_n}
         )
         monkeypatch.setattr(
-            fibration, "enumerate_parabolics", lambda *a, **k: [borel, opposite]
+            fibration, "_parabolic_masks", lambda *a, **k: {borel._mask, opposite._mask}
         )
         v = RegularSubalgebra(B3, Subspace.zero(3), ())
         with pytest.raises(AssertionError, match="non-conjugate"):
             minimal_par(v)
+
+
+def reference_maximal_par(members, containing=None):
+    """Pairwise selection over the ParabolicRootSet members of Par(v)."""
+    if containing is not None:
+        members = [q for q in members if q.contains_parabolic(containing)]
+    out = [
+        q
+        for q in members
+        if not any(o is not q and o.contains_parabolic(q) for o in members)
+    ]
+    return sorted(out, key=ParabolicRootSet.sort_key)
+
+
+def reference_minimal_par(v, members, perms):
+    """Pairwise selection, and the Levi check on frozensets of indices."""
+    out = [
+        q
+        for q in members
+        if not any(o is not q and q.contains_parabolic(o) for o in members)
+    ]
+    out.sort(key=ParabolicRootSet.sort_key)
+    assert all(v.nilpotent_roots <= q.q_n for q in out)
+    if out:
+        index = v.system.root_index
+        first = frozenset(index[a] for a in out[0].q_r)
+        orbit = {frozenset(perm[i] for i in first) for perm in perms}
+        assert all(frozenset(index[a] for a in q.q_r) in orbit for q in out)
+    return out
+
+
+class TestParExtremaAgainstReference:
+    @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "A4", "D4"])
+    def test_seeded_closed_subalgebras(self, tag):
+        # 5 x 40 = 200 seeded closed root subalgebras: the Lie closure of 0-3
+        # random roots, with the coroots of their +- pairs as toral part;
+        # the constraint is a random member of Par(v), which is never empty
+        system = build_root_system(tag[0], int(tag[1:]))
+        pars = enumerate_parabolics(system)
+        perms = weyl_root_permutations(system)
+        rng = random.Random(f"par-extrema:{tag}")
+        several = 0
+        for _ in range(40):
+            roots = rng.sample(system.roots_sorted, rng.randrange(4))
+            span = RegularSpan(system, Subspace.zero(system.coord_dim), roots)
+            v = lie_closure_regular(system, span, mode="algebra")
+            members = [q for q in pars if par_membership_regular(v, q)]
+            containing = rng.choice(members)
+            expected = reference_minimal_par(v, members, perms)
+            assert minimal_par(v) == expected
+            assert maximal_par(v) == reference_maximal_par(members)
+            assert maximal_par(v, containing=containing) == (
+                reference_maximal_par(members, containing)
+            )
+            several += len(expected) > 1
+        assert several > 0
 
 
 class TestCombine:

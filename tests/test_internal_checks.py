@@ -107,7 +107,8 @@ def test_tau_check_survives_optimized_interpreter():
     assert "AssertionError: tau is not -conj(X)^T" in done.stderr
 
 
-# one tripped check per module, each with the message it must carry
+# one tripped check per module, and one for each of the Par(v) search's own
+# checks, each with the message it must carry
 TRIPPED = {
     "fibration": (
         "from crlie.fibration import MapClassification\n"
@@ -115,6 +116,23 @@ TRIPPED = {
         "                  is_deployment=False, fibers_totally_real=False,\n"
         "                  fibers_totally_complex=False, witnesses={})\n",
         "AssertionError: a submersion that is not a spread",
+    ),
+    # a Borel and the opposite of a non-Borel parabolic, both posing as the
+    # minimal members of Par(0): their Levi sets are not conjugate
+    "fibration.minimal_par": (
+        "from crlie import fibration\n"
+        "from crlie.exactlin import Subspace\n"
+        "from crlie.rootsys import ParabolicRootSet, RegularSubalgebra\n"
+        "from crlie.rootsys import build_root_system, standard_borel\n"
+        "from crlie.rootsys import standard_parabolic\n"
+        "b3 = build_root_system('B', 3)\n"
+        "std = standard_parabolic(b3, [1])\n"
+        "opposite = ParabolicRootSet(\n"
+        "    b3, std.q_r | {tuple(-x for x in a) for a in std.q_n})\n"
+        "masks = {standard_borel(b3)._mask, opposite._mask}\n"
+        "fibration._parabolic_masks = lambda system, perms: masks\n"
+        "fibration.minimal_par(RegularSubalgebra(b3, Subspace.zero(3), ()))\n",
+        "AssertionError: minimal elements with non-conjugate Levi root sets",
     ),
     # t^2 passed off as squarefree shares the factor t with its derivative
     "matrixlie": (
@@ -129,6 +147,19 @@ TRIPPED = {
         "from crlie.rootsys import build_root_system\n"
         "build_root_system('B', 3).coroot((1, 1, 1))\n",
         "AssertionError: (1, 1, 1) has no integral coroot",
+    ),
+    # the identity with the images of e1 and -e1 swapped maps the maximal
+    # parabolic crossed at e3 onto a set holding -e1 and e1-e2 but not -e2
+    "rootsys._parabolic_masks": (
+        "from crlie import rootsys\n"
+        "b3 = rootsys.build_root_system('B', 3)\n"
+        "perms = rootsys.weyl_root_permutations(b3)\n"
+        "i, j = b3.root_index[(1, 0, 0)], b3.root_index[(-1, 0, 0)]\n"
+        "identity = list(perms[0])\n"
+        "identity[i], identity[j] = identity[j], identity[i]\n"
+        "perms[0] = tuple(identity)\n"
+        "rootsys._parabolic_masks(b3, perms)\n",
+        "ValueError: parabolic set must be closed",
     ),
 }
 

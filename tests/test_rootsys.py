@@ -7,6 +7,8 @@ import pytest
 from crlie.exactlin import Subspace, canonicalize
 from crlie.rootsys import (
     ParabolicRootSet,
+    _check_parabolic_mask,
+    _weyl_signed_perms,
     RegularSpan,
     RegularSubalgebra,
     build_root_system,
@@ -401,8 +403,9 @@ class TestParabolics:
         ]:
             with pytest.raises(ValueError, match=message):
                 ParabolicRootSet(system, q)
+            # masks from the Weyl table are checked by the same helper
             with pytest.raises(ValueError, match=message):
-                ParabolicRootSet._from_mask(system, system._mask_of(q))
+                _check_parabolic_mask(system, system._mask_of(q))
         with pytest.raises(ValueError, match="non-roots"):
             ParabolicRootSet(C2, [(1, 0)] + list(C2.roots))
 
@@ -432,9 +435,6 @@ class TestWeyl:
         rng = random.Random(61)
         for _ in range(150):
             system = rng.choice([A2, B2, C2, D3])
-            perm, signs = None, None
-            from crlie.rootsys import _weyl_signed_perms
-
             elements = list(_weyl_signed_perms(system))
             element = rng.choice(elements)
             alpha = rng.choice(system.roots_sorted)
@@ -444,6 +444,19 @@ class TestWeyl:
             s = root_sum(alpha, beta)
             if s in system.roots:
                 assert root_sum(wa, wb) in system.roots
+
+    @pytest.mark.parametrize(
+        "tag", "A1 A2 A3 A4 A5 B2 B3 B4 B5 C2 C3 C4 D3 D4 D5".split()
+    )
+    def test_matches_per_root_construction(self, tag):
+        # reference: every element applied to every root through weyl_apply
+        system = build_root_system(tag[0], int(tag[1:]))
+        index = system.root_index
+        reference = [
+            tuple(index[weyl_apply(element, a)] for a in system.roots_sorted)
+            for element in _weyl_signed_perms(system)
+        ]
+        assert weyl_root_permutations(system) == reference
 
     def test_conjugate_sets(self):
         assert weyl_conjugate_sets(B3, rs(B3, "e3", "-e3"), rs(B3, "e1", "-e1"))
