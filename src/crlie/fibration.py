@@ -37,12 +37,11 @@ from crlie.rootsys import (
     ParabolicRootSet,
     RegularSpan,
     RegularSubalgebra,
-    _parabolic_masks,
-    _sorted_parabolics,
+    _weyl_orbit,
+    enumerate_parabolics,
     lie_closure_regular,
     regular_sum,
     root_sum,
-    weyl_root_permutations,
 )
 
 
@@ -173,38 +172,41 @@ def par_membership(v: Subalg, q: Subalg) -> bool:
     )
 
 
+def _par_test(v: RegularSubalgebra):
+    """Membership in Par(v), for t-regular v, as a test on the root-index
+    mask m of a parabolic Q: Q contains V and Q_r = Q & -Q misses nr(v)."""
+    system = v.system
+    vmask = system._mask_of(v.rootset)
+    nr = system._mask_of(v.nilpotent_roots)
+    neg = system._neg_mask
+    return lambda m: m & vmask == vmask and not nr & m & neg(m)
+
+
 def par_membership_regular(v: RegularSubalgebra, q: ParabolicRootSet) -> bool:
     """Is q in Par(v), for t-regular v?  Here v in q reads as rootset
     containment and nr(v) cap L(q) = 0 as disjointness from Q_r."""
     if v.system != q.system:
         raise ValueError("v and q live in different root systems")
-    return v.rootset <= q.q and not (v.nilpotent_roots & q.q_r)
+    return _par_test(v)(q._mask)
 
 
-def _par_masks(v: RegularSubalgebra, perms) -> list[int]:
-    """Masks of every member of Par(v), from a Weyl table: Q contains V and
-    Q_r = Q & -Q misses nr(v)."""
-    system = v.system
-    vmask = system._mask_of(v.rootset)
-    nr = system._mask_of(v.nilpotent_roots)
-    neg = system._neg_mask
-    return [
-        m
-        for m in _parabolic_masks(system, perms)
-        if m & vmask == vmask and not nr & m & neg(m)
-    ]
+def _par_members(v: RegularSubalgebra, rank_cap: int) -> list[ParabolicRootSet]:
+    """Every member of Par(v), in enumeration order (by ``sort_key``)."""
+    member = _par_test(v)
+    return [q for q in enumerate_parabolics(v.system, rank_cap) if member(q._mask)]
 
 
-def _select(masks, largest: bool) -> list[int]:
-    """The inclusion-maximal (largest) or -minimal masks.  Masks are taken
-    by size, largest or smallest first, so a mask is dominated by some
-    member iff it is dominated by one already kept."""
+def _select(members: list[ParabolicRootSet], largest: bool) -> list[ParabolicRootSet]:
+    """The inclusion-maximal (largest) or -minimal members, in their given
+    order.  Masks are taken by size, largest or smallest first, so a mask is
+    dominated by some member iff it is dominated by one already kept."""
     kept: list[int] = []
-    for m in sorted(masks, key=int.bit_count, reverse=largest):
+    for m in sorted((q._mask for q in members), key=int.bit_count, reverse=largest):
         # m below k iff m | k == k; m above k iff m & k == k
         if all((m | k if largest else m & k) != k for k in kept):
             kept.append(m)
-    return kept
+    chosen = set(kept)
+    return [q for q in members if q._mask in chosen]
 
 
 def maximal_par(
@@ -212,21 +214,21 @@ def maximal_par(
     containing: ParabolicRootSet | None = None,
     rank_cap: int = RANK_CAP_DEFAULT,
 ) -> list[ParabolicRootSet]:
-    """Inclusion-maximal elements of Par(v), optionally restricted to those
-    containing a given parabolic of the same root system.  Any member
-    strictly above a restricted element still contains the constraint, so
-    the restricted maximal elements are maximal in Par(v) as well.
+    """Inclusion-maximal elements of Par(v), sorted by ``sort_key``,
+    optionally restricted to those containing a given parabolic of the same
+    root system.  Any member strictly above a restricted element still
+    contains the constraint, so the restricted maximal elements are maximal
+    in Par(v) as well.
 
-    Members are found, filtered and selected as root-index masks over one
-    Weyl table; only the answers become ``ParabolicRootSet``s, sorted by
-    ``sort_key``."""
+    Members are filtered, constrained and selected on their root-index
+    masks, so only the answers build their root sets."""
     if containing is not None and containing.system != v.system:
         raise ValueError("v and containing live in different root systems")
-    members = _par_masks(v, weyl_root_permutations(v.system, rank_cap))
+    members = _par_members(v, rank_cap)
     if containing is not None:
         c = containing._mask
-        members = [m for m in members if m & c == c]
-    return _sorted_parabolics(v.system, _select(members, largest=True))
+        members = [q for q in members if q._mask & c == c]
+    return _select(members, largest=True)
 
 
 def minimal_par(
@@ -236,21 +238,18 @@ def minimal_par(
     must absorb nr(v) into its nilradical and all their Levi root sets must
     be Weyl conjugate; both facts are rechecked here.
 
-    One Weyl table serves the member search (on root-index masks, as in
-    ``maximal_par``) and the conjugacy check, which tests each Levi mask
-    against the Weyl orbit of the first one."""
-    system = v.system
-    perms = weyl_root_permutations(system, rank_cap)
-    out = _sorted_parabolics(system, _select(_par_masks(v, perms), largest=False))
+    Members are found and selected on masks, as in ``maximal_par``.  The
+    conjugacy check tests each Levi mask against the Weyl orbit of the
+    first one, closed under simple reflections, so the enumeration's Weyl
+    table is the only one built."""
+    out = _select(_par_members(v, rank_cap), largest=False)
     for q in out:
         if not v.nilpotent_roots <= q.q_n:
             raise AssertionError(f"minimal element {q!r} does not absorb nr(v)")
     if out:
-        levis = [q._mask & system._neg_mask(q._mask) for q in out]
-        bit = [1 << i for i in range(len(system.roots_sorted))]
-        first = system._mask_indices(levis[0])
-        orbit = {sum(bit[perm[i]] for i in first) for perm in perms}
-        if not orbit.issuperset(levis[1:]):
+        neg = v.system._neg_mask
+        levis = [q._mask & neg(q._mask) for q in out]
+        if not _weyl_orbit(v.system, levis[0]).issuperset(levis[1:]):
             raise AssertionError("minimal elements with non-conjugate Levi root sets")
     return out
 

@@ -11,11 +11,11 @@ the split into Q_n and Q_r and the Weyl images of parabolic sets run on
 masks, through two tables each ``RootSystem`` builds once: the sum-pair table
 (for every root, the masks of the index pairs summing to it) and the negation
 permutation.  The latter is checked to reverse the lexicographic order of
-``roots_sorted``, so negating a mask reverses its bits.  ``_parabolic_masks``
-gives the checked masks of all parabolic sets from one Weyl table, so the
-Par(v) search in ``fibration`` filters and selects ints and builds objects
-for its answers only.  The public API still takes and returns frozensets of
-root tuples.
+``roots_sorted``, so negating a mask reverses its bits.  A
+``ParabolicRootSet`` reads its root sets off its mask on first use, so the
+Par(v) search in ``fibration`` filters and selects the enumerated parabolics
+on ints and builds root sets for its answers only.  The public API still
+takes and returns frozensets of root tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re as _re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from crlie.exactlin import (
@@ -523,7 +523,8 @@ def _check_parabolic_mask(system: RootSystem, mask: int):
 
 
 class ParabolicRootSet:
-    """A parabolic set of roots Q with Q union -Q = R, split as Q_n | Q_r."""
+    """A parabolic set of roots Q with Q union -Q = R, split as Q_n | Q_r.
+    The root sets are read off the mask on first use."""
 
     def __init__(self, system: RootSystem, rootset):
         q = frozenset(tuple(a) for a in rootset)
@@ -531,22 +532,28 @@ class ParabolicRootSet:
             raise ValueError("rootset contains non-roots")
         mask = system._mask_of(q)
         _check_parabolic_mask(system, mask)
-        self._set_mask(system, mask)
+        self.system = system
+        self._mask = mask
 
     @classmethod
     def _from_mask(cls, system: RootSystem, mask: int) -> "ParabolicRootSet":
         """The parabolic of a mask that has passed ``_check_parabolic_mask``."""
         out = cls.__new__(cls)
-        out._set_mask(system, mask)
+        out.system = system
+        out._mask = mask
         return out
 
-    def _set_mask(self, system: RootSystem, mask: int):
-        opposite = system._neg_mask(mask)
-        self.system = system
-        self._mask = mask
-        self.q = system._mask_roots(mask)
-        self.q_n = system._mask_roots(mask & ~opposite)
-        self.q_r = system._mask_roots(mask & opposite)
+    @cached_property
+    def q(self) -> frozenset:
+        return self.system._mask_roots(self._mask)
+
+    @cached_property
+    def q_n(self) -> frozenset:
+        return self.system._mask_roots(self._mask & ~self.system._neg_mask(self._mask))
+
+    @cached_property
+    def q_r(self) -> frozenset:
+        return self.system._mask_roots(self._mask & self.system._neg_mask(self._mask))
 
     @property
     def dim(self) -> int:
@@ -673,14 +680,20 @@ def weyl_root_permutations(system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT)
     return out
 
 
-def _parabolic_masks(system: RootSystem, perms) -> set:
-    """The masks of all parabolic subsets of R, from a Weyl table.
+def enumerate_parabolics(
+    system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT
+) -> list[ParabolicRootSet]:
+    """All parabolic subsets of R, sorted by ``sort_key``: the Weyl orbits of
+    the standard parabolics (Bourbaki, Lie Groups and Lie Algebras, ch. VI
+    section 1.7), from one Weyl table.
 
     The standard parabolic crossed at the simple roots C is the intersection
     of the maximal parabolics crossed at each c in C, and a Weyl element
     maps intersections to intersections.  So each element's images of the
     rank maximal parabolics give its images of all 2^rank standard ones.
-    Every distinct image is checked to be parabolic."""
+    Every distinct image is checked once to be parabolic; its root sets are
+    built only when read."""
+    perms = weyl_root_permutations(system, rank_cap)
     maximal = [
         system._mask_indices(parabolic_from_crosses(system, [c])._mask)
         for c in range(1, system.rank + 1)
@@ -695,27 +708,38 @@ def _parabolic_masks(system: RootSystem, perms) -> set:
         seen.update(images)
     for mask in seen:
         _check_parabolic_mask(system, mask)
-    return seen
-
-
-def enumerate_parabolics(
-    system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT
-) -> list[ParabolicRootSet]:
-    """All parabolic subsets of R, sorted by ``sort_key``: the Weyl orbits of
-    the standard parabolics (Bourbaki, Lie Groups and Lie Algebras, ch. VI
-    section 1.7), each image checked once, by ``_parabolic_masks``."""
-    return _sorted_parabolics(
-        system, _parabolic_masks(system, weyl_root_permutations(system, rank_cap))
-    )
-
-
-def _sorted_parabolics(system: RootSystem, masks) -> list[ParabolicRootSet]:
-    """Masks checked by ``_check_parabolic_mask`` as parabolics, sorted by
-    ``ParabolicRootSet.sort_key``, which orders them as ``_mask_indices``."""
+    # _mask_indices orders masks as sort_key orders their root sets
     return [
         ParabolicRootSet._from_mask(system, m)
-        for m in sorted(masks, key=system._mask_indices)
+        for m in sorted(seen, key=system._mask_indices)
     ]
+
+
+def _weyl_orbit(system: RootSystem, mask: int) -> set:
+    """The Weyl orbit of a root-index mask: its closure under the simple
+    reflections, which generate W."""
+    index = system.root_index
+
+    def simple_reflection(s):
+        # alpha -> alpha - <alpha, s^vee> s, as a permutation of root indices
+        norm = sum(x * x for x in s)
+        out = []
+        for alpha in system.roots_sorted:
+            c = 2 * sum(a * b for a, b in zip(alpha, s)) // norm
+            out.append(index[tuple(a - c * b for a, b in zip(alpha, s))])
+        return out
+
+    reflections = [simple_reflection(s) for s in system.simple_roots]
+    bit = [1 << i for i in range(len(system.roots_sorted))]
+    orbit, todo = {mask}, [mask]
+    while todo:
+        indices = system._mask_indices(todo.pop())
+        for reflection in reflections:
+            image = sum(bit[reflection[i]] for i in indices)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def weyl_conjugate_sets(

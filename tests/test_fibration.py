@@ -412,7 +412,7 @@ class TestMinimalPar:
             B3, std.q_r | {tuple(-x for x in a) for a in std.q_n}
         )
         monkeypatch.setattr(
-            fibration, "_parabolic_masks", lambda *a, **k: {borel._mask, opposite._mask}
+            fibration, "enumerate_parabolics", lambda *a, **k: [borel, opposite]
         )
         v = RegularSubalgebra(B3, Subspace.zero(3), ())
         with pytest.raises(AssertionError, match="non-conjugate"):

@@ -129,8 +129,8 @@ TRIPPED = {
         "std = standard_parabolic(b3, [1])\n"
         "opposite = ParabolicRootSet(\n"
         "    b3, std.q_r | {tuple(-x for x in a) for a in std.q_n})\n"
-        "masks = {standard_borel(b3)._mask, opposite._mask}\n"
-        "fibration._parabolic_masks = lambda system, perms: masks\n"
+        "pars = [standard_borel(b3), opposite]\n"
+        "fibration.enumerate_parabolics = lambda system, rank_cap: pars\n"
         "fibration.minimal_par(RegularSubalgebra(b3, Subspace.zero(3), ()))\n",
         "AssertionError: minimal elements with non-conjugate Levi root sets",
     ),
@@ -150,7 +150,7 @@ TRIPPED = {
     ),
     # the identity with the images of e1 and -e1 swapped maps the maximal
     # parabolic crossed at e3 onto a set holding -e1 and e1-e2 but not -e2
-    "rootsys._parabolic_masks": (
+    "rootsys.enumerate_parabolics": (
         "from crlie import rootsys\n"
         "b3 = rootsys.build_root_system('B', 3)\n"
         "perms = rootsys.weyl_root_permutations(b3)\n"
@@ -158,7 +158,8 @@ TRIPPED = {
         "identity = list(perms[0])\n"
         "identity[i], identity[j] = identity[j], identity[i]\n"
         "perms[0] = tuple(identity)\n"
-        "rootsys._parabolic_masks(b3, perms)\n",
+        "rootsys.weyl_root_permutations = lambda system, rank_cap: perms\n"
+        "rootsys.enumerate_parabolics(b3)\n",
         "ValueError: parabolic set must be closed",
     ),
 }

@@ -8,6 +8,7 @@ from crlie.exactlin import Subspace, canonicalize
 from crlie.rootsys import (
     ParabolicRootSet,
     _check_parabolic_mask,
+    _weyl_orbit,
     _weyl_signed_perms,
     RegularSpan,
     RegularSubalgebra,
@@ -435,6 +436,9 @@ class TestWeyl:
         rng = random.Random(61)
         for _ in range(150):
             system = rng.choice([A2, B2, C2, D3])
+            perm, signs = None, None
+            from crlie.rootsys import _weyl_signed_perms
+
             elements = list(_weyl_signed_perms(system))
             element = rng.choice(elements)
             alpha = rng.choice(system.roots_sorted)
@@ -457,6 +461,19 @@ class TestWeyl:
             for element in _weyl_signed_perms(system)
         ]
         assert weyl_root_permutations(system) == reference
+
+    @pytest.mark.parametrize("tag", "A3 B3 C3 D4".split())
+    def test_orbit_by_simple_reflections_matches_table(self, tag):
+        # reference: the images of the mask under every element of the table
+        system = build_root_system(tag[0], int(tag[1:]))
+        perms = weyl_root_permutations(system)
+        bit = [1 << i for i in range(len(system.roots_sorted))]
+        for q in enumerate_parabolics(system)[::7]:
+            levi = q._mask & system._neg_mask(q._mask)
+            for mask in (q._mask, levi):
+                indices = system._mask_indices(mask)
+                expected = {sum(bit[perm[i]] for i in indices) for perm in perms}
+                assert _weyl_orbit(system, mask) == expected
 
     def test_conjugate_sets(self):
         assert weyl_conjugate_sets(B3, rs(B3, "e3", "-e3"), rs(B3, "e1", "-e1"))
