@@ -457,8 +457,8 @@ def _cmd_analyze(ws: Workspace, problem: ProblemFile):
             "cr_dim": cr_dim,
             "cr_codim": cr_codim,
         }
-        # the ranks do not depend on the seed, so the orbit's report serves
-        report = crit.regularity if crit else regularity_type(ws.v, seed=problem.seed)
+        # a minimal orbit's criteria already hold its regularity report
+        report = crit.regularity if crit else regularity_type(ws.v)
         flags = {"n_reductive": n_reductive, "regularity": _regularity_out(report)}
     else:
         cr_dim, cr_codim = cr_dims_regular(ws.v)

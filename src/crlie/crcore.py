@@ -55,21 +55,21 @@ class RegularityReport:
     levi_normalizer_rank: int
 
 
-def regularity_type(v: Subalg, seed: int = 0) -> RegularityReport:
+def regularity_type(v: Subalg) -> RegularityReport:
     """Type I: some maximal torus normalizes v.  Type II: some maximal torus
     normalizes L(v) but none normalizes v.  Type III: neither.
 
     Any normalizing torus lies in N(v) meet sigma(N(v)), which is sigma-stable
-    and hence reductive, so the test compares its rank with the ambient rank,
-    which the ambient keeps.  When that space is the whole ambient, its rank
-    is the ambient rank.
+    and hence reductive, so the test compares the dimension of a maximal
+    torus built there with the ambient rank, which the ambient keeps.  When
+    that space is the whole ambient, its rank is the ambient rank.
     """
     amb = v.ambient
     ambient_rank = amb.rank
 
     def rank(n):
         m = n.meet(n.sigma_image())
-        return ambient_rank if m.dim == amb.dim else maximal_torus(m, seed=seed).dim
+        return ambient_rank if m.dim == amb.dim else maximal_torus(m).dim
 
     rank1 = rank(normalizer(v))
     rank2 = rank(normalizer(levi_part(v)))

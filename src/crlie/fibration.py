@@ -489,9 +489,9 @@ def _semisimple_part(l: Subalg) -> Subalg:
     return Subalg(l.ambient, series[1]) if len(series) > 1 else l
 
 
-def homotopic_characteristic(q: Subalg, m: Subalg, seed: int = 0) -> int:
-    """c = rank(s) - dim(tau cap s) for s = [L(q), L(q)] and tau a maximal
-    torus of m, the Levi part of the CR algebra being fibered.
+def homotopic_characteristic(q: Subalg, m: Subalg) -> int:
+    """c = rank(s) - dim(tau cap s) for s = [L(q), L(q)] and tau the maximal
+    torus built in m, the Levi part of the CR algebra being fibered.
 
     The proof route rank(m + s) - rank(m) is computed as well and must agree.
     """
@@ -499,28 +499,25 @@ def homotopic_characteristic(q: Subalg, m: Subalg, seed: int = 0) -> int:
     if not m.is_subspace_of(lq):
         raise ValueError("m must lie inside the Levi part of q")
     s = _semisimple_part(lq)
-    tau = maximal_torus(m, seed=seed) if m.dim else m
-    rank_s = maximal_torus(s, seed=seed).dim if s.dim else 0
-    c = rank_s - tau.meet(s).dim
-    l = m.join(s)
-    rank_l = maximal_torus(l, seed=seed).dim if l.dim else 0
-    if c != rank_l - tau.dim:
+    tau = maximal_torus(m)
+    c = maximal_torus(s).dim - tau.meet(s).dim
+    if c != maximal_torus(m.join(s)).dim - tau.dim:
         raise AssertionError("torus count disagrees with rank formula")
     if c < 0:
         raise AssertionError("negative homotopic characteristic")
     return c
 
 
-def euler_positive_clause(q: Subalg, m: Subalg, seed: int = 0) -> bool:
+def euler_positive_clause(q: Subalg, m: Subalg) -> bool:
     """The containment t cap s in tau, for t a maximal torus adapted to the
-    pair: maximal in k, inside L(q), and containing tau.  Reported
-    independently of the characteristic."""
+    pair: built in Z(tau) cap L(q), so maximal in k, inside L(q), and
+    containing tau (central there).  Reported independently of c."""
     lq = levi_part(q)
     if not m.is_subspace_of(lq):
         raise ValueError("m must lie inside the Levi part of q")
     s = _semisimple_part(lq)
-    tau = maximal_torus(m, seed=seed) if m.dim else m
-    adapted = maximal_torus(centralizer(tau).meet(lq), seed=seed)
+    tau = maximal_torus(m)
+    adapted = maximal_torus(centralizer(tau).meet(lq))
     if not tau.is_subspace_of(adapted):
         raise AssertionError("the adapted maximal torus does not contain tau")
     return adapted.meet(s).is_subspace_of(tau)

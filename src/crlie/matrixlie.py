@@ -120,7 +120,7 @@ class AmbientAlgebra:
 
     @cached_property
     def rank(self) -> int:
-        """Dimension of a maximal torus, searched and verified once."""
+        """Dimension of a maximal torus, built and verified once."""
         return maximal_torus(self.full_subalg()).dim
 
     def zero_subalg(self) -> "Subalg":
@@ -485,8 +485,7 @@ def jordan_chevalley(x: DenseMatrix):
         raise AssertionError("Jordan parts do not commute")
     if not (n ** x.rows).is_zero():
         raise AssertionError("nilpotent Jordan part is not nilpotent")
-    sf = min_poly(s)
-    if squarefree_part(sf).degree != sf.degree:
+    if not is_semisimple_matrix(s):
         raise AssertionError("semisimple Jordan part is not semisimple")
     return s, n
 
@@ -537,32 +536,37 @@ def is_semisimple_matrix(x: DenseMatrix) -> bool:
     return squarefree_part(m).degree == m.degree
 
 
-def maximal_torus(sub: Subalg, seed: int = 0) -> Subalg:
-    """Maximal torus of a sigma-stable (hence reductive) subalgebra: the
-    centralizer of a generic element of the compact real points, verified
-    abelian, semisimple, sigma-stable and self-centralizing."""
+def maximal_torus(sub: Subalg) -> Subalg:
+    """Maximal torus of a sigma-stable (hence reductive) subalgebra, built
+    greedily: while c = Z(t) meet sub is larger than t, t takes the first
+    sigma-fixed part r + sigma(r) or i(r - sigma(r)) outside t of a basis
+    row r of c (r lies in their span).  Such parts are skew-Hermitian, hence
+    semisimple, and commute with t.  The loop exits at the self-centralizing
+    check, and a toral subalgebra equal to its own centralizer is maximal
+    (Humphreys, Introduction to Lie Algebras, 8.2).  Deterministic; verified
+    abelian, sigma-stable and semisimple."""
     if not sub.is_sigma_stable():
         raise ValueError("maximal_torus needs a sigma-stable subalgebra")
-    if sub.dim == 0:
-        return sub
-    n = sub.ambient.n
-    generators = []
-    for b in sub.matrices():
-        for g in (b + sigma(b), (b - sigma(b)).scale(IUNIT)):
-            if not g.is_zero():
-                generators.append(g.flatten())
-    rng = random.Random(seed)
-    for attempt in range(8):
-        coeffs = [rng.randrange(-9, 10) for _ in generators]
-        y = DenseMatrix.from_flat(combine(coeffs, generators, n * n), n)
-        t = centralizer_element(sub.ambient, y).meet(sub)
-        ok = not any(any(c) for c in _pair_brackets(sub.ambient, t.space.basis))
-        ok = ok and t.is_sigma_stable()
-        ok = ok and all(is_semisimple_matrix(m) for m in t.matrices())
-        ok = ok and centralizer(t).meet(sub).space == t.space
-        if ok:
-            return t
-    raise RuntimeError("no generic element found for the maximal torus")
+    amb = sub.ambient
+    t, c = amb.zero_subalg(), sub
+    while c.space != t.space:
+        parts = (
+            combine(pair, (r, amb.sigma_coords(r)), amb.dim)
+            for r in c.space.basis
+            for pair in ((1, 1), (IUNIT, -IUNIT))
+        )
+        part = next((p for p in parts if not t.space.contains(p)), None)
+        if part is None:
+            raise AssertionError("no sigma-fixed part of Z(t) escapes the torus")
+        t = Subalg(amb, canonicalize([*t.space.basis, part], amb.dim))
+        c = centralizer(t).meet(sub)
+    if any(map(any, _pair_brackets(amb, t.space.basis))):
+        raise AssertionError("maximal torus is not abelian")
+    if not t.is_sigma_stable():
+        raise AssertionError("maximal torus is not sigma-stable")
+    if not all(map(is_semisimple_matrix, t.matrices())):
+        raise AssertionError("maximal torus holds a non-semisimple element")
+    return t
 
 
 def _integer_divisors(n: int):

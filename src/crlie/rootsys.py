@@ -566,7 +566,7 @@ class ParabolicRootSet:
         return RegularSubalgebra(self.system, self.system.cartan, self.q_r)
 
     def contains_parabolic(self, other: "ParabolicRootSet") -> bool:
-        return other.q <= self.q
+        return self.system == other.system and not other._mask & ~self._mask
 
     def sort_key(self):
         return tuple(sorted(self.q))
@@ -579,7 +579,7 @@ class ParabolicRootSet:
         )
 
     def __hash__(self):
-        return hash((self.system, self.q))
+        return hash((self.system, self._mask))
 
     def __repr__(self):
         qr = ",".join(format_root(a) for a in sorted(self.q_r))
@@ -646,6 +646,13 @@ def _weyl_signed_perms(system: RootSystem):
             yield perm, signs
 
 
+def _check_rank_cap(system: RootSystem, rank_cap: int):
+    if system.rank > rank_cap:
+        raise ValueError(
+            f"rank {system.rank} exceeds the Weyl enumeration cap {rank_cap}"
+        )
+
+
 def weyl_apply(element, alpha: Root) -> Root:
     perm, signs = element
     return tuple(signs[i] * alpha[perm[i]] for i in range(len(alpha)))
@@ -658,10 +665,7 @@ def weyl_root_permutations(system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT)
     its root permutation is the composition of one map per coordinate
     permutation and one per sign vector.  Those n! + 2^n maps are built root
     by root; each element is then one composition of index tuples."""
-    if system.rank > rank_cap:
-        raise ValueError(
-            f"rank {system.rank} exceeds the Weyl enumeration cap {rank_cap}"
-        )
+    _check_rank_cap(system, rank_cap)
     index = system.root_index
     n = system.coord_dim
 
@@ -750,13 +754,8 @@ def weyl_conjugate_sets(
     s2 = frozenset(tuple(a) for a in set2)
     if len(s1) != len(s2):
         return False
-    index = system.root_index
-    i1 = frozenset(index[a] for a in s1)
-    i2 = frozenset(index[a] for a in s2)
-    for perm in weyl_root_permutations(system, rank_cap):
-        if frozenset(perm[i] for i in i1) == i2:
-            return True
-    return False
+    _check_rank_cap(system, rank_cap)
+    return system._mask_of(s2) in _weyl_orbit(system, system._mask_of(s1))
 
 
 # ---------------------------------------------------------------------------

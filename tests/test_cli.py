@@ -344,7 +344,7 @@ class TestRun:
             for problem in problems:
                 prob = parse_problem({**problem, "options": {"seed": seed}})
                 assert run("analyze", prob)["flags"]["regularity"] is not None
-        # one search for su(1,3)'s k and one for sp(2)'s, each verified
+        # one torus for su(1,3)'s k and one for sp(2)'s, each verified
         assert list(searches.values()) == [1, 1]
 
     @pytest.mark.parametrize(
@@ -373,7 +373,7 @@ class TestRun:
 
         for module in (crcore, matrixlie):
             monkeypatch.setattr(module, "maximal_torus", counted)
-        # the rank is kept per ambient: start from one that has not searched
+        # the rank is kept per ambient: start from one that has not built it
         k = realforms.build_real_form("compact-u:3").k
         monkeypatch.delitem(k.__dict__, "rank", raising=False)
         problem = {
@@ -421,7 +421,8 @@ class TestCorpus:
         report = run("corpus", None)
         assert report["ok"] is True
         names = [f["name"] for f in report["fixtures"]]
-        assert len(names) == 15
+        assert len(names) == 17
+        assert {"compact-u6-analyze.json", "su34-analyze.json"} <= set(names)
         assert names == sorted(names)
         assert all(f["ok"] and not f["mismatches"] for f in report["fixtures"])
 
@@ -521,10 +522,10 @@ class TestMain:
         assert b"cannot read" in capsysbinary.readouterr().err
 
     def test_internal_error_exits_two(self, tmp_path, monkeypatch, capsysbinary):
-        def no_generic(v, seed=0):
-            raise RuntimeError("no generic element found for the maximal torus")
+        def no_torus(v):
+            raise AssertionError("no sigma-fixed part of Z(t) escapes the torus")
 
-        monkeypatch.setattr(cli, "regularity_type", no_generic)
+        monkeypatch.setattr(cli, "regularity_type", no_torus)
         path = tmp_path / "problem.json"
         path.write_text(json.dumps({**HOROCYCLIC, "ambient": {"form": "compact-sp:2"}}))
         assert cli.main(["analyze", str(path)]) == 2
@@ -532,7 +533,7 @@ class TestMain:
         assert captured.out == b""
         assert captured.err == (
             b"crlie: internal check failed: "
-            b"no generic element found for the maximal torus\n"
+            b"no sigma-fixed part of Z(t) escapes the torus\n"
         )
 
     def test_usage_errors_exit_one(self, tmp_path):

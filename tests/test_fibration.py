@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import math
 import random
@@ -640,21 +641,27 @@ class TestZRoots:
                     assert covered == q.q_n
 
 
-def _count_sums(target, fvalue, keys, fvals, idx) -> int:
-    """Brute-force oracle: number of multisets of keys summing to target;
-    fvalue is the value of a functional that is positive on every key,
-    which bounds the search."""
-    if not any(target):
-        return 1
-    if fvalue <= 0 or idx == len(keys):
-        return 0
-    total = 0
-    cur, curf = target, fvalue
-    while curf >= 0:
-        total += _count_sums(cur, curf, keys, fvals, idx + 1)
-        cur = tuple(a - b for a, b in zip(cur, keys[idx]))
-        curf -= fvals[idx]
-    return total
+def _sum_counter(keys, fvals):
+    """Brute-force oracle: count(target, fvalue) is the number of multisets
+    of keys summing to target; fvalue is the value on target of a
+    functional with the values fvals, positive on every key, which bounds
+    the search.  Counts are memoized for the lifetime of the counter."""
+
+    @functools.cache
+    def count(target, fvalue, idx=0):
+        if not any(target):
+            return 1
+        if fvalue <= 0 or idx == len(keys):
+            return 0
+        total = 0
+        cur, curf = target, fvalue
+        while curf >= 0:
+            total += count(cur, curf, idx + 1)
+            cur = tuple(a - b for a, b in zip(cur, keys[idx]))
+            curf -= fvals[idx]
+        return total
+
+    return count
 
 
 def _multiset_counter(keys, fvals):
@@ -774,12 +781,14 @@ class TestZRootCounter:
                 tuple(a + b for a, b in zip(keys[i], keys[j])) for i, j in pairs
             ]
             tf = kf + [kf[i] + kf[j] for i, j in pairs]
-            every = [_count_sums(t, f, keys, kf, 0) for t, f in zip(targets, tf)]
+            count_every = _sum_counter(keys, kf)
+            every = [count_every(t, f) for t, f in zip(targets, tf)]
             simple = [i for i in range(len(keys)) if every[i] == 1]
             assert [nu for nu, _ in z.simple_zroots] == [keys[i] for i in simple]
             sk = [keys[i] for i in simple]
             sf = [kf[i] for i in simple]
-            into_simples = [_count_sums(t, f, sk, sf, 0) for t, f in zip(targets, tf)]
+            count_into = _sum_counter(sk, sf)
+            into_simples = [count_into(t, f) for t, f in zip(targets, tf)]
             assert into_simples[: len(keys)] == [1] * len(keys)
 
             scale = math.lcm(

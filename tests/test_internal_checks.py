@@ -142,6 +142,14 @@ TRIPPED = {
         "matrixlie.jordan_chevalley(DenseMatrix.unit(2, 0, 1))\n",
         "AssertionError: squarefree part shares a factor with its derivative",
     ),
+    # every element of a torus is semisimple, so a test that says otherwise
+    # must trip the torus's own check
+    "matrixlie.maximal_torus": (
+        "from crlie import matrixlie\n"
+        "matrixlie.is_semisimple_matrix = lambda x: False\n"
+        "matrixlie.maximal_torus(matrixlie.gl_ambient(2).full_subalg())\n",
+        "AssertionError: maximal torus holds a non-semisimple element",
+    ),
     # 2(1,1,1)/3 is not integral: (1,1,1) is not a root of B3
     "rootsys": (
         "from crlie.rootsys import build_root_system\n"

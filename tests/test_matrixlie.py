@@ -1,3 +1,4 @@
+import inspect
 import random
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from crlie import matrixlie
+from crlie.crcore import levi_part, regularity_type
 from crlie.exactlin import (
     DenseMatrix,
     GaussRational,
@@ -13,6 +15,7 @@ from crlie.exactlin import (
     SpanTracker,
     Subspace,
     canonicalize,
+    combine,
     kernel,
     min_poly,
     squarefree_part,
@@ -43,7 +46,9 @@ from crlie.matrixlie import (
     sl_ambient,
     splittable_evidence,
 )
-from crlie.realforms import build_real_form
+from crlie.fibration import euler_positive_clause, homotopic_characteristic
+from crlie.realforms import build_real_form, embed_regular
+from crlie.rootsys import RegularSubalgebra, build_root_system, closed_closure, neg
 
 
 def g(re, im=0):
@@ -539,6 +544,104 @@ class TestMaximalTorus:
         v = Subalg.from_matrices(GL2, [unit(2, 0, 1)])
         with pytest.raises(ValueError):
             maximal_torus(v)
+
+
+def search_torus(sub, seed=0):
+    """Reference: the centralizer of a random element of the compact real
+    points (coefficients -9..9), kept once it passes the four torus checks;
+    eight attempts."""
+    amb = sub.ambient
+    if sub.dim == 0:
+        return sub
+    n = amb.n
+    generators = []
+    for b in sub.matrices():
+        for x in (b + sigma(b), (b - sigma(b)).scale(IUNIT)):
+            if not x.is_zero():
+                generators.append(x.flatten())
+    rng = random.Random(seed)
+    for _ in range(8):
+        coeffs = [rng.randrange(-9, 10) for _ in generators]
+        y = DenseMatrix.from_flat(combine(coeffs, generators, n * n), n)
+        t = centralizer_element(amb, y).meet(sub)
+        if torus_checks(sub, t):
+            return t
+    raise RuntimeError("no generic element found for the maximal torus")
+
+
+def torus_checks(sub, t):
+    """Abelian, sigma-stable, semisimple and self-centralizing in sub."""
+    basis = t.space.basis
+    return (
+        t.is_subspace_of(sub)
+        and not any(any(t.ambient.bracket(a, b)) for a in basis for b in basis)
+        and t.is_sigma_stable()
+        and all(is_semisimple_matrix(m) for m in t.matrices())
+        and centralizer(t).meet(sub).space == t.space
+    )
+
+
+# real forms whose k the reference search handles in well under a second
+TORUS_FORMS = (
+    "su:1,2", "su:2,2", "su:1,3", "su:2,3", "slH:2", "slH:3", "so:1,4",
+    "so:2,3", "so:3,5", "compact-u:3", "compact-u:4", "compact-sp:2",
+    "compact-so:5", "compact-so:7",
+)
+# compact form -> its root system
+TORUS_EMBEDDED = {
+    "compact-u:3": ("A", 2),
+    "compact-sp:2": ("C", 2),
+    "compact-so:5": ("B", 2),
+}
+
+
+def torus_cases():
+    """14 ks, then L(v) and N(v) meet sigma N(v) for 93 seeded closed root
+    sets embedded in compact forms: 200 sigma-stable subalgebras."""
+    for form in TORUS_FORMS:
+        yield build_real_form(form).k.full_subalg()
+    rng = random.Random("maximal-torus")
+    forms = sorted(TORUS_EMBEDDED)
+    for i in range(93):
+        form = forms[i % 3]
+        system = build_root_system(*TORUS_EMBEDDED[form])
+        seed_roots = rng.sample(system.roots_sorted, rng.randrange(5))
+        roots = closed_closure(system, seed_roots)
+        toral = [list(system.coroot(a)) for a in roots if neg(a) in roots]
+        if rng.random() < 0.5:
+            # a random element of the Cartan, spanned by the simple roots
+            extra = [0] * system.coord_dim
+            for simple in system.simple_roots:
+                c = rng.randrange(-2, 3)
+                extra = [x + c * y for x, y in zip(extra, simple)]
+            toral.append(extra)
+        reg = RegularSubalgebra(system, canonicalize(toral, system.coord_dim), roots)
+        v = embed_regular(form, reg)
+        yield levi_part(v)
+        n = normalizer(v)
+        yield n.meet(n.sigma_image())
+
+
+class TestMaximalTorusAgainstSearch:
+    def test_matches_random_search(self):
+        cases = 0
+        for sub in torus_cases():
+            assert sub.is_sigma_stable()
+            t = maximal_torus(sub)
+            assert t.dim == search_torus(sub).dim
+            assert torus_checks(sub, t)
+            assert maximal_torus(sub).space == t.space
+            cases += 1
+        assert cases >= 200
+
+    def test_takes_no_seed(self):
+        for func in (
+            maximal_torus,
+            regularity_type,
+            homotopic_characteristic,
+            euler_positive_clause,
+        ):
+            assert "seed" not in inspect.signature(func).parameters
 
 
 class TestSpectrum:

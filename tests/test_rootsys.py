@@ -475,6 +475,29 @@ class TestWeyl:
                 expected = {sum(bit[perm[i]] for i in indices) for perm in perms}
                 assert _weyl_orbit(system, mask) == expected
 
+    @pytest.mark.parametrize("tag", "A3 B3 C3 D4".split())
+    def test_conjugate_sets_match_table_scan(self, tag):
+        # reference: map the first Levi set by every element of the table
+        system = build_root_system(tag[0], int(tag[1:]))
+        perms = weyl_root_permutations(system)
+        levis = sorted({q.q_r for q in enumerate_parabolics(system)}, key=sorted)
+        index = system.root_index
+        images = [
+            {frozenset(perm[index[a]] for a in levi) for perm in perms}
+            for levi in levis
+        ]
+        classes = set()
+        for levi1, orbit in zip(levis, images):
+            for levi2 in levis:
+                expected = frozenset(index[a] for a in levi2) in orbit
+                assert weyl_conjugate_sets(system, levi1, levi2) == expected
+            classes.add(frozenset(orbit))
+        assert 1 < len(classes) < len(levis)
+
+    def test_conjugate_sets_keep_rank_cap(self):
+        with pytest.raises(ValueError, match="exceeds the Weyl enumeration cap 2"):
+            weyl_conjugate_sets(B3, rs(B3, "e1"), rs(B3, "e2"), rank_cap=2)
+
     def test_conjugate_sets(self):
         assert weyl_conjugate_sets(B3, rs(B3, "e3", "-e3"), rs(B3, "e1", "-e1"))
         assert not weyl_conjugate_sets(
@@ -648,6 +671,16 @@ class TestEnumerateParabolics:
         first = [q.q for q in enumerate_parabolics(B2)]
         second = [q.q for q in enumerate_parabolics(B2)]
         assert first == second
+
+    def test_hash_and_containment_read_masks(self):
+        # reference: containment of the frozenset views, built afterwards
+        pars = enumerate_parabolics(B3)
+        for q in pars:
+            assert hash(q) == hash(ParabolicRootSet(B3, q.system._mask_roots(q._mask)))
+        table = [[o.contains_parabolic(q) for q in pars] for o in pars]
+        assert not any("q" in q.__dict__ for q in pars)
+        assert table == [[q.q <= o.q for q in pars] for o in pars]
+        assert sum(map(sum, table)) > len(pars)
 
     def test_every_entry_contains_a_borel_conjugate(self):
         rng = random.Random(71)
