@@ -15,7 +15,6 @@ import re
 import sys
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -511,10 +510,11 @@ def _cmd_par(ws: Workspace, problem: ProblemFile, maximal: bool):
     rendered = []
     for q in members:
         entry = _root_parabolic_out(q)
-        decomposition = z_root_decomposition(q)
-        components = dict(decomposition.zroots)
+        # the positive components are those inside nr(q), in key order
         entry["z_component_dims"] = [
-            len(components[nu]) for nu in decomposition.positive
+            len(comp)
+            for _, comp in z_root_decomposition(q).zroots
+            if comp[0] in q.q_n
         ]
         rendered.append(entry)
     return {"par": {"count": len(rendered), "members": rendered}}
@@ -661,6 +661,9 @@ def _run_fixture(name: str) -> dict:
 def _run_corpus(jobs: int = 1) -> dict:
     names = _fixture_names()
     if jobs > 1:
+        # imported here: only the pool path needs it, and it slows start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_fixture, names))
     else:

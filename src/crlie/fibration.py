@@ -9,10 +9,10 @@ backends are implemented separately so tests can cross-check them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from crlie.crcore import (
     is_n_reductive,
@@ -41,7 +41,6 @@ from crlie.rootsys import (
     enumerate_parabolics,
     lie_closure_regular,
     regular_sum,
-    root_sum,
 )
 
 
@@ -334,8 +333,8 @@ class ZRootDecomposition:
     components fill nr(q); simple_zroots are the positive entries with unit
     coordinates in the basis of z* that they form (simple = unit
     coordinates).  Every positive entry is a unique nonnegative integer
-    combination of the simple ones, which are the positive entries that are
-    not a sum of two or more positive entries."""
+    combination of the simple ones, which are the restrictions of the
+    simple roots outside Q_r of the positive system Q_n | (Q_r cap R+)."""
 
     center: Subspace
     zroots: tuple
@@ -348,17 +347,30 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
 
     Each nonzero class lies entirely inside Q_n or entirely inside -Q_n and
     the zero class is exactly Q_r; both are verified.  The simple z-roots
-    come with a linear certificate.  For a parabolic q, B = Q_n | (Q_r cap
-    R+) is a positive system, and its simple roots outside Q_r restrict to a
-    basis S of z*.  One reduction of [S | positive classes] proves that S is
-    a basis and gives each positive class its coordinates in S, which must
-    be nonnegative integers.  So every positive class decomposes uniquely
-    into simple ones, and a class is simple iff its coordinates are a unit
-    vector, i.e. iff it is in S.  Last, the negative classes must be exactly
-    the negatives of the positive ones.  Restrictions are computed on
-    integer coordinates, scaled by the common denominator of the basis of
-    z, which changes no coordinate in S; the returned z-roots are the
-    unscaled Fraction tuples.
+    come with an integer certificate.  For a parabolic q, B = Q_n | (Q_r cap
+    R+) is a positive system.  Its simple roots Pi are the roots of B that
+    are no sum of two roots of B, and every other root of B is the sum of
+    two of smaller height (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, section 10.1).  So every root of B gets
+    nonnegative integer coordinates on Pi minus Q_r: a unit vector on those
+    simple roots, zero on the simple roots in Q_r, and the sum of a
+    splitting pair's coordinates elsewhere.  They are assigned in passes
+    over the roots still without them; a pass that assigns none means B is
+    no positive system and raises.
+
+    The certificate: the restrictions S of Pi minus Q_r number dim z, each
+    positive class equals the combination of S with the coordinates of one
+    of its roots (recomputed in ints), and the negative classes are exactly
+    the negatives of the positive ones.  Then every root restricts to zero
+    (the Levi roots), to a positive class or to the negative of one, so into
+    the span of S.  Restriction maps the span of the roots onto z*, so S
+    spans z*, and |S| = dim z makes it a basis.  So every positive class
+    decomposes uniquely into simple ones, with nonnegative integer
+    coordinates, and a class is simple iff its coordinates are a unit
+    vector, i.e. iff it is in S.  Restrictions are computed on integer
+    coordinates, scaled by the common denominator of the basis of z, which
+    changes no coordinate in S; the returned z-roots are the unscaled
+    Fraction tuples.
     """
     system = q.system
     if q.q_r:
@@ -366,18 +378,22 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
         center = kernel(rows).meet(system.cartan)
     else:
         center = system.cartan
-    scale = math.lcm(*(x.re.denominator for row in center.basis for x in row))
-    basis = [[int(x.re * scale) for x in row] for row in center.basis]
+    rational = [[x.re for x in row] for row in center.basis]
+    scale = math.lcm(*(x.denominator for row in rational for x in row))
+    basis = [
+        [x.numerator * (scale // x.denominator) for x in row] for row in rational
+    ]
 
     def restrict(alpha):
-        return tuple(sum(a * x for a, x in zip(alpha, row)) for row in basis)
+        return tuple(sum(map(mul, alpha, row)) for row in basis)
 
-    def unscaled(key):
-        return tuple(Fraction(k, scale) for k in key)
-
+    # roots_sorted is sorted, so every class lists its roots in order
     classes: dict = {}
     for alpha in system.roots_sorted:
         classes.setdefault(restrict(alpha), []).append(alpha)
+    # the unscaled keys: one Fraction per coordinate value, built once
+    fraction = {k: Fraction(k, scale) for k in set().union(*classes)}
+    nu = {key: tuple(map(fraction.__getitem__, key)) for key in classes}
 
     dim = len(basis)
     zero = (0,) * dim
@@ -386,52 +402,80 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
             "roots vanishing on z are not exactly the Levi roots"
         )
 
+    q_n = q.q_n
     zroots = []
     positive = []
+    covered: set = set()
     for key in sorted(k for k in classes if k != zero):
-        comp = tuple(sorted(classes[key]))
-        inside = sum(1 for a in comp if a in q.q_n)
+        comp = tuple(classes[key])
+        inside = len(q_n.intersection(comp))
         if inside not in (0, len(comp)):
-            raise AssertionError(f"mixed z-root component at {unscaled(key)}")
+            raise AssertionError(f"mixed z-root component at {nu[key]}")
         zroots.append((key, comp))
         if inside:
-            positive.append(key)
-    covered = frozenset(
-        a for key, comp in zroots if key in positive for a in comp
-    )
-    if covered != q.q_n:
+            positive.append((key, comp))
+            covered.update(comp)
+    if covered != q_n:
         raise AssertionError("positive components do not fill nr(q)")
 
-    borel = q.q_n | q.q_r.intersection(system.positive_roots)
-    sums = {root_sum(a, b) for a, b in itertools.combinations(borel, 2)}
-    simple = [restrict(a) for a in sorted(borel - sums - q.q_r)]
-    reduced = canonicalize(
-        [[key[i] for key in simple + positive] for i in range(dim)],
-        len(simple) + len(positive),
-    )
-    if len(simple) != dim or reduced.pivots != tuple(range(dim)):
+    pairs = system._sum_pairs
+    borel = system._mask_of(q_n | q.q_r.intersection(system.positive_roots))
+    members = system._mask_indices(borel)
+    # k is simple iff every pair summing to it has a root outside B
+    outside_borel = ~borel
+    simple = [k for k in members if all(map(outside_borel.__and__, pairs[k]))]
+    outside = [k for k in simple if system.roots_sorted[k] not in q.q_r]
+    if len(outside) != dim:
         raise AssertionError("simple restrictions are not a basis of z*")
-    for j, key in enumerate(positive, dim):
-        for row in reduced.basis:
-            c = row[j]
-            if c.re.denominator != 1 or c.re < 0:
-                raise AssertionError(
-                    f"positive z-root {unscaled(key)} is not a nonnegative "
-                    "integer combination of simple ones"
-                )
+    coords = dict.fromkeys(simple, zero)
+    for j, k in enumerate(outside):
+        coords[k] = zero[:j] + (1,) + zero[j + 1:]
+    done = sum(1 << k for k in simple)
+    pending = [k for k in members if k not in coords]
+    while pending:
+        left = []
+        for k in pending:
+            for p in pairs[k]:
+                if done & p == p:
+                    low = p & -p
+                    a = coords[low.bit_length() - 1]
+                    b = coords[(p ^ low).bit_length() - 1]
+                    coords[k] = tuple(x + y for x, y in zip(a, b))
+                    done |= 1 << k
+                    break
+            else:
+                left.append(k)
+        if len(left) == len(pending):
+            raise AssertionError(
+                "Q_n | (Q_r cap R+) is not a positive system: "
+                f"{len(left)} of its roots get no coordinates"
+            )
+        pending = left
 
-    negatives = {tuple(-k for k in key) for key in positive}
-    if {key for key, _ in zroots} - set(positive) != negatives:
+    simple_keys = [restrict(system.roots_sorted[k]) for k in outside]
+    columns = list(zip(*simple_keys))
+    index = system.root_index
+    for key, comp in positive:
+        c = coords[index[comp[0]]]
+        if tuple(sum(map(mul, c, col)) for col in columns) != key:
+            raise AssertionError(
+                f"positive z-root {nu[key]} is not a nonnegative "
+                "integer combination of simple ones"
+            )
+
+    negatives = {tuple(-k for k in key) for key, _ in positive}
+    if {key for key, _ in zroots} - {key for key, _ in positive} != negatives:
         raise AssertionError(
             "the negative z-roots are not the negatives of the positive ones"
         )
 
+    simple_set = set(simple_keys)
     return ZRootDecomposition(
         center=center,
-        zroots=tuple((unscaled(key), comp) for key, comp in zroots),
-        positive=tuple(unscaled(key) for key in positive),
+        zroots=tuple((nu[key], comp) for key, comp in zroots),
+        positive=tuple(nu[key] for key, _ in positive),
         simple_zroots=tuple(
-            (unscaled(key), comp) for key, comp in zroots if key in simple
+            (nu[key], comp) for key, comp in zroots if key in simple_set
         ),
     )
 

@@ -537,7 +537,7 @@ class ParabolicRootSet:
 
     @classmethod
     def _from_mask(cls, system: RootSystem, mask: int) -> "ParabolicRootSet":
-        """The parabolic of a mask that has passed ``_check_parabolic_mask``."""
+        """The parabolic of a mask already proven parabolic."""
         out = cls.__new__(cls)
         out.system = system
         out._mask = mask
@@ -694,24 +694,37 @@ def enumerate_parabolics(
     The standard parabolic crossed at the simple roots C is the intersection
     of the maximal parabolics crossed at each c in C, and a Weyl element
     maps intersections to intersections.  So each element's images of the
-    rank maximal parabolics give its images of all 2^rank standard ones.
-    Every distinct image is checked once to be parabolic; its root sets are
-    built only when read."""
+    rank maximal parabolics give its images of all 2^rank standard ones,
+    the Borel's image being the intersection of all of them.
+
+    The images are proven parabolic without checking each one.  Every
+    distinct maximal image is checked to be closed, and each element's
+    Borel image B to satisfy B | -B = R.  An intersection of closed sets is
+    closed, and a set that contains B covers R with its negative, so every
+    image of the element is parabolic, whatever the table holds.  Root sets
+    are built only when read."""
     perms = weyl_root_permutations(system, rank_cap)
     maximal = [
         system._mask_indices(parabolic_from_crosses(system, [c])._mask)
         for c in range(1, system.rank + 1)
     ]
     bit = [1 << i for i in range(len(system.roots_sorted))]
+    closed = set()
     seen = set()
     for perm in perms:
         images = [system._full_mask]
         for indices in maximal:
             image = sum(map(bit.__getitem__, map(perm.__getitem__, indices)))
+            if image not in closed:
+                if not system._mask_closed(image):
+                    raise ValueError("parabolic set must be closed")
+                closed.add(image)
             images += [m & image for m in images]
+        # the last image is the intersection of all maximal ones
+        borel = images[-1]
+        if borel | system._neg_mask(borel) != system._full_mask:
+            raise ValueError("Q union -Q must be all of R")
         seen.update(images)
-    for mask in seen:
-        _check_parabolic_mask(system, mask)
     # _mask_indices orders masks as sort_key orders their root sets
     return [
         ParabolicRootSet._from_mask(system, m)
@@ -752,6 +765,8 @@ def weyl_conjugate_sets(
     """Is some Weyl element mapping the first root set onto the second?"""
     s1 = frozenset(tuple(a) for a in set1)
     s2 = frozenset(tuple(a) for a in set2)
+    if not s1 | s2 <= system.roots:
+        raise ValueError("root sets contain non-roots")
     if len(s1) != len(s2):
         return False
     _check_rank_cap(system, rank_cap)

@@ -433,6 +433,19 @@ class TestCorpus:
         assert report["ok"] is True
         assert [f["name"] for f in report["fixtures"]] == sorted(cheap)
 
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only corpus --jobs > 1 uses the pool, which slows every start-up
+        script = (
+            "import sys\n"
+            "import crlie.cli\n"
+            "pool = ('multiprocessing', 'concurrent.futures')\n"
+            "print([name for name in pool if name in sys.modules])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
     def test_expectation_mismatches_have_paths(self):
         actual = {"dims": {"v": 4}, "flags": {"n_reductive": True}}
         msgs = cli._expect_mismatches(

@@ -16,6 +16,7 @@ from crlie.exactlin import (
     IUNIT,
     Subspace,
     canonicalize,
+    kernel,
 )
 from crlie import fibration, rootsys
 from crlie.fibration import (
@@ -34,6 +35,7 @@ from crlie.fibration import (
     minimal_par,
     par_membership,
     par_membership_regular,
+    ZRootDecomposition,
     z_root_decomposition,
 )
 from crlie.matrixlie import Subalg, gl_ambient, nilradical_nr, sl_ambient
@@ -750,6 +752,76 @@ def _with_q_n(q, q_n):
     return bad
 
 
+def reference_z_root_decomposition(q):
+    """The z-root decomposition certified by one reduction over Q(i).
+
+    Classes, their split into positive and negative ones and the checks on
+    them are as in ``z_root_decomposition``.  The simple roots outside Q_r
+    of B = Q_n | (Q_r cap R+) are the members that are no sum of two, and
+    one ``canonicalize`` of [S | positive classes] proves that their
+    restrictions S are a basis of z* and gives each positive class its
+    coordinates in S, which must be nonnegative integers."""
+    system = q.system
+    if q.q_r:
+        rows = DenseMatrix([list(a) for a in sorted(q.q_r)])
+        center = kernel(rows).meet(system.cartan)
+    else:
+        center = system.cartan
+    scale = math.lcm(*(x.re.denominator for row in center.basis for x in row))
+    basis = [[int(x.re * scale) for x in row] for row in center.basis]
+
+    def restrict(alpha):
+        return tuple(sum(a * x for a, x in zip(alpha, row)) for row in basis)
+
+    def unscaled(key):
+        return tuple(Fraction(k, scale) for k in key)
+
+    classes = {}
+    for alpha in system.roots_sorted:
+        classes.setdefault(restrict(alpha), []).append(alpha)
+    dim = len(basis)
+    zero = (0,) * dim
+    if frozenset(classes.get(zero, [])) != q.q_r:
+        raise AssertionError("roots vanishing on z are not exactly the Levi roots")
+    zroots = []
+    positive = []
+    for key in sorted(k for k in classes if k != zero):
+        comp = tuple(sorted(classes[key]))
+        inside = sum(1 for a in comp if a in q.q_n)
+        if inside not in (0, len(comp)):
+            raise AssertionError("mixed z-root component")
+        zroots.append((key, comp))
+        if inside:
+            positive.append(key)
+    if frozenset(a for key, comp in zroots if key in positive for a in comp) != q.q_n:
+        raise AssertionError("positive components do not fill nr(q)")
+
+    borel = q.q_n | q.q_r.intersection(system.positive_roots)
+    sums = {root_sum(a, b) for a, b in itertools.combinations(borel, 2)}
+    simple = [restrict(a) for a in sorted(borel - sums - q.q_r)]
+    reduced = canonicalize(
+        [[key[i] for key in simple + positive] for i in range(dim)],
+        len(simple) + len(positive),
+    )
+    if len(simple) != dim or reduced.pivots != tuple(range(dim)):
+        raise AssertionError("simple restrictions are not a basis of z*")
+    for j in range(dim, dim + len(positive)):
+        for row in reduced.basis:
+            if row[j].re.denominator != 1 or row[j].re < 0:
+                raise AssertionError("not a nonnegative integer combination")
+    negatives = {tuple(-k for k in key) for key in positive}
+    if {key for key, _ in zroots} - set(positive) != negatives:
+        raise AssertionError("negative z-roots are not the negated positive ones")
+    return ZRootDecomposition(
+        center=center,
+        zroots=tuple((unscaled(key), comp) for key, comp in zroots),
+        positive=tuple(unscaled(key) for key in positive),
+        simple_zroots=tuple(
+            (unscaled(key), comp) for key, comp in zroots if key in simple
+        ),
+    )
+
+
 def _random_conjugate_parabolic(rng, system, perms):
     levi = [i for i in range(1, system.rank + 1) if rng.random() < 0.5]
     std = standard_parabolic(system, levi)
@@ -825,6 +897,27 @@ class TestZRootCounter:
             assert [nu for nu, _ in z.simple_zroots] == simple
             assert counts == [1] * len(keys)
 
+    @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "A4", "D4"])
+    def test_every_parabolic_against_reference(self, tag):
+        # 1775 parabolics: the integer certificate and the reduction over
+        # Q(i) give the same decomposition
+        system = build_root_system(tag[0], int(tag[1:]))
+        for q in enumerate_parabolics(system):
+            assert z_root_decomposition(q) == reference_z_root_decomposition(q)
+
+    def test_cyclic_borel_raises_assertion_error(self):
+        # flipping e1-e3 in the Borel of A3 leaves the simple roots e1-e2,
+        # e2-e3 and e3-e1.  The other roots split only as e1-e4 = (e1-e2) +
+        # (e2-e4), e2-e4 = (e2-e3) + (e3-e4) and e3-e4 = (e3-e1) + (e1-e4),
+        # so each waits for the next and none gets coordinates
+        a3 = build_root_system("A", 3)
+        q = standard_borel(a3)
+        q_n = q.q_n - {(1, 0, -1, 0)} | {(-1, 0, 1, 0)}
+        with pytest.raises(AssertionError, match="not a positive system"):
+            z_root_decomposition(_with_q_n(q, q_n))
+        with pytest.raises(AssertionError):
+            reference_z_root_decomposition(_with_q_n(q, q_n))
+
     def test_dropped_nilradical_root_is_rejected(self):
         # without one root of Q_n, Q_n | Q_r misses its negative, so no
         # parabolic has this split
@@ -858,9 +951,12 @@ class TestZRootCounter:
                     except AssertionError:
                         raised += 1
                         assert not valid
+                        with pytest.raises(AssertionError):
+                            reference_z_root_decomposition(_with_q_n(q, q_n))
                     else:
                         assert valid
                         assert z == z_root_decomposition(p)
+                        assert z == reference_z_root_decomposition(_with_q_n(q, q_n))
         assert (cases, raised) == (469, 429)
 
     def test_uniqueness_check_survives_optimized_interpreter(self):

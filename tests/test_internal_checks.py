@@ -170,6 +170,18 @@ TRIPPED = {
         "rootsys.enumerate_parabolics(b3)\n",
         "ValueError: parabolic set must be closed",
     ),
+    # an element that sends every root to e1 maps each maximal parabolic
+    # onto {e1}, which is closed; their intersection, the Borel image, is
+    # {e1} as well and misses the pair e2, -e2
+    "rootsys.enumerate_parabolics.borel": (
+        "from crlie import rootsys\n"
+        "b3 = rootsys.build_root_system('B', 3)\n"
+        "perms = rootsys.weyl_root_permutations(b3)\n"
+        "perms[0] = (b3.root_index[(1, 0, 0)],) * len(b3.roots_sorted)\n"
+        "rootsys.weyl_root_permutations = lambda system, rank_cap: perms\n"
+        "rootsys.enumerate_parabolics(b3)\n",
+        "ValueError: Q union -Q must be all of R",
+    ),
 }
 
 

@@ -498,6 +498,18 @@ class TestWeyl:
         with pytest.raises(ValueError, match="exceeds the Weyl enumeration cap 2"):
             weyl_conjugate_sets(B3, rs(B3, "e1"), rs(B3, "e2"), rank_cap=2)
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ([(5, 0, 0)], [(1, 0, 0)]),
+            ([(1, 0, 0)], [(5, 0, 0)]),
+            ([(1, 0)], [(1, 0, 0)]),
+        ],
+    )
+    def test_conjugate_sets_reject_non_roots(self, first, second):
+        with pytest.raises(ValueError, match="contain non-roots"):
+            weyl_conjugate_sets(B3, first, second)
+
     def test_conjugate_sets(self):
         assert weyl_conjugate_sets(B3, rs(B3, "e3", "-e3"), rs(B3, "e1", "-e1"))
         assert not weyl_conjugate_sets(
@@ -644,6 +656,21 @@ class TestEnumerateParabolics:
     )
     def test_counts_rank_5(self, family, rank, count):
         assert len(enumerate_parabolics(build_root_system(family, rank))) == count
+
+    # reference: each returned parabolic checked on its own (closed, and
+    # Q | -Q = R), as the enumeration did before it checked only the
+    # maximal and Borel images of each Weyl element
+    @pytest.mark.parametrize(
+        "tag",
+        "A1 A2 A3 A4 A5 B2 B3 B4 C2 C3 C4 D3 D4 D5".split()
+        + [pytest.param("B5", marks=pytest.mark.slow)],
+    )
+    def test_every_parabolic_passes_the_per_set_check(self, tag):
+        system = build_root_system(tag[0], int(tag[1:]))
+        pars = enumerate_parabolics(system)
+        for q in pars:
+            _check_parabolic_mask(system, q._mask)
+        assert len({q._mask for q in pars}) == len(pars)
 
     @pytest.mark.parametrize("tag", ["A3", "A4", "B3", "B4", "C3", "C4", "D4"])
     def test_matches_index_set_enumeration(self, tag):
