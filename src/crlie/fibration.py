@@ -352,11 +352,10 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
     are no sum of two roots of B, and every other root of B is the sum of
     two of smaller height (Humphreys, Introduction to Lie Algebras and
     Representation Theory, section 10.1).  So every root of B gets
-    nonnegative integer coordinates on Pi minus Q_r: a unit vector on those
-    simple roots, zero on the simple roots in Q_r, and the sum of a
-    splitting pair's coordinates elsewhere.  They are assigned in passes
-    over the roots still without them; a pass that assigns none means B is
-    no positive system and raises.
+    nonnegative integer coordinates on Pi, the sum of a splitting pair's
+    coordinates (``RootSystem._positive_coordinates``, which raises if B is
+    no positive system), and its coordinates on Pi minus Q_r are the
+    matching positions of those.
 
     The certificate: the restrictions S of Pi minus Q_r number dim z, each
     positive class equals the combination of S with the coordinates of one
@@ -418,45 +417,19 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
     if covered != q_n:
         raise AssertionError("positive components do not fill nr(q)")
 
-    pairs = system._sum_pairs
     borel = system._mask_of(q_n | q.q_r.intersection(system.positive_roots))
-    members = system._mask_indices(borel)
-    # k is simple iff every pair summing to it has a root outside B
-    outside_borel = ~borel
-    simple = [k for k in members if all(map(outside_borel.__and__, pairs[k]))]
-    outside = [k for k in simple if system.roots_sorted[k] not in q.q_r]
+    simple, coords = system._positive_coordinates(borel)
+    roots = system.roots_sorted
+    # positions in Pi of the simple roots outside Q_r
+    outside = [j for j, k in enumerate(simple) if roots[k] not in q.q_r]
     if len(outside) != dim:
         raise AssertionError("simple restrictions are not a basis of z*")
-    coords = dict.fromkeys(simple, zero)
-    for j, k in enumerate(outside):
-        coords[k] = zero[:j] + (1,) + zero[j + 1:]
-    done = sum(1 << k for k in simple)
-    pending = [k for k in members if k not in coords]
-    while pending:
-        left = []
-        for k in pending:
-            for p in pairs[k]:
-                if done & p == p:
-                    low = p & -p
-                    a = coords[low.bit_length() - 1]
-                    b = coords[(p ^ low).bit_length() - 1]
-                    coords[k] = tuple(x + y for x, y in zip(a, b))
-                    done |= 1 << k
-                    break
-            else:
-                left.append(k)
-        if len(left) == len(pending):
-            raise AssertionError(
-                "Q_n | (Q_r cap R+) is not a positive system: "
-                f"{len(left)} of its roots get no coordinates"
-            )
-        pending = left
 
-    simple_keys = [restrict(system.roots_sorted[k]) for k in outside]
+    simple_keys = [restrict(roots[simple[j]]) for j in outside]
     columns = list(zip(*simple_keys))
     index = system.root_index
     for key, comp in positive:
-        c = coords[index[comp[0]]]
+        c = [coords[index[comp[0]]][j] for j in outside]
         if tuple(sum(map(mul, c, col)) for col in columns) != key:
             raise AssertionError(
                 f"positive z-root {nu[key]} is not a nonnegative "

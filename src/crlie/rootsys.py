@@ -6,12 +6,13 @@ the Cartan coordinate space, closed set of roots); parabolic sets, normalizers,
 Lie/module closures and Weyl orbits are all finite set manipulations here.
 
 Root sets are checked on index masks: an int whose bit i stands for
-``roots_sorted[i]``.  Closedness, the parabolic checks (closed, Q | -Q full),
-the split into Q_n and Q_r and the Weyl images of parabolic sets run on
-masks, through two tables each ``RootSystem`` builds once: the sum-pair table
-(for every root, the masks of the index pairs summing to it) and the negation
-permutation.  The latter is checked to reverse the lexicographic order of
-``roots_sorted``, so negating a mask reverses its bits.  A
+``roots_sorted[i]``.  Root combinatorics reads three integer tables each
+``RootSystem`` builds once: the negation permutation, which reverses the
+order of ``roots_sorted`` (checked), so negating a mask reverses its bits;
+the sum-pair table (for every root, the index pairs summing to it, as
+masks), which gives closedness, the parabolic checks and the simple roots
+of a positive system with every root's coordinates on them; and the simple
+reflections as root-index permutations, which generate W.  A
 ``ParabolicRootSet`` reads its root sets off its mask on first use, so the
 Par(v) search in ``fibration`` filters and selects the enumerated parabolics
 on ints and builds root sets for its answers only.  The public API still
@@ -26,12 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from crlie.exactlin import (
-    DenseMatrix,
-    Subspace,
-    canonicalize,
-    solve_linear,
-)
+from crlie.exactlin import DenseMatrix, Subspace, canonicalize, solve_linear
 
 Root = tuple  # integer coordinate tuple
 
@@ -84,6 +80,8 @@ class RootSystem:
         family = family.upper()
         if family not in ("A", "B", "C", "D"):
             raise ValueError(f"unsupported family {family!r}")
+        if type(rank) is not int:
+            raise ValueError(f"rank must be an int, got {rank!r}")
         if rank < 1:
             raise ValueError("rank must be positive")
         if family == "D" and rank < 3:
@@ -99,7 +97,6 @@ class RootSystem:
         )
         self.simple_roots = self._simples()
         self.cartan = self._cartan_space()
-        self._simple_coeffs: dict[Root, tuple] = {}
         expected = {
             "A": rank * (rank + 1),
             "B": 2 * rank * rank,
@@ -237,24 +234,84 @@ class RootSystem:
 
     def simple_coefficients(self, alpha: Root) -> tuple:
         """Integer coordinates of a root in the simple-root basis."""
-        alpha = tuple(alpha)
-        cached = self._simple_coeffs.get(alpha)
-        if cached is not None:
-            return cached
-        columns = DenseMatrix(
-            [[s[i] for s in self.simple_roots] for i in range(self.coord_dim)]
+        coeffs = self._simple_table.get(tuple(alpha))
+        if coeffs is None:
+            raise ValueError(f"{alpha} is not a root of {self}")
+        return coeffs
+
+    @cached_property
+    def _simple_table(self) -> dict:
+        """Every root's coordinates on ``simple_roots``, read off the
+        positive roots; negative roots get the negated coordinates."""
+        simple, coords = self._positive_coordinates(
+            self._mask_of(self.positive_roots)
         )
-        sol = solve_linear(columns, list(alpha))
-        if sol is None:
-            raise AssertionError("root outside the simple-root span")
-        coeffs = []
-        for c in sol:
-            if c.im or c.re.denominator != 1:
-                raise AssertionError(f"{alpha} has non-integral simple coefficients")
-            coeffs.append(int(c.re))
-        out = tuple(coeffs)
-        self._simple_coeffs[alpha] = out
-        return out
+        roots = self.roots_sorted
+        if {roots[k] for k in simple} != set(self.simple_roots):
+            raise AssertionError("the simple roots of R+ are not simple_roots")
+        order = [simple.index(self.root_index[s]) for s in self.simple_roots]
+        table = {}
+        for k, c in coords.items():
+            table[roots[k]] = c = tuple(map(c.__getitem__, order))
+            table[neg(roots[k])] = neg(c)
+        return table
+
+    def _positive_coordinates(self, borel: int) -> tuple:
+        """The simple roots Pi of a positive system B, given as a mask, in
+        ascending index order, and {index: integer coordinates on Pi} for
+        every root of B.  A root of B is simple iff no pair in B sums to it;
+        any other is the sum of a pair of smaller height (Humphreys,
+        Introduction to Lie Algebras and Representation Theory, section
+        10.1) and gets the sum of their coordinates.  A pass over the roots
+        still without coordinates that assigns none means B is no positive
+        system."""
+        pairs = self._sum_pairs
+        members = self._mask_indices(borel)
+        outside = ~borel
+        simple = tuple(k for k in members if all(map(outside.__and__, pairs[k])))
+        zero = (0,) * len(simple)
+        coords = {k: zero[:j] + (1,) + zero[j + 1:] for j, k in enumerate(simple)}
+        done = sum(1 << k for k in simple)
+        pending = [k for k in members if k not in coords]
+        while pending:
+            left = []
+            for k in pending:
+                for p in pairs[k]:
+                    if done & p == p:
+                        low = p & -p
+                        a = coords[low.bit_length() - 1]
+                        b = coords[(p ^ low).bit_length() - 1]
+                        coords[k] = tuple(x + y for x, y in zip(a, b))
+                        done |= 1 << k
+                        break
+                else:
+                    left.append(k)
+            if len(left) == len(pending):
+                raise AssertionError(
+                    "the root set is not a positive system: "
+                    f"{len(left)} of its roots get no coordinates"
+                )
+            pending = left
+        return simple, coords
+
+    @cached_property
+    def _reflections(self) -> tuple:
+        """The simple reflections alpha -> alpha - <alpha, s^vee> s, in the
+        order of ``simple_roots``, as permutations of root indices."""
+        out = []
+        for s in self.simple_roots:
+            norm = sum(x * x for x in s)
+            images = []
+            for alpha in self.roots_sorted:
+                c, rest = divmod(2 * sum(a * b for a, b in zip(alpha, s)), norm)
+                if rest:
+                    raise AssertionError(f"<{alpha}, {s}^vee> is not an integer")
+                k = self.root_index.get(tuple(a - c * b for a, b in zip(alpha, s)))
+                if k is None:
+                    raise AssertionError(f"the reflection in {s} maps {alpha} off R")
+                images.append(k)
+            out.append(tuple(images))
+        return tuple(out)
 
     def fundamental_coweight(self, index: int) -> tuple:
         """A rational vector A with alpha_j(A) = delta_{j,index} (1-based index)."""
@@ -289,7 +346,8 @@ class RootSystem:
         return build_root_system, (self.family, self.rank)
 
 
-@lru_cache(maxsize=None)
+# typed: 3.0 and True hash like 3 and 1, and must reach the rank check
+@lru_cache(maxsize=None, typed=True)
 def _shared_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank)
 
@@ -627,23 +685,10 @@ def standard_borel(system: RootSystem) -> ParabolicRootSet:
 
 
 # ---------------------------------------------------------------------------
-# Weyl group enumeration (signed permutations) and parabolic enumeration.
+# Weyl group enumeration (closure under simple reflections) and parabolics.
 # ---------------------------------------------------------------------------
 
 RANK_CAP_DEFAULT = 6
-
-
-def _weyl_signed_perms(system: RootSystem):
-    n = system.coord_dim
-    if system.family == "A":
-        for perm in itertools.permutations(range(n)):
-            yield perm, (1,) * n
-        return
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            if system.family == "D" and signs.count(-1) % 2:
-                continue
-            yield perm, signs
 
 
 def _check_rank_cap(system: RootSystem, rank_cap: int):
@@ -653,34 +698,23 @@ def _check_rank_cap(system: RootSystem, rank_cap: int):
         )
 
 
-def weyl_apply(element, alpha: Root) -> Root:
-    perm, signs = element
-    return tuple(signs[i] * alpha[perm[i]] for i in range(len(alpha)))
-
-
 def weyl_root_permutations(system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT):
-    """Each Weyl element as a permutation of root indices (deterministic order).
-
-    An element (perm, signs) permutes the coordinates, then flips signs, so
-    its root permutation is the composition of one map per coordinate
-    permutation and one per sign vector.  Those n! + 2^n maps are built root
-    by root; each element is then one composition of index tuples."""
+    """Each Weyl element as a permutation of root indices, the identity
+    first: the breadth-first closure of the identity under the simple
+    reflections, which generate W (Bourbaki, Lie Groups and Lie Algebras,
+    ch. VI section 1.5)."""
     _check_rank_cap(system, rank_cap)
-    index = system.root_index
-    n = system.coord_dim
-
-    def root_map(element):
-        return tuple(index[weyl_apply(element, a)] for a in system.roots_sorted)
-
-    perm_maps: dict = {}
-    sign_maps: dict = {}
-    out = []
-    for perm, signs in _weyl_signed_perms(system):
-        if perm not in perm_maps:
-            perm_maps[perm] = root_map((perm, (1,) * n))
-        if signs not in sign_maps:
-            sign_maps[signs] = root_map((range(n), signs)).__getitem__
-        out.append(tuple(map(sign_maps[signs], perm_maps[perm])))
+    identity = tuple(range(len(system.roots_sorted)))
+    # an element is known by its images of a basis, the simple roots of R+
+    simple, _ = system._positive_coordinates(system._mask_of(system.positive_roots))
+    out, seen = [identity], {simple}
+    for w in out:  # visits the elements appended on the way
+        images = [w[i] for i in simple]
+        for s in system._reflections:
+            key = tuple(map(s.__getitem__, images))
+            if key not in seen:
+                seen.add(key)
+                out.append(tuple(map(s.__getitem__, w)))
     return out
 
 
@@ -689,7 +723,7 @@ def enumerate_parabolics(
 ) -> list[ParabolicRootSet]:
     """All parabolic subsets of R, sorted by ``sort_key``: the Weyl orbits of
     the standard parabolics (Bourbaki, Lie Groups and Lie Algebras, ch. VI
-    section 1.7), from one Weyl table.
+    section 1.7), from the Weyl table of ``weyl_root_permutations``.
 
     The standard parabolic crossed at the simple roots C is the intersection
     of the maximal parabolics crossed at each c in C, and a Weyl element
@@ -735,18 +769,7 @@ def enumerate_parabolics(
 def _weyl_orbit(system: RootSystem, mask: int) -> set:
     """The Weyl orbit of a root-index mask: its closure under the simple
     reflections, which generate W."""
-    index = system.root_index
-
-    def simple_reflection(s):
-        # alpha -> alpha - <alpha, s^vee> s, as a permutation of root indices
-        norm = sum(x * x for x in s)
-        out = []
-        for alpha in system.roots_sorted:
-            c = 2 * sum(a * b for a, b in zip(alpha, s)) // norm
-            out.append(index[tuple(a - c * b for a, b in zip(alpha, s))])
-        return out
-
-    reflections = [simple_reflection(s) for s in system.simple_roots]
+    reflections = system._reflections
     bit = [1 << i for i in range(len(system.roots_sorted))]
     orbit, todo = {mask}, [mask]
     while todo:
@@ -763,13 +786,13 @@ def weyl_conjugate_sets(
     system: RootSystem, set1, set2, rank_cap: int = RANK_CAP_DEFAULT
 ) -> bool:
     """Is some Weyl element mapping the first root set onto the second?"""
+    _check_rank_cap(system, rank_cap)
     s1 = frozenset(tuple(a) for a in set1)
     s2 = frozenset(tuple(a) for a in set2)
     if not s1 | s2 <= system.roots:
         raise ValueError("root sets contain non-roots")
     if len(s1) != len(s2):
         return False
-    _check_rank_cap(system, rank_cap)
     return system._mask_of(s2) in _weyl_orbit(system, system._mask_of(s1))
 
 

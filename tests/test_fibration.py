@@ -51,8 +51,8 @@ from crlie.rootsys import (
     root_sum,
     standard_borel,
     standard_parabolic,
-    weyl_root_permutations,
 )
+from test_rootsys import reference_weyl_table
 
 GL3 = gl_ambient(3)
 SL3 = sl_ambient(3)
@@ -459,7 +459,7 @@ class TestParExtremaAgainstReference:
         # the constraint is a random member of Par(v), which is never empty
         system = build_root_system(tag[0], int(tag[1:]))
         pars = enumerate_parabolics(system)
-        perms = weyl_root_permutations(system)
+        perms = reference_weyl_table(system)
         rng = random.Random(f"par-extrema:{tag}")
         several = 0
         for _ in range(40):
@@ -837,7 +837,7 @@ class TestZRootCounter:
     def test_random_conjugates_against_brute_force(self, tag):
         # 6 x 40 = 240 seeded random Weyl conjugates of standard parabolics
         system = build_root_system(tag[0], int(tag[1:]))
-        perms = weyl_root_permutations(system)
+        perms = reference_weyl_table(system)
         rng = random.Random(f"zroots:{tag}")
         for _ in range(40):
             q = _random_conjugate_parabolic(rng, system, perms)

@@ -156,6 +156,23 @@ TRIPPED = {
         "build_root_system('B', 3).coroot((1, 1, 1))\n",
         "AssertionError: (1, 1, 1) has no integral coroot",
     ),
+    # <-e1-e2, (1,1,1)^vee> = -4/3: (1, 1, 1) is no simple root of B3, so
+    # a fresh instance that takes it for one builds no reflection table
+    "rootsys._reflections": (
+        "from crlie import rootsys\n"
+        "b3 = rootsys.RootSystem('B', 3)\n"
+        "b3.simple_roots = ((1, -1, 0), (0, 1, -1), (1, 1, 1))\n"
+        "rootsys.weyl_root_permutations(b3)\n",
+        "AssertionError: <(-1, -1, 0), (1, 1, 1)^vee> is not an integer",
+    ),
+    # e2 is a root of B3, but the simple roots of R+ are e1-e2, e2-e3, e3
+    "rootsys._simple_table": (
+        "from crlie import rootsys\n"
+        "b3 = rootsys.RootSystem('B', 3)\n"
+        "b3.simple_roots = ((1, -1, 0), (0, 1, -1), (0, 1, 0))\n"
+        "b3.simple_coefficients((1, 0, 0))\n",
+        "AssertionError: the simple roots of R+ are not simple_roots",
+    ),
     # the identity with the images of e1 and -e1 swapped maps the maximal
     # parabolic crossed at e3 onto a set holding -e1 and e1-e2 but not -e2
     "rootsys.enumerate_parabolics": (

@@ -1,15 +1,19 @@
+import functools
 import itertools
+import math
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
-from crlie.exactlin import Subspace, canonicalize
+from crlie.exactlin import DenseMatrix, Subspace, canonicalize, solve_linear
 from crlie.rootsys import (
     ParabolicRootSet,
+    RootSystem,
     _check_parabolic_mask,
     _weyl_orbit,
-    _weyl_signed_perms,
     RegularSpan,
     RegularSubalgebra,
     build_root_system,
@@ -30,7 +34,6 @@ from crlie.rootsys import (
     standard_parabolic,
     strongly_orthogonal,
     strongly_orthogonal_maximal_sets,
-    weyl_apply,
     weyl_conjugate_sets,
     weyl_root_permutations,
 )
@@ -49,6 +52,49 @@ ALL_SYSTEMS = [A2, A3, A4, B2, B3, C2, D3, D4]
 
 def r(system, text):
     return system.parse_root(text)
+
+
+def signed_permutations(system):
+    """Reference Weyl group in e_i coordinates: every coordinate permutation
+    with every sign vector, none for A and an even number of -1 for D."""
+    n = system.coord_dim
+    if system.family == "A":
+        for perm in itertools.permutations(range(n)):
+            yield perm, (1,) * n
+        return
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            if system.family == "D" and signs.count(-1) % 2:
+                continue
+            yield perm, signs
+
+
+def weyl_apply(element, alpha):
+    perm, signs = element
+    return tuple(signs[i] * alpha[perm[i]] for i in range(len(alpha)))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_weyl_table(system):
+    """Reference Weyl table, independent of the simple reflections: each
+    signed permutation applied to every root, as a root-index permutation,
+    in the order of ``signed_permutations``."""
+    index = system.root_index
+    return tuple(
+        tuple(index[weyl_apply(element, a)] for a in system.roots_sorted)
+        for element in signed_permutations(system)
+    )
+
+
+def reference_simple_coefficients(system, alpha):
+    """Reference coordinates on the simple roots: one exact linear solve."""
+    columns = DenseMatrix(
+        [[s[i] for s in system.simple_roots] for i in range(system.coord_dim)]
+    )
+    sol = solve_linear(columns, list(alpha))
+    if sol is None or any(c.im or c.re.denominator != 1 for c in sol):
+        raise AssertionError(f"{alpha} has no integer simple coordinates")
+    return tuple(int(c.re) for c in sol)
 
 
 def rs(system, *texts):
@@ -94,6 +140,65 @@ class TestConstruction:
                     for i, x in enumerate(s):
                         rebuilt[i] += c * x
                 assert tuple(rebuilt) == alpha
+
+    def test_simple_coefficients_match_linear_solve(self):
+        for system in ALL_SYSTEMS:
+            for alpha in system.roots_sorted:
+                assert system.simple_coefficients(alpha) == (
+                    reference_simple_coefficients(system, alpha)
+                )
+
+    @pytest.mark.parametrize("alpha", [(1, 1, 1), (0, 0, 0), (2, 0, 0), (1, 0)])
+    def test_simple_coefficients_reject_non_roots(self, alpha):
+        with pytest.raises(ValueError, match="is not a root of RootSystem"):
+            B3.simple_coefficients(alpha)
+
+    def test_simple_roots_must_be_those_of_the_positive_roots(self):
+        system = RootSystem("B", 3)
+        system.simple_roots = ((1, -1, 0), (0, 1, -1), (0, 1, 0))
+        with pytest.raises(AssertionError, match="simple roots of R"):
+            system.simple_coefficients((1, 0, 0))
+
+    @pytest.mark.parametrize(
+        "family, simples, message",
+        [
+            ("B", ((1, -1, 0), (0, 1, -1), (1, 1, 1)), "is not an integer"),
+            ("A", ((1, -1, 0), (1, 1, 0)), "maps .* off R"),
+        ],
+    )
+    def test_reflections_check_their_images(self, family, simples, message):
+        # a fresh instance: the shared one keeps its tables
+        system = RootSystem(family, len(simples))
+        system.simple_roots = simples
+        with pytest.raises(AssertionError, match=message):
+            weyl_root_permutations(system)
+
+    @pytest.mark.parametrize("rank", [True, 3.0, "3", None])
+    def test_rank_must_be_an_int(self, rank):
+        with pytest.raises(ValueError, match="rank must be an int"):
+            build_root_system("B", rank)
+        with pytest.raises(ValueError, match="rank must be an int"):
+            RootSystem("B", rank)
+
+    def test_rank_is_checked_in_either_call_order(self):
+        # 3.0 hashes like 3 and True like 1: neither may get the cached
+        # system, whether or not B3 and B1 were built before
+        script = (
+            "from crlie.rootsys import build_root_system\n"
+            "def rejected(rank):\n"
+            "    try:\n"
+            "        build_root_system('B', rank)\n"
+            "    except ValueError:\n"
+            "        return True\n"
+            "    return False\n"
+            "before = [rejected(3.0), rejected(True)]\n"
+            "build_root_system('B', 3), build_root_system('B', 1)\n"
+            "print(before, [rejected(3.0), rejected(True)])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert done.stdout.split("\n")[0] == "[True, True] [True, True]", done.stderr
 
     def test_coroots(self):
         assert B3.coroot((0, 0, 1)) == (0, 0, 2)
@@ -433,40 +538,47 @@ class TestWeyl:
             weyl_root_permutations(big)
 
     def test_apply_preserves_roots_and_sums(self):
-        rng = random.Random(61)
-        for _ in range(150):
-            system = rng.choice([A2, B2, C2, D3])
-            perm, signs = None, None
-            from crlie.rootsys import _weyl_signed_perms
-
-            elements = list(_weyl_signed_perms(system))
-            element = rng.choice(elements)
-            alpha = rng.choice(system.roots_sorted)
-            beta = rng.choice(system.roots_sorted)
-            wa, wb = weyl_apply(element, alpha), weyl_apply(element, beta)
-            assert wa in system.roots
-            s = root_sum(alpha, beta)
-            if s in system.roots:
-                assert root_sum(wa, wb) in system.roots
+        # every element of the table permutes the roots, commutes with
+        # negation and maps the sum pairs of each root onto those of its image
+        for system in (A2, B2, C2, D3, B3, D4):
+            roots, index = system.roots_sorted, system.root_index
+            minus = [index[neg(a)] for a in roots]
+            pairs = [set(p) for p in system._sum_pairs]
+            for w in weyl_root_permutations(system):
+                assert sorted(w) == list(range(len(roots)))
+                for k, image in enumerate(w):
+                    assert w[minus[k]] == minus[image]
+                    moved = {
+                        sum(1 << w[i] for i in system._mask_indices(p))
+                        for p in pairs[k]
+                    }
+                    assert moved == pairs[image]
 
     @pytest.mark.parametrize(
         "tag", "A1 A2 A3 A4 A5 B2 B3 B4 B5 C2 C3 C4 D3 D4 D5".split()
     )
     def test_matches_per_root_construction(self, tag):
-        # reference: every element applied to every root through weyl_apply
-        system = build_root_system(tag[0], int(tag[1:]))
-        index = system.root_index
-        reference = [
-            tuple(index[weyl_apply(element, a)] for a in system.roots_sorted)
-            for element in _weyl_signed_perms(system)
-        ]
-        assert weyl_root_permutations(system) == reference
+        # reference: every signed permutation applied to every root; the
+        # table's order is its own, so only the identity's place is fixed
+        rank = int(tag[1:])
+        system = build_root_system(tag[0], rank)
+        order = {
+            "A": math.factorial(rank + 1),
+            "B": 2**rank * math.factorial(rank),
+            "C": 2**rank * math.factorial(rank),
+            "D": 2 ** (rank - 1) * math.factorial(rank),
+        }[tag[0]]
+        table = weyl_root_permutations(system)
+        reference = reference_weyl_table(system)
+        assert table[0] == tuple(range(len(system.roots_sorted)))
+        assert len(set(table)) == len(table) == len(reference) == order
+        assert set(table) == set(reference)
 
     @pytest.mark.parametrize("tag", "A3 B3 C3 D4".split())
     def test_orbit_by_simple_reflections_matches_table(self, tag):
         # reference: the images of the mask under every element of the table
         system = build_root_system(tag[0], int(tag[1:]))
-        perms = weyl_root_permutations(system)
+        perms = reference_weyl_table(system)
         bit = [1 << i for i in range(len(system.roots_sorted))]
         for q in enumerate_parabolics(system)[::7]:
             levi = q._mask & system._neg_mask(q._mask)
@@ -479,7 +591,7 @@ class TestWeyl:
     def test_conjugate_sets_match_table_scan(self, tag):
         # reference: map the first Levi set by every element of the table
         system = build_root_system(tag[0], int(tag[1:]))
-        perms = weyl_root_permutations(system)
+        perms = reference_weyl_table(system)
         levis = sorted({q.q_r for q in enumerate_parabolics(system)}, key=sorted)
         index = system.root_index
         images = [
@@ -497,6 +609,9 @@ class TestWeyl:
     def test_conjugate_sets_keep_rank_cap(self):
         with pytest.raises(ValueError, match="exceeds the Weyl enumeration cap 2"):
             weyl_conjugate_sets(B3, rs(B3, "e1"), rs(B3, "e2"), rank_cap=2)
+        # sets of different sizes are never conjugate, but the cap comes first
+        with pytest.raises(ValueError, match="exceeds the Weyl enumeration cap 1"):
+            weyl_conjugate_sets(B3, rs(B3, "e1"), rs(B3, "e1", "e2"), rank_cap=1)
 
     @pytest.mark.parametrize(
         "first, second",
@@ -549,7 +664,7 @@ def parabolics_by_index_sets(system):
     """Reference enumeration on frozensets of root indices: the Weyl images
     of each of the 2^rank standard parabolics, deduplicated, each checked
     with tuple sums, sorted by their sorted root tuples."""
-    perms = weyl_root_permutations(system)
+    perms = reference_weyl_table(system)
     index = system.root_index
     seen = set()
     for subset in itertools.product((0, 1), repeat=system.rank):
@@ -588,7 +703,7 @@ def closedness_cases(system, rng):
         standard_parabolic(system, [i + 1 for i, bit in enumerate(bits) if bit]).q
         for bits in itertools.product((0, 1), repeat=system.rank)
     ]
-    perms = weyl_root_permutations(system)
+    perms = reference_weyl_table(system)
     index = system.root_index
     cases += standard
     for _ in range(60):
