@@ -380,28 +380,6 @@ def radical(sub: Subalg) -> Subalg:
     return rad
 
 
-def _associative_hull(mats, n):
-    """Span of all products of the given matrices, identity included."""
-    tracker = SpanTracker(n * n)
-    hull = [DenseMatrix.identity(n)]
-    tracker.add(hull[0].flatten())
-    frontier = []
-    for m in mats:
-        if tracker.add(m.flatten()):
-            hull.append(m)
-            frontier.append(m)
-    while frontier:
-        new_frontier = []
-        for f in frontier:
-            for g in mats:
-                for prod in (f * g, g * f):
-                    if tracker.add(prod.flatten()):
-                        hull.append(prod)
-                        new_frontier.append(prod)
-        frontier = new_frontier
-    return hull
-
-
 def _quotient_ads(sub: Subalg, ideal: Subalg):
     """Structure of v / ideal: ad matrices on a complement of the ideal."""
     amb, space = sub.ambient, sub.space
@@ -425,33 +403,50 @@ def _quotient_ads(sub: Subalg, ideal: Subalg):
     return ads, len(free)
 
 
-def nilradical_nr(sub: Subalg) -> Subalg:
-    """The ideal of nilpotent matrices inside the radical.
+def _nilradical_failure(sub: Subalg, nil: Subalg):
+    """The message of the first nilradical check that nil fails, or None."""
+    for m in nil.matrices():
+        if not (m ** sub.ambient.n).is_zero():
+            return "nilradical candidate contains a non-nilpotent"
+    if not _is_ideal(sub, nil):
+        return "nilradical candidate is not an ideal"
+    if not is_nilpotent_algebra(nil):
+        return "nilradical candidate is not a nilpotent algebra"
+    return None
 
-    Nilpotence of x in a solvable matrix algebra r is equivalent to tr(x z)
-    vanishing for every z in the associative hull of r, which keeps the
-    computation linear.  The result is verified to be a nilpotent ideal of
-    nilpotent matrices with reductive quotient.
+
+def nilradical_nr(sub: Subalg) -> Subalg:
+    """nr(v), the largest ideal of v acting nilpotently on C^n, as
+    n = v meet S^perp for the trace form tr(xz) and a subspace S of the
+    associative hull A of v, identity included.
+
+    S starts as span(1, v).  While n fails a check (spanned by nilpotent
+    matrices, an ideal of v, a nilpotent algebra), S gains the products
+    f g and g f of its newest elements f with v's matrices g.  Then n = nr(v):
+    - nr(v) lies in n for every S: v, hence A, fixes a flag of C^n on whose
+      quotients nr(v) acts by zero, so xz is nilpotent for x in nr(v), z in A.
+    - A passing n lies in nr(v): a nilpotent algebra of matrices has linear
+      weights on C^n, zero on its nilpotent basis, so all of n is nilpotent.
+    - n passes once S = A, which holds when a round adds nothing: then
+      n = v meet J(A), as in characteristic 0 the radical of the trace form
+      on A is its Jacobson radical J(A) (Dickson), a nilpotent ideal of A.
+    The quotient v / n is then verified to be reductive.
     """
     amb = sub.ambient
-    rad = radical(sub)
-    if rad.dim == 0:
-        return rad
-    rad_mats = rad.matrices()
-    hull = _associative_hull(rad_mats, amb.n)
-    equations = []
-    for z in hull:
-        equations.append([b.trace_product(z) for b in amb.basis])
-    perp = kernel(DenseMatrix(equations))
-    nil = Subalg(amb, perp.meet(rad.space))
-
-    for m in nil.matrices():
-        if not (m ** amb.n).is_zero():
-            raise AssertionError("nilradical candidate contains a non-nilpotent")
-    if not _is_ideal(sub, nil):
-        raise AssertionError("nilradical candidate is not an ideal")
-    if not is_nilpotent_algebra(nil):
-        raise AssertionError("nilradical candidate is not a nilpotent algebra")
+    mats = sub.matrices()
+    tracker = SpanTracker(amb.n * amb.n)
+    equations, new = [], [DenseMatrix.identity(amb.n), *mats]
+    while True:
+        # the identity is new in round 1, so failure is set before any raise
+        new = [z for z in new if tracker.add(z.flatten())]
+        if not new:
+            raise AssertionError(failure)
+        equations += [[b.trace_product(z) for b in amb.basis] for z in new]
+        nil = Subalg(amb, kernel(DenseMatrix(equations)).meet(sub.space))
+        failure = _nilradical_failure(sub, nil)
+        if failure is None:
+            break
+        new = [p for f in new for g in mats for p in (f * g, g * f)]
     qads, qdim = _quotient_ads(sub, nil)
     qrad = _radical_space_from_ads(qads, qdim)
     for c in qrad.basis:

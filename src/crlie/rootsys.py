@@ -77,6 +77,8 @@ class RootSystem:
     """A classical root system of type A, B, C or D in e_i coordinates."""
 
     def __init__(self, family: str, rank: int):
+        if not isinstance(family, str):
+            raise ValueError(f"family must be a str, got {family!r}")
         family = family.upper()
         if family not in ("A", "B", "C", "D"):
             raise ValueError(f"unsupported family {family!r}")
@@ -355,6 +357,8 @@ def _shared_system(family: str, rank: int) -> RootSystem:
 def build_root_system(family: str, rank: int) -> RootSystem:
     """The root system of a family and rank.  A process holds one instance
     per (family, rank), so its index tables are built once."""
+    if not isinstance(family, str):
+        raise ValueError(f"family must be a str, got {family!r}")
     return _shared_system(family.upper(), rank)
 
 

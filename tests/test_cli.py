@@ -421,7 +421,7 @@ class TestCorpus:
         report = run("corpus", None)
         assert report["ok"] is True
         names = [f["name"] for f in report["fixtures"]]
-        assert len(names) == 17
+        assert len(names) == 18
         assert {"compact-u6-analyze.json", "su34-analyze.json"} <= set(names)
         assert names == sorted(names)
         assert all(f["ok"] and not f["mismatches"] for f in report["fixtures"])

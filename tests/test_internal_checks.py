@@ -150,6 +150,18 @@ TRIPPED = {
         "matrixlie.maximal_torus(matrixlie.gl_ambient(2).full_subalg())\n",
         "AssertionError: maximal torus holds a non-semisimple element",
     ),
+    # the strictly upper triangular algebra of gl_3 is its own associative
+    # hull up to the identity, so one failed round of the nilradical loop
+    # leaves nothing to add, and the loop must raise the failed check
+    "matrixlie.nilradical_nr": (
+        "from crlie import matrixlie\n"
+        "from crlie.exactlin import DenseMatrix\n"
+        "matrixlie.is_nilpotent_algebra = lambda sub: False\n"
+        "units = [DenseMatrix.unit(3, i, j) for i, j in ((0, 1), (0, 2), (1, 2))]\n"
+        "n3 = matrixlie.Subalg.from_matrices(matrixlie.gl_ambient(3), units)\n"
+        "matrixlie.nilradical_nr(n3)\n",
+        "AssertionError: nilradical candidate is not a nilpotent algebra",
+    ),
     # 2(1,1,1)/3 is not integral: (1,1,1) is not a root of B3
     "rootsys": (
         "from crlie.rootsys import build_root_system\n"

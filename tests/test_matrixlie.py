@@ -433,6 +433,156 @@ class TestNilradical:
         assert nilradical_nr(v).dim == 0
 
 
+# The Killing-form route that the trace-form loop of nilradical_nr replaced:
+# the radical by Cartan's criterion, the associative hull of the radical,
+# and the hull's trace-form perp met with the radical.  Kept as the oracle.
+
+
+def reference_associative_hull(mats, n):
+    """Span of all products of the given matrices, identity included."""
+    tracker = SpanTracker(n * n)
+    hull = [DenseMatrix.identity(n)]
+    tracker.add(hull[0].flatten())
+    frontier = [m for m in mats if tracker.add(m.flatten())]
+    hull += frontier
+    while frontier:
+        frontier = [
+            prod
+            for f in frontier
+            for m in mats
+            for prod in (f * m, m * f)
+            if tracker.add(prod.flatten())
+        ]
+        hull += frontier
+    return hull
+
+
+def reference_nilradical(sub):
+    amb = sub.ambient
+    rad = radical(sub)
+    if rad.dim == 0:
+        return rad
+    hull = reference_associative_hull(rad.matrices(), amb.n)
+    equations = [[b.trace_product(z) for b in amb.basis] for z in hull]
+    return Subalg(amb, kernel(DenseMatrix(equations)).meet(rad.space))
+
+
+GL4 = gl_ambient(4)
+# the 3-cycle: tr P = tr P^2 = 0 and tr P^3 = 3
+CYCLE3 = DenseMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+# tr h = tr h^2 = tr h^3 = 0 and tr h^4 = 4
+H4 = DenseMatrix.diag([g(1), g(-1), g(0, 1), g(0, -1)])
+CYCLE3_PLUS_0 = DenseMatrix([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+# rounds of the trace-form loop and dim nr(v) for algebras whose nilradical
+# needs more than span(1, v) in the trace form
+LATER_ROUNDS = {
+    "3-cycle in gl3": (GL3, [CYCLE3], 2, 0),
+    "diag(1, -1, i, -i) in gl4": (GL4, [H4], 3, 0),
+    "span(h, h^2) in gl4": (GL4, [H4, H4 * H4], 2, 0),
+    # P + 0 moves E03 to E13, E23 and back: nr is their span
+    "3-cycle on span(E03, E13, E23)": (GL4, [CYCLE3_PLUS_0, unit(4, 0, 3)], 2, 3),
+}
+
+
+def rand_closure(rng, amb):
+    """Bracket closure of 1-3 random sums of scaled unit matrices, most of
+    them upper triangular, so that many closures are not n-reductive."""
+    n = amb.n
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        m = DenseMatrix.zero(n, n)
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted((rng.randrange(n), rng.randrange(n)))
+            if rng.random() < 0.3:
+                i, j = j, i
+            c = g(rng.choice((-2, -1, 1, 2)), rng.randrange(-1, 2))
+            m = m + unit(n, i, j).scale(c)
+        gens.append(m)
+    return bracket_closure(Subalg.from_matrices(amb, gens))
+
+
+def rand_conjugator(rng, n):
+    """A product of elementary matrices I + c E_ij and its inverse."""
+    x, x_inv = DenseMatrix.identity(n), DenseMatrix.identity(n)
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        e = unit(n, i, j).scale(g(rng.choice((-2, -1, 1, 2)), rng.randrange(-1, 2)))
+        x = x * (DenseMatrix.identity(n) + e)
+        x_inv = (DenseMatrix.identity(n) - e) * x_inv
+    return x, x_inv
+
+
+def killing_route_cases():
+    """Seeded subalgebras: bracket closures in gl3 and gl4, normalizers of
+    spans in the oracle ambients, conjugates of the later-round algebras,
+    and the fixed cases of TestNilradical and test_crcore."""
+    rng = random.Random(37)
+    for amb in (GL3, GL4):
+        for _ in range(80):
+            yield rand_closure(rng, amb)
+    for amb in oracle_ambients():
+        for _ in range(6):
+            k = rng.randint(1, 2)
+            if rng.random() < 0.5:
+                rows = rng.sample(amb.unit_coords, k)
+            else:
+                rows = [rand_coords(rng, amb.dim, 0.2) for _ in range(k)]
+            yield normalizer(Subalg(amb, canonicalize(rows, amb.dim)))
+    for amb, mats, _, _ in LATER_ROUNDS.values():
+        yield bracket_closure(Subalg.from_matrices(amb, mats))
+        for _ in range(3):
+            x, x_inv = rand_conjugator(rng, amb.n)
+            conj = [x * m * x_inv for m in mats]
+            yield bracket_closure(Subalg.from_matrices(amb, conj))
+    yield GL3.zero_subalg()
+    yield GL3.full_subalg()
+    yield Subalg.from_matrices(GL2, [DenseMatrix.diag([g(1), IUNIT])])
+    yield Subalg.from_matrices(GL3, [diag(1, 1, 0) + unit(3, 0, 1)])
+    # V_TWISTED of test_crcore: not n-reductive
+    yield Subalg.from_matrices(
+        GL3, [idiag(1, 1, 0) + unit(3, 0, 1), unit(3, 0, 2), unit(3, 1, 2)]
+    )
+
+
+@pytest.fixture
+def round_dims(monkeypatch):
+    """dim n of every round of the trace-form loop, in call order."""
+    checks = matrixlie._nilradical_failure
+    dims = []
+
+    def counted(sub, nil):
+        dims.append(nil.dim)
+        return checks(sub, nil)
+
+    monkeypatch.setattr(matrixlie, "_nilradical_failure", counted)
+    return dims
+
+
+class TestNilradicalAgainstKillingRoute:
+    def test_matches_reference(self, round_dims):
+        cases = not_n_reductive = later_rounds = 0
+        for v in killing_route_cases():
+            expected = reference_nilradical(v)
+            start = len(round_dims)
+            assert nilradical_nr(v).space == expected.space
+            later_rounds += len(round_dims) - start > 1
+            meet, join = expected.meet_join(levi_part(v))
+            not_n_reductive += meet.dim > 0 or join.space != v.space
+            cases += 1
+        assert cases >= 200
+        assert not_n_reductive >= 40
+        assert later_rounds >= 16
+
+    @pytest.mark.parametrize("name", sorted(LATER_ROUNDS))
+    def test_later_rounds(self, round_dims, name):
+        amb, mats, rounds, nr_dim = LATER_ROUNDS[name]
+        v = bracket_closure(Subalg.from_matrices(amb, mats))
+        nil = nilradical_nr(v)
+        assert len(round_dims) == rounds
+        assert nil.dim == nr_dim == round_dims[-1]
+        assert nil.space == reference_nilradical(v).space
+
+
 class TestNilradicalAccessor:
     def test_matches_a_fresh_computation_once(self, monkeypatch):
         # normalizers of seeded spans are subalgebras, most with a nonzero

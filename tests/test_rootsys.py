@@ -180,6 +180,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="rank must be an int"):
             RootSystem("B", rank)
 
+    @pytest.mark.parametrize("family, rank", [(3, 3), (None, 2)])
+    def test_family_must_be_a_str(self, family, rank):
+        with pytest.raises(ValueError, match="family must be a str"):
+            build_root_system(family, rank)
+        with pytest.raises(ValueError, match="family must be a str"):
+            RootSystem(family, rank)
+
     def test_rank_is_checked_in_either_call_order(self):
         # 3.0 hashes like 3 and True like 1: neither may get the cached
         # system, whether or not B3 and B1 were built before
