@@ -510,12 +510,7 @@ def _cmd_par(ws: Workspace, problem: ProblemFile, maximal: bool):
     rendered = []
     for q in members:
         entry = _root_parabolic_out(q)
-        # the positive components are those inside nr(q), in key order
-        entry["z_component_dims"] = [
-            len(comp)
-            for _, comp in z_root_decomposition(q).zroots
-            if comp[0] in q.q_n
-        ]
+        entry["z_component_dims"] = z_root_decomposition(q).positive_dims
         rendered.append(entry)
     return {"par": {"count": len(rendered), "members": rendered}}
 

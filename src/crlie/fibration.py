@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 from operator import mul
 
 from crlie.crcore import (
@@ -239,8 +241,8 @@ def minimal_par(
 
     Members are found and selected on masks, as in ``maximal_par``.  The
     conjugacy check tests each Levi mask against the Weyl orbit of the
-    first one, closed under simple reflections, so the enumeration's Weyl
-    table is the only one built."""
+    first one, closed under simple reflections, so no Weyl table is built
+    but the one a root system's first enumeration builds."""
     out = _select(_par_members(v, rank_cap), largest=False)
     for q in out:
         if not v.nilpotent_roots <= q.q_n:
@@ -324,52 +326,129 @@ def deployment_verify(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ZRootDecomposition:
     """Decomposition of the root spaces of k under the center z of L(q).
 
-    zroots lists every nonzero restriction nu together with its component
-    k_nu as a sorted root tuple; positive is the sublist of nu whose
-    components fill nr(q); simple_zroots are the positive entries with unit
-    coordinates in the basis of z* that they form (simple = unit
-    coordinates).  Every positive entry is a unique nonnegative integer
-    combination of the simple ones, which are the restrictions of the
-    simple roots outside Q_r of the positive system Q_n | (Q_r cap R+)."""
+    zroots lists every nonzero restriction nu, in ascending order, together
+    with its component k_nu as a sorted root tuple; positive is the sublist
+    of nu whose components fill nr(q); simple_zroots are the positive
+    entries with unit coordinates in the basis of z* that they form (simple
+    = unit coordinates).  Every positive entry is a unique nonnegative
+    integer combination of the simple ones, which are the restrictions of
+    the simple roots outside Q_r of the positive system Q_n | (Q_r cap R+).
 
-    center: Subspace
-    zroots: tuple
-    positive: tuple
-    simple_zroots: tuple
+    Built from its four fields, it holds them as given.  From
+    ``z_root_decomposition`` it holds each positive class as an integer key
+    and a root-index mask, and builds the Fraction tuples and the root
+    tuples of zroots, positive and simple_zroots when they are first read;
+    ``positive_dims`` reads the masks only."""
+
+    def __init__(
+        self, center: Subspace, zroots: tuple, positive: tuple, simple_zroots: tuple
+    ):
+        self.center = center
+        self.zroots = zroots
+        self.positive = positive
+        self.simple_zroots = simple_zroots
+        self._dims = tuple(len(comp) for nu, comp in zroots if nu in positive)
+
+    @classmethod
+    def _from_classes(cls, center, system, scale, classes, simple_keys):
+        """``classes``: (key, mask) of each positive class in key order, the
+        key being the restriction scaled by ``scale``; ``simple_keys``: the
+        keys of the simple ones."""
+        out = cls.__new__(cls)
+        out.center = center
+        out._system = system
+        out._scale = scale
+        out._classes = classes
+        out._simple_keys = simple_keys
+        out._dims = tuple(m.bit_count() for _, m in classes)
+        return out
+
+    @property
+    def positive_dims(self) -> list:
+        """The number of roots in each positive component, in key order."""
+        return list(self._dims)
+
+    def _nu(self, key) -> tuple:
+        return tuple(Fraction(k, self._scale) for k in key)
+
+    def _entry(self, key, mask) -> tuple:
+        roots = compress(self._system.roots_sorted, self._system._flags(mask))
+        return self._nu(key), tuple(roots)
+
+    @cached_property
+    def zroots(self) -> tuple:
+        neg = self._system._neg_mask
+        negative = [(tuple(-k for k in key), neg(m)) for key, m in self._classes]
+        return tuple(self._entry(*c) for c in sorted(self._classes + negative))
+
+    @cached_property
+    def positive(self) -> tuple:
+        return tuple(self._nu(key) for key, _ in self._classes)
+
+    @cached_property
+    def simple_zroots(self) -> tuple:
+        return tuple(
+            self._entry(key, m) for key, m in self._classes if key in self._simple_keys
+        )
+
+    def _fields(self) -> tuple:
+        return self.center, self.zroots, self.positive, self.simple_zroots
+
+    def __eq__(self, other):
+        if not isinstance(other, ZRootDecomposition):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return ZRootDecomposition, self._fields()
+
+    def __repr__(self):
+        return (
+            f"ZRootDecomposition(center={self.center!r}, zroots={self.zroots!r}, "
+            f"positive={self.positive!r}, simple_zroots={self.simple_zroots!r})"
+        )
 
 
 def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
-    """Group all roots by their restriction to z = {H in t : Q_r(H) = 0}.
+    """Group all roots by their restriction to z = {H in t : Q_r(H) = 0},
+    for the split of q read from ``q.q_n`` and ``q.q_r``.
 
-    Each nonzero class lies entirely inside Q_n or entirely inside -Q_n and
-    the zero class is exactly Q_r; both are verified.  The simple z-roots
-    come with an integer certificate.  For a parabolic q, B = Q_n | (Q_r cap
-    R+) is a positive system.  Its simple roots Pi are the roots of B that
-    are no sum of two roots of B, and every other root of B is the sum of
-    two of smaller height (Humphreys, Introduction to Lie Algebras and
-    Representation Theory, section 10.1).  So every root of B gets
-    nonnegative integer coordinates on Pi, the sum of a splitting pair's
-    coordinates (``RootSystem._positive_coordinates``, which raises if B is
-    no positive system), and its coordinates on Pi minus Q_r are the
-    matching positions of those.
+    For a parabolic q, B = Q_n | (Q_r cap R+) is a positive system.  Its
+    simple roots Pi are the roots of B that are no sum of two roots of B,
+    and every other root of B is the sum of two of smaller height
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    section 10.1).  So every root of B gets nonnegative integer coordinates
+    on Pi, the sum of a splitting pair's coordinates
+    (``RootSystem._positive_coordinates``, which raises if B is no positive
+    system).  Call c the coordinates of a root on Pi minus Q_r.
 
-    The certificate: the restrictions S of Pi minus Q_r number dim z, each
-    positive class equals the combination of S with the coordinates of one
-    of its roots (recomputed in ints), and the negative classes are exactly
-    the negatives of the positive ones.  Then every root restricts to zero
-    (the Levi roots), to a positive class or to the negative of one, so into
-    the span of S.  Restriction maps the span of the roots onto z*, so S
-    spans z*, and |S| = dim z makes it a basis.  So every positive class
-    decomposes uniquely into simple ones, with nonnegative integer
-    coordinates, and a class is simple iff its coordinates are a unit
-    vector, i.e. iff it is in S.  Restrictions are computed on integer
-    coordinates, scaled by the common denominator of the basis of z, which
-    changes no coordinate in S; the returned z-roots are the unscaled
-    Fraction tuples.
+    No root is restricted to z but the simple ones and one per positive
+    class.  The simple roots in Q_r must vanish on z, and those outside Q_r
+    give the simple keys S, which must number dim z.  Restriction is
+    linear, so a root of B restricts to the combination of S with its c.
+    Once R = B | -B (checked last), every root is plus or minus a
+    combination of Pi, so Pi spans t*; restriction maps t* onto z*, so S
+    spans z*, and |S| = dim z makes it a basis.  So two roots of B restrict
+    alike iff their c agree, and a root of B and the negative of one iff
+    both c are zero, since c is nonnegative: the restriction classes are
+    the groups of B on c and their negatives.
+
+    The checks: the zero group and its negatives, the roots vanishing on z,
+    are exactly Q_r; every other group, a positive class, lies inside Q_n,
+    and together they fill it; each positive key, the combination of S with
+    the class's c, equals the restriction of its first root; and Q_n, its
+    negatives (the negative classes, from ``_neg_mask``) and Q_r split R.
+    Then every positive class decomposes uniquely into simple ones with the
+    nonnegative integer coordinates c, and a class is simple iff c is a
+    unit vector, i.e. iff its key is in S.  Classes are held as root-index
+    masks.  Keys are computed on integer coordinates, scaled by the common
+    denominator of the basis of z, so they sort as the restrictions do; the
+    Fraction tuples and root tuples are built when read.
     """
     system = q.system
     if q.q_r:
@@ -386,70 +465,65 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
     def restrict(alpha):
         return tuple(sum(map(mul, alpha, row)) for row in basis)
 
-    # roots_sorted is sorted, so every class lists its roots in order
-    classes: dict = {}
-    for alpha in system.roots_sorted:
-        classes.setdefault(restrict(alpha), []).append(alpha)
-    # the unscaled keys: one Fraction per coordinate value, built once
-    fraction = {k: Fraction(k, scale) for k in set().union(*classes)}
-    nu = {key: tuple(map(fraction.__getitem__, key)) for key in classes}
+    def unscaled(key):
+        return tuple(Fraction(k, scale) for k in key)
 
-    dim = len(basis)
-    zero = (0,) * dim
-    if frozenset(classes.get(zero, [])) != q.q_r:
-        raise AssertionError(
-            "roots vanishing on z are not exactly the Levi roots"
-        )
-
-    q_n = q.q_n
-    zroots = []
-    positive = []
-    covered: set = set()
-    for key in sorted(k for k in classes if k != zero):
-        comp = tuple(classes[key])
-        inside = len(q_n.intersection(comp))
-        if inside not in (0, len(comp)):
-            raise AssertionError(f"mixed z-root component at {nu[key]}")
-        zroots.append((key, comp))
-        if inside:
-            positive.append((key, comp))
-            covered.update(comp)
-    if covered != q_n:
-        raise AssertionError("positive components do not fill nr(q)")
-
-    borel = system._mask_of(q_n | q.q_r.intersection(system.positive_roots))
-    simple, coords = system._positive_coordinates(borel)
+    q_n = system._mask_of(q.q_n)
+    q_r = system._mask_of(q.q_r)
+    simple, coords = system._positive_coordinates(
+        q_n | q_r & system._positive_mask
+    )
     roots = system.roots_sorted
     # positions in Pi of the simple roots outside Q_r
-    outside = [j for j, k in enumerate(simple) if roots[k] not in q.q_r]
+    outside = [j for j, k in enumerate(simple) if not q_r >> k & 1]
+    dim = len(basis)
     if len(outside) != dim:
         raise AssertionError("simple restrictions are not a basis of z*")
-
+    zero = (0,) * dim
+    levi_message = "roots vanishing on z are not exactly the Levi roots"
+    if any(restrict(roots[k]) != zero for k in simple if q_r >> k & 1):
+        raise AssertionError(levi_message)
     simple_keys = [restrict(roots[simple[j]]) for j in outside]
+
+    groups: dict = {}
+    for k, c in coords.items():
+        c = tuple(map(c.__getitem__, outside))
+        groups[c] = groups.get(c, 0) | 1 << k
+    neg = system._neg_mask
+    vanishing = groups.pop(zero, 0)
+    if vanishing | neg(vanishing) != q_r:
+        raise AssertionError(levi_message)
+
     columns = list(zip(*simple_keys))
-    index = system.root_index
-    for key, comp in positive:
-        c = [coords[index[comp[0]]][j] for j in outside]
-        if tuple(sum(map(mul, c, col)) for col in columns) != key:
+    positive = []
+    covered = 0
+    for c, m in groups.items():
+        key = tuple(sum(map(mul, c, col)) for col in columns)
+        inside = m & q_n
+        if inside not in (0, m):
+            raise AssertionError(f"mixed z-root component at {unscaled(key)}")
+        if inside:
+            positive.append((key, m))
+            covered |= m
+    if covered != q_n:
+        raise AssertionError("positive components do not fill nr(q)")
+    for key, m in positive:
+        if restrict(roots[(m & -m).bit_length() - 1]) != key:
             raise AssertionError(
-                f"positive z-root {nu[key]} is not a nonnegative "
+                f"positive z-root {unscaled(key)} is not a nonnegative "
                 "integer combination of simple ones"
             )
 
-    negatives = {tuple(-k for k in key) for key, _ in positive}
-    if {key for key, _ in zroots} - {key for key, _ in positive} != negatives:
+    if q_n | neg(q_n) | q_r != system._full_mask or (
+        2 * q_n.bit_count() + q_r.bit_count() != len(roots)
+    ):
         raise AssertionError(
             "the negative z-roots are not the negatives of the positive ones"
         )
 
-    simple_set = set(simple_keys)
-    return ZRootDecomposition(
-        center=center,
-        zroots=tuple((nu[key], comp) for key, comp in zroots),
-        positive=tuple(nu[key] for key, _ in positive),
-        simple_zroots=tuple(
-            (nu[key], comp) for key, comp in zroots if key in simple_set
-        ),
+    positive.sort()
+    return ZRootDecomposition._from_classes(
+        center, system, scale, positive, frozenset(simple_keys)
     )
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
-from crlie.exactlin import DenseMatrix, Subspace, canonicalize, solve_linear
+from crlie.exactlin import Subspace, canonicalize
 
 Root = tuple  # integer coordinate tuple
 
@@ -146,6 +146,7 @@ class RootSystem:
     def _build_mask_tables(self):
         n = len(self.roots_sorted)
         self._full_mask = (1 << n) - 1
+        self._positive_mask = self._mask_of(self.positive_roots)
         self._bit_format = f"0{n}b"
         negation = tuple(self.root_index[neg(a)] for a in self.roots_sorted)
         if negation != tuple(range(n - 1, -1, -1)):
@@ -178,6 +179,18 @@ class RootSystem:
         their sorted root tuples are ordered."""
         n = len(self.roots_sorted)
         return tuple(itertools.compress(range(n), self._flags(mask)))
+
+    def _mask_order(self, mask: int) -> str:
+        """A sort key that orders masks as ``_mask_indices`` does, from
+        string methods alone: the bits from index 0, "1" for a member and
+        "2" for a non-member with a later member, ending at the last
+        member."""
+        # Two masks agree below their first differing index i.  If one has
+        # no member from i on, its string ends by i and is a prefix of the
+        # other one's, as its index tuple is: both sort first.  Otherwise
+        # one string has "1" at i, the member i, and the other "2", a later
+        # member: the "1" sorts first, and so does the tuple holding i.
+        return format(mask, self._bit_format)[::-1].rstrip("0").replace("0", "2")
 
     def _neg_mask(self, mask: int) -> int:
         return int(format(mask, self._bit_format)[::-1], 2)
@@ -224,9 +237,6 @@ class RootSystem:
             return Subspace.full(self.coord_dim)
         return canonicalize(list(self.simple_roots), self.coord_dim)
 
-    def is_root(self, alpha) -> bool:
-        return tuple(alpha) in self.roots
-
     def coroot(self, alpha: Root) -> Root:
         norm = sum(a * a for a in alpha)
         scaled = [Fraction(2 * a, norm) for a in alpha]
@@ -245,9 +255,7 @@ class RootSystem:
     def _simple_table(self) -> dict:
         """Every root's coordinates on ``simple_roots``, read off the
         positive roots; negative roots get the negated coordinates."""
-        simple, coords = self._positive_coordinates(
-            self._mask_of(self.positive_roots)
-        )
+        simple, coords = self._positive_coordinates(self._positive_mask)
         roots = self.roots_sorted
         if {roots[k] for k in simple} != set(self.simple_roots):
             raise AssertionError("the simple roots of R+ are not simple_roots")
@@ -314,17 +322,6 @@ class RootSystem:
                 images.append(k)
             out.append(tuple(images))
         return tuple(out)
-
-    def fundamental_coweight(self, index: int) -> tuple:
-        """A rational vector A with alpha_j(A) = delta_{j,index} (1-based index)."""
-        if not 1 <= index <= self.rank:
-            raise ValueError("simple-root index out of range")
-        rows = DenseMatrix([list(s) for s in self.simple_roots])
-        rhs = [1 if j == index - 1 else 0 for j in range(self.rank)]
-        sol = solve_linear(rows, rhs)
-        if sol is None:
-            raise AssertionError("simple roots are not independent")
-        return tuple(c.re for c in sol)
 
     def parse_root(self, text: str) -> Root:
         alpha = parse_root(text, self.coord_dim)
@@ -694,6 +691,15 @@ def standard_borel(system: RootSystem) -> ParabolicRootSet:
 
 RANK_CAP_DEFAULT = 6
 
+# The sorted parabolic masks of each RootSystem instance, least recently
+# used first: {id(system): (system, masks)}.
+_PARABOLIC_MASKS: dict = {}
+# The most masks the memo holds in all, some 25 MB: a mask takes 40 bytes
+# in its table at rank 5 and 48 at rank 6 (int and tuple slot, measured
+# with tracemalloc on B5), so the memo holds one rank-6 table (B6 and C6
+# have 423 857 parabolics) or every table up to rank 5.
+_PARABOLIC_MASKS_BOUND = 1 << 19
+
 
 def _check_rank_cap(system: RootSystem, rank_cap: int):
     if system.rank > rank_cap:
@@ -710,7 +716,7 @@ def weyl_root_permutations(system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT)
     _check_rank_cap(system, rank_cap)
     identity = tuple(range(len(system.roots_sorted)))
     # an element is known by its images of a basis, the simple roots of R+
-    simple, _ = system._positive_coordinates(system._mask_of(system.positive_roots))
+    simple, _ = system._positive_coordinates(system._positive_mask)
     out, seen = [identity], {simple}
     for w in out:  # visits the elements appended on the way
         images = [w[i] for i in simple]
@@ -725,9 +731,38 @@ def weyl_root_permutations(system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT)
 def enumerate_parabolics(
     system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT
 ) -> list[ParabolicRootSet]:
-    """All parabolic subsets of R, sorted by ``sort_key``: the Weyl orbits of
-    the standard parabolics (Bourbaki, Lie Groups and Lie Algebras, ch. VI
-    section 1.7), from the Weyl table of ``weyl_root_permutations``.
+    """All parabolic subsets of R, sorted by ``sort_key``, as new objects on
+    every call (their root sets are built only when read).
+
+    The masks are enumerated and checked by ``_parabolic_masks`` once per
+    ``RootSystem`` instance, sorted by ``RootSystem._mask_order``, whose
+    comment proves that it orders them as ``sort_key`` orders their root
+    sets.  The sorted tuple is kept in a memo of at most
+    ``_PARABOLIC_MASKS_BOUND`` masks in all, least recently used out first;
+    a table larger than that is not kept.  The memo is keyed on the
+    instance, not on family and rank (which ``__eq__`` compares), so an
+    instance with other tables runs every check itself.  The table does not
+    depend on the rank cap, which is checked on every call."""
+    _check_rank_cap(system, rank_cap)
+    entry = _PARABOLIC_MASKS.pop(id(system), None)
+    if entry is None:
+        # the entry holds its system, so the id is not reused while it lives
+        entry = (system, _parabolic_masks(system, rank_cap))
+    masks = entry[1]
+    if len(masks) <= _PARABOLIC_MASKS_BOUND:
+        held = sum(len(m) for _, m in _PARABOLIC_MASKS.values())
+        while held + len(masks) > _PARABOLIC_MASKS_BOUND:
+            _, evicted = _PARABOLIC_MASKS.pop(next(iter(_PARABOLIC_MASKS)))
+            held -= len(evicted)
+        _PARABOLIC_MASKS[id(system)] = entry
+    return [ParabolicRootSet._from_mask(system, m) for m in masks]
+
+
+def _parabolic_masks(system: RootSystem, rank_cap: int) -> tuple:
+    """The masks of all parabolic subsets of R, sorted by ``_mask_order``:
+    the Weyl orbits of the standard parabolics (Bourbaki, Lie Groups and Lie
+    Algebras, ch. VI section 1.7), from the Weyl table of
+    ``weyl_root_permutations``.
 
     The standard parabolic crossed at the simple roots C is the intersection
     of the maximal parabolics crossed at each c in C, and a Weyl element
@@ -739,8 +774,7 @@ def enumerate_parabolics(
     distinct maximal image is checked to be closed, and each element's
     Borel image B to satisfy B | -B = R.  An intersection of closed sets is
     closed, and a set that contains B covers R with its negative, so every
-    image of the element is parabolic, whatever the table holds.  Root sets
-    are built only when read."""
+    image of the element is parabolic, whatever the table holds."""
     perms = weyl_root_permutations(system, rank_cap)
     maximal = [
         system._mask_indices(parabolic_from_crosses(system, [c])._mask)
@@ -763,11 +797,7 @@ def enumerate_parabolics(
         if borel | system._neg_mask(borel) != system._full_mask:
             raise ValueError("Q union -Q must be all of R")
         seen.update(images)
-    # _mask_indices orders masks as sort_key orders their root sets
-    return [
-        ParabolicRootSet._from_mask(system, m)
-        for m in sorted(seen, key=system._mask_indices)
-    ]
+    return tuple(sorted(seen, key=system._mask_order))
 
 
 def _weyl_orbit(system: RootSystem, mask: int) -> set:

@@ -2,6 +2,7 @@ import copy
 import functools
 import itertools
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -43,6 +44,7 @@ from crlie.regularize import certify_parabolic_regular, regularize_regular
 from crlie.rootsys import (
     ParabolicRootSet,
     RegularSpan,
+    RootSystem,
     RegularSubalgebra,
     build_root_system,
     enumerate_parabolics,
@@ -384,7 +386,8 @@ class TestMinimalPar:
                 assert combine_parabolics_regular(q1, q2, v=V_REG) == q1
 
     def test_builds_one_weyl_orbit(self, monkeypatch):
-        d4 = build_root_system("D", 4)
+        # a fresh instance, so no earlier test's enumeration is reused
+        d4 = RootSystem("D", 4)
         pair = [d4.parse_root(t) for t in ("e1-e2", "-e1+e2")]
         v = RegularSubalgebra(
             d4,
@@ -407,6 +410,9 @@ class TestMinimalPar:
         assert len(res) > 1
         assert calls["weyl_conjugate_sets"] == 0
         assert calls["weyl_root_permutations"] == 1
+        # the second search on the same instance reuses its enumeration
+        assert minimal_par(v) == res
+        assert calls == {"weyl_conjugate_sets": 0, "weyl_root_permutations": 1}
 
     def test_non_conjugate_levi_sets_are_rejected(self, monkeypatch):
         borel = standard_borel(B3)
@@ -900,10 +906,35 @@ class TestZRootCounter:
     @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "A4", "D4"])
     def test_every_parabolic_against_reference(self, tag):
         # 1775 parabolics: the integer certificate and the reduction over
-        # Q(i) give the same decomposition
+        # Q(i) give the same decomposition, and the sizes the CLI reports,
+        # read off the masks before any field is built, are those of the
+        # positive components
         system = build_root_system(tag[0], int(tag[1:]))
         for q in enumerate_parabolics(system):
-            assert z_root_decomposition(q) == reference_z_root_decomposition(q)
+            z = z_root_decomposition(q)
+            dims = z.positive_dims
+            assert not {"zroots", "positive", "simple_zroots"} & z.__dict__.keys()
+            assert z == reference_z_root_decomposition(q)
+            assert dims == [len(c) for nu, c in z.zroots if nu in z.positive]
+
+    def test_pickle_round_trip_and_equality(self):
+        for q in (Q1_B3, Q2_B3, Q_C2, standard_borel(B2)):
+            z = z_root_decomposition(q)
+            back = pickle.loads(pickle.dumps(z))
+            assert back == z and z == back
+            assert back.positive_dims == z.positive_dims
+            built = ZRootDecomposition(
+                center=z.center,
+                zroots=z.zroots,
+                positive=z.positive,
+                simple_zroots=z.simple_zroots,
+            )
+            assert built == z
+            assert built.positive_dims == z.positive_dims
+            assert repr(built) == repr(z)
+        one, other = z_root_decomposition(Q1_B3), z_root_decomposition(Q2_B3)
+        assert one != other
+        assert one != "not a decomposition"
 
     def test_cyclic_borel_raises_assertion_error(self):
         # flipping e1-e3 in the Borel of A3 leaves the simple roots e1-e2,

@@ -134,6 +134,16 @@ TRIPPED = {
         "fibration.minimal_par(RegularSubalgebra(b3, Subspace.zero(3), ()))\n",
         "AssertionError: minimal elements with non-conjugate Levi root sets",
     ),
+    # the Levi of the B3 parabolic crossed at e2-e3 and e3, with -e1+e2
+    # left out: -e1+e2 vanishes on z all the same
+    "fibration.z_root_decomposition": (
+        "from crlie.fibration import z_root_decomposition\n"
+        "from crlie.rootsys import build_root_system, standard_parabolic\n"
+        "q = standard_parabolic(build_root_system('B', 3), [1])\n"
+        "q.q_r = q.q_r - {(-1, 1, 0)}\n"
+        "z_root_decomposition(q)\n",
+        "AssertionError: roots vanishing on z are not exactly the Levi roots",
+    ),
     # t^2 passed off as squarefree shares the factor t with its derivative
     "matrixlie": (
         "from crlie import matrixlie\n"

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from crlie import rootsys
 from crlie.exactlin import DenseMatrix, Subspace, canonicalize, solve_linear
 from crlie.rootsys import (
     ParabolicRootSet,
@@ -97,6 +98,21 @@ def reference_simple_coefficients(system, alpha):
     return tuple(int(c.re) for c in sol)
 
 
+def is_root(system, alpha) -> bool:
+    return tuple(alpha) in system.roots
+
+
+def fundamental_coweight(system, index):
+    """A rational vector A with alpha_j(A) = delta_{j,index} (1-based index),
+    by one exact linear solve."""
+    rows = DenseMatrix([list(s) for s in system.simple_roots])
+    rhs = [1 if j == index - 1 else 0 for j in range(system.rank)]
+    sol = solve_linear(rows, rhs)
+    if sol is None:
+        raise AssertionError("simple roots are not independent")
+    return tuple(c.re for c in sol)
+
+
 def rs(system, *texts):
     return frozenset(system.parse_root(t) for t in texts)
 
@@ -127,7 +143,8 @@ class TestConstruction:
         )
         for system in ALL_SYSTEMS:
             for s in system.simple_roots:
-                assert s in system.roots
+                assert is_root(system, list(s))
+            assert not is_root(system, [0] * system.coord_dim)
 
     def test_every_positive_root_has_nonneg_simple_coords(self):
         for system in ALL_SYSTEMS:
@@ -485,7 +502,7 @@ class TestParabolics:
             q1 = parabolic_from_crosses(system, crosses)
             a = [0] * system.coord_dim
             for c in crosses:
-                w = system.fundamental_coweight(c)
+                w = fundamental_coweight(system, c)
                 a = [x + y for x, y in zip(a, w)]
             q2 = parabolic_from_grading(system, a)
             assert q1 == q2
@@ -525,7 +542,7 @@ class TestParabolics:
     def test_fundamental_coweights(self):
         for system in ALL_SYSTEMS:
             for i in range(1, system.rank + 1):
-                a = system.fundamental_coweight(i)
+                a = fundamental_coweight(system, i)
                 for j, s in enumerate(system.simple_roots, start=1):
                     val = sum(c * x for c, x in zip(s, a))
                     assert val == (1 if j == i else 0)
@@ -820,6 +837,78 @@ class TestEnumerateParabolics:
         first = [q.q for q in enumerate_parabolics(B2)]
         second = [q.q for q in enumerate_parabolics(B2)]
         assert first == second
+
+    def test_repeated_calls_return_new_equal_objects(self):
+        first, second = enumerate_parabolics(B3), enumerate_parabolics(B3)
+        assert first == second
+        assert all(a is not b for a, b in zip(first, second))
+
+    def test_fresh_instance_runs_its_own_checks(self, monkeypatch):
+        # the shared B3 is enumerated first; a fresh, equal B3 whose Weyl
+        # table swaps the images of e1 and -e1 in the identity must still
+        # fail the closedness check (the table of TRIPPED's script)
+        enumerate_parabolics(B3)
+        fresh = RootSystem("B", 3)
+        assert fresh == B3 and fresh is not B3
+        perms = list(weyl_root_permutations(fresh))
+        i, j = fresh.root_index[(1, 0, 0)], fresh.root_index[(-1, 0, 0)]
+        identity = list(perms[0])
+        identity[i], identity[j] = identity[j], identity[i]
+        perms[0] = tuple(identity)
+        original = rootsys.weyl_root_permutations
+
+        def doctored(system, rank_cap):
+            return perms if system is fresh else original(system, rank_cap)
+
+        monkeypatch.setattr(rootsys, "weyl_root_permutations", doctored)
+        with pytest.raises(ValueError, match="parabolic set must be closed"):
+            enumerate_parabolics(fresh)
+        assert len(enumerate_parabolics(B3)) == 147
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        # 3 + 13 + 17 + 17 + 75 + 147 + 147 masks from seven fresh systems
+        # through a memo bounded at 200: each table that would overflow it
+        # evicts the least recently used ones, and one above the bound is
+        # not kept at all
+        monkeypatch.setattr(rootsys, "_PARABOLIC_MASKS", {})
+        monkeypatch.setattr(rootsys, "_PARABOLIC_MASKS_BOUND", 200)
+        memo = rootsys._PARABOLIC_MASKS
+        tags = ["A1", "A2", "B2", "C2", "A3", "B3", "C3"]
+        systems = [RootSystem(t[0], int(t[1:])) for t in tags]
+        for system in systems:
+            pars = enumerate_parabolics(system)
+            assert sum(len(masks) for _, masks in memo.values()) <= 200
+            assert memo[id(system)] == (system, tuple(q._mask for q in pars))
+        assert [entry[0] for entry in memo.values()] == systems[-1:]
+        # a hit makes its entry the most recently used
+        enumerate_parabolics(systems[2])
+        enumerate_parabolics(systems[3])
+        enumerate_parabolics(systems[2])
+        assert [entry[0] for entry in memo.values()] == [
+            systems[6], systems[3], systems[2]
+        ]
+        assert len(enumerate_parabolics(RootSystem("A", 4))) == 541
+        assert [entry[0] for entry in memo.values()] == [
+            systems[6], systems[3], systems[2]
+        ]
+
+    # reference: the ascending index tuples; each parabolic without its
+    # last member is a prefix of it, which must sort first
+    @pytest.mark.parametrize(
+        "tag",
+        "A3 B3 C3 A4 D4 B4".split() + [pytest.param("B5", marks=pytest.mark.slow)],
+    )
+    def test_mask_order_matches_index_tuples(self, tag):
+        system = build_root_system(tag[0], int(tag[1:]))
+        masks = [q._mask for q in enumerate_parabolics(system)]
+        assert masks == sorted(masks, key=system._mask_indices)
+        rng = random.Random(f"mask-order:{tag}")
+        masks += [m ^ (1 << m.bit_length() - 1) for m in masks]
+        masks += [rng.getrandbits(len(system.roots_sorted)) for _ in range(2000)]
+        masks = list(set(masks))
+        assert sorted(masks, key=system._mask_order) == sorted(
+            masks, key=system._mask_indices
+        )
 
     def test_hash_and_containment_read_masks(self):
         # reference: containment of the frozenset views, built afterwards
