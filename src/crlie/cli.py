@@ -659,7 +659,7 @@ def _run_corpus(jobs: int = 1) -> dict:
         # imported here: only the pool path needs it, and it slows start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             results = list(pool.map(_run_fixture, names))
     else:
         results = [_run_fixture(name) for name in names]

@@ -99,10 +99,6 @@ class GaussRational:
     def conjugate(self) -> "GaussRational":
         return _make(self._a, -self._b, self._d)
 
-    def norm2(self) -> Fraction:
-        a, b, d = self._a, self._b, self._d
-        return Fraction(a * a + b * b, d * d)
-
     def __bool__(self):
         return self._a != 0 or self._b != 0
 
@@ -332,14 +328,6 @@ class DenseMatrix:
         """The elementary matrix E_ij (0-based indices) in gl_n."""
         return DenseMatrix(
             [[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)]
-        )
-
-    @staticmethod
-    def diag(values: Sequence) -> "DenseMatrix":
-        vals = [GaussRational.of(v) for v in values]
-        n = len(vals)
-        return DenseMatrix(
-            [[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)]
         )
 
     @staticmethod

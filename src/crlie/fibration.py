@@ -39,6 +39,7 @@ from crlie.rootsys import (
     ParabolicRootSet,
     RegularSpan,
     RegularSubalgebra,
+    RootSystem,
     _weyl_orbit,
     enumerate_parabolics,
     lie_closure_regular,
@@ -326,91 +327,59 @@ def deployment_verify(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ZRootDecomposition:
     """Decomposition of the root spaces of k under the center z of L(q).
 
+    center is z, as a subspace of the Cartan coordinates of ``system``.
+    classes holds each positive class as (key, mask), in key order: the key
+    is the restriction of the class's roots to z, in the basis of center,
+    times ``scale`` so that it is integer; bit k of the mask is set iff the
+    k-th root of ``system.roots_sorted`` is in the class.  simple_keys is
+    the frozenset of the keys of the simple classes.
+
+    Three values are read off the fields, each built when first read.
     zroots lists every nonzero restriction nu, in ascending order, together
     with its component k_nu as a sorted root tuple; positive is the sublist
     of nu whose components fill nr(q); simple_zroots are the positive
-    entries with unit coordinates in the basis of z* that they form (simple
-    = unit coordinates).  Every positive entry is a unique nonnegative
-    integer combination of the simple ones, which are the restrictions of
-    the simple roots outside Q_r of the positive system Q_n | (Q_r cap R+).
+    entries with unit coordinates in the basis of z* that they form.  Every
+    positive entry is a unique nonnegative integer combination of the
+    simple ones, which are the restrictions of the simple roots outside Q_r
+    of the positive system Q_n | (Q_r cap R+).  ``positive_dims`` reads the
+    masks only.  Equality and hashing compare the five fields only."""
 
-    Built from its four fields, it holds them as given.  From
-    ``z_root_decomposition`` it holds each positive class as an integer key
-    and a root-index mask, and builds the Fraction tuples and the root
-    tuples of zroots, positive and simple_zroots when they are first read;
-    ``positive_dims`` reads the masks only."""
-
-    def __init__(
-        self, center: Subspace, zroots: tuple, positive: tuple, simple_zroots: tuple
-    ):
-        self.center = center
-        self.zroots = zroots
-        self.positive = positive
-        self.simple_zroots = simple_zroots
-        self._dims = tuple(len(comp) for nu, comp in zroots if nu in positive)
-
-    @classmethod
-    def _from_classes(cls, center, system, scale, classes, simple_keys):
-        """``classes``: (key, mask) of each positive class in key order, the
-        key being the restriction scaled by ``scale``; ``simple_keys``: the
-        keys of the simple ones."""
-        out = cls.__new__(cls)
-        out.center = center
-        out._system = system
-        out._scale = scale
-        out._classes = classes
-        out._simple_keys = simple_keys
-        out._dims = tuple(m.bit_count() for _, m in classes)
-        return out
+    center: Subspace
+    system: RootSystem
+    scale: int
+    classes: tuple
+    simple_keys: frozenset
 
     @property
     def positive_dims(self) -> list:
         """The number of roots in each positive component, in key order."""
-        return list(self._dims)
+        return [m.bit_count() for _, m in self.classes]
 
     def _nu(self, key) -> tuple:
-        return tuple(Fraction(k, self._scale) for k in key)
+        return tuple(Fraction(k, self.scale) for k in key)
 
     def _entry(self, key, mask) -> tuple:
-        roots = compress(self._system.roots_sorted, self._system._flags(mask))
+        roots = compress(self.system.roots_sorted, self.system._flags(mask))
         return self._nu(key), tuple(roots)
 
     @cached_property
     def zroots(self) -> tuple:
-        neg = self._system._neg_mask
-        negative = [(tuple(-k for k in key), neg(m)) for key, m in self._classes]
-        return tuple(self._entry(*c) for c in sorted(self._classes + negative))
+        neg = self.system._neg_mask
+        negative = tuple((tuple(-k for k in key), neg(m)) for key, m in self.classes)
+        return tuple(self._entry(*c) for c in sorted(self.classes + negative))
 
     @cached_property
     def positive(self) -> tuple:
-        return tuple(self._nu(key) for key, _ in self._classes)
+        return tuple(self._nu(key) for key, _ in self.classes)
 
     @cached_property
     def simple_zroots(self) -> tuple:
         return tuple(
-            self._entry(key, m) for key, m in self._classes if key in self._simple_keys
-        )
-
-    def _fields(self) -> tuple:
-        return self.center, self.zroots, self.positive, self.simple_zroots
-
-    def __eq__(self, other):
-        if not isinstance(other, ZRootDecomposition):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
-
-    def __reduce__(self):
-        return ZRootDecomposition, self._fields()
-
-    def __repr__(self):
-        return (
-            f"ZRootDecomposition(center={self.center!r}, zroots={self.zroots!r}, "
-            f"positive={self.positive!r}, simple_zroots={self.simple_zroots!r})"
+            self._entry(key, m) for key, m in self.classes if key in self.simple_keys
         )
 
 
@@ -445,10 +414,13 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
     negatives (the negative classes, from ``_neg_mask``) and Q_r split R.
     Then every positive class decomposes uniquely into simple ones with the
     nonnegative integer coordinates c, and a class is simple iff c is a
-    unit vector, i.e. iff its key is in S.  Classes are held as root-index
-    masks.  Keys are computed on integer coordinates, scaled by the common
-    denominator of the basis of z, so they sort as the restrictions do; the
-    Fraction tuples and root tuples are built when read.
+    unit vector, i.e. iff its key is in S.  Keys are computed on integer
+    coordinates, scaled by the common denominator of the basis of z, so
+    they sort as the restrictions do.
+
+    Returns the ``ZRootDecomposition`` of z, the system, that denominator,
+    the positive classes as (key, root-index mask) in key order, and the
+    keys S; its Fraction tuples and root tuples are built when read.
     """
     system = q.system
     if q.q_r:
@@ -522,8 +494,8 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
         )
 
     positive.sort()
-    return ZRootDecomposition._from_classes(
-        center, system, scale, positive, frozenset(simple_keys)
+    return ZRootDecomposition(
+        center, system, scale, tuple(positive), frozenset(simple_keys)
     )
 
 

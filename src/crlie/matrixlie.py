@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -485,6 +486,7 @@ def jordan_chevalley(x: DenseMatrix):
     return s, n
 
 
+@dataclass(frozen=True)
 class SplitEvidence:
     """Outcome of sampling-based splittability checking.
 
@@ -493,14 +495,9 @@ class SplitEvidence:
     answer is evidence, not a certificate.
     """
 
-    def __init__(self, all_split: bool, samples: int, witness=None):
-        self.all_split = all_split
-        self.samples = samples
-        self.witness = witness
-
-    def __repr__(self):
-        status = "split" if self.all_split else "non-split witness found"
-        return f"SplitEvidence({status}, samples={self.samples})"
+    all_split: bool
+    samples: int
+    witness: DenseMatrix | None = None
 
 
 def splittable_evidence(sub: Subalg, trials: int = 12, seed: int = 0) -> SplitEvidence:

@@ -201,13 +201,6 @@ class RealForm:
         """The verified root classification, computed once per form."""
         return classify_roots(self)
 
-    def root_vector(self, alpha) -> DenseMatrix:
-        key = tuple(alpha)
-        try:
-            return self.root_vectors[key]
-        except KeyError:
-            raise ValueError(f"{key} is not a root of {self.system}") from None
-
     def __repr__(self):
         return f"RealForm({self.spec})"
 

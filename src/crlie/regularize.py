@@ -35,6 +35,7 @@ class ParabolicCertificate:
         )
 
 
+@dataclass(eq=False)
 class RegularizationChain:
     """The successive subalgebras of one regularization run.
 
@@ -42,12 +43,11 @@ class RegularizationChain:
     matrix backend, its ParabolicRootSet on the root backend.
     """
 
-    def __init__(self, backend: str, steps, nr_dims, certificate, parabolic):
-        self.backend = backend
-        self.steps = list(steps)
-        self.nr_dims = list(nr_dims)
-        self.certificate = certificate
-        self.parabolic = parabolic
+    backend: str
+    steps: list
+    nr_dims: list
+    certificate: ParabolicCertificate
+    parabolic: Subalg | ParabolicRootSet
 
     @property
     def result(self):
@@ -56,12 +56,6 @@ class RegularizationChain:
     @property
     def dims(self):
         return [s.dim for s in self.steps]
-
-    def __repr__(self):
-        return (
-            f"RegularizationChain({self.backend}, dims {self.dims}, "
-            f"certified={self.certificate.ok})"
-        )
 
 
 def certify_parabolic(q: Subalg) -> ParabolicCertificate:

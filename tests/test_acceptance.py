@@ -82,6 +82,7 @@ from crlie.rootsys import (
     standard_borel,
     strongly_orthogonal_maximal_sets,
 )
+from helpers import diagonal
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -292,10 +293,10 @@ def test_criterion_4_su23_root_sets_two_paths_and_rank_test():
 
     n = form.k.n
     v_lines = list(form.adapted.h_plus_basis) + [
-        pi(form.root_vector(a)) for a in sorted(sets.theta_core)
+        pi(form.root_vectors[a]) for a in sorted(sets.theta_core)
     ]
     assert sub_span(orbit.v) == gl_span(v_lines, n)
-    nr_lines = [pi(form.root_vector(a)) for a in sorted(sets.theta_core_nilpotent)]
+    nr_lines = [pi(form.root_vectors[a]) for a in sorted(sets.theta_core_nilpotent)]
     assert sub_span(orbit.nr) == gl_span(nr_lines, n)
     assert sub_span(nilradical_nr(orbit.v)) == gl_span(nr_lines, n)
 
@@ -492,9 +493,8 @@ def test_criterion_7b_nilradical_property_suite():
         DenseMatrix.unit(3, 0, 2),
         DenseMatrix.unit(3, 1, 2),
         DenseMatrix.unit(3, 1, 0),
-        DenseMatrix.diag([GaussRational.of(1), GaussRational.of(-1),
-                          GaussRational.of(0)]),
-        DenseMatrix.diag([IUNIT, IUNIT, IUNIT * GaussRational.of(-2)]),
+        diagonal([GaussRational.of(1), GaussRational.of(-1), GaussRational.of(0)]),
+        diagonal([IUNIT, IUNIT, IUNIT * GaussRational.of(-2)]),
     ]
     cases = 0
     for i in range(200):
@@ -632,7 +632,7 @@ def test_criterion_7d_backend_agreement_suite():
         q = chain_r.parabolic
         expected = embed_regular(form, q.to_regular()).space
         if delta:
-            center = DenseMatrix.diag([IUNIT] * size)
+            center = diagonal([IUNIT] * size)
             expected = expected.join(
                 canonicalize([form.k.coords(center)], form.k.dim)
             )
@@ -722,7 +722,7 @@ def test_criterion_7f_combine_parabolics_property_suite():
     assert cases >= 200
     # the matrix route agrees once the central line is restored
     form = build_real_form("compact-u:3")
-    center = DenseMatrix.diag([IUNIT] * 3)
+    center = diagonal([IUNIT] * 3)
 
     def realize(q):
         emb = embed_regular(form, q.to_regular())

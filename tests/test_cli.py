@@ -433,6 +433,34 @@ class TestCorpus:
         assert report["ok"] is True
         assert [f["name"] for f in report["fixtures"]] == sorted(cheap)
 
+    def test_pool_has_at_most_one_worker_per_fixture(self, monkeypatch):
+        # the fork start method launches every worker at the first submit,
+        # so --jobs beyond the fixture count would fork idle processes
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(
+            cli, "_run_fixture", lambda name: {"name": name, "ok": True}
+        )
+        report = run("corpus", None, jobs=1000)
+        assert sizes == [18]
+        assert len(report["fixtures"]) == 18
+
     def test_import_leaves_the_process_pool_unloaded(self):
         # only corpus --jobs > 1 uses the pool, which slows every start-up
         script = (

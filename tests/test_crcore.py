@@ -19,6 +19,7 @@ from crlie.crcore import (
 )
 from crlie.matrixlie import Subalg, gl_ambient, splittable_evidence
 from crlie.rootsys import RegularSubalgebra, build_root_system
+from helpers import diagonal
 
 GL3 = gl_ambient(3)
 C2 = build_root_system("C", 2)
@@ -33,7 +34,7 @@ def unit(i, j):
 
 
 def idiag(*entries):
-    return DenseMatrix.diag([IUNIT * GaussRational.of(e) for e in entries])
+    return diagonal([IUNIT * GaussRational.of(e) for e in entries])
 
 
 def sub(*mats):
@@ -63,7 +64,7 @@ class TestLeviPart:
         assert levi_part(v).dim == 0
 
     def test_sigma_stable(self):
-        s = sub(unit(0, 1), unit(1, 0), DenseMatrix.diag([g(1), g(-1), g(0)]))
+        s = sub(unit(0, 1), unit(1, 0), diagonal([g(1), g(-1), g(0)]))
         assert levi_part(s).space == s.space
 
     def test_full(self):
@@ -99,7 +100,7 @@ class TestNReductive:
         assert not splittable_evidence(V_TWISTED).all_split
 
     def test_reductive_algebra(self):
-        s = sub(unit(0, 1), unit(1, 0), DenseMatrix.diag([g(1), g(-1), g(0)]))
+        s = sub(unit(0, 1), unit(1, 0), diagonal([g(1), g(-1), g(0)]))
         assert is_n_reductive(s)
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import itertools
 import math
@@ -54,6 +55,7 @@ from crlie.rootsys import (
     standard_borel,
     standard_parabolic,
 )
+from helpers import diagonal
 from test_rootsys import reference_weyl_table
 
 GL3 = gl_ambient(3)
@@ -69,7 +71,7 @@ def unit(i, j):
 
 
 def idiag(*entries):
-    return DenseMatrix.diag([IUNIT * GaussRational.of(e) for e in entries])
+    return diagonal([IUNIT * GaussRational.of(e) for e in entries])
 
 
 def sub(*mats):
@@ -111,7 +113,7 @@ V2_A2 = RegularSubalgebra(
 
 def embed_a2(span):
     """Root-space model of a t-regular subalgebra inside sl(3)."""
-    mats = [DenseMatrix.diag(list(row)) for row in span.toral.basis]
+    mats = [diagonal(row) for row in span.toral.basis]
     for alpha in sorted(span.rootset):
         mats.append(DenseMatrix.unit(3, alpha.index(1), alpha.index(-1)))
     return Subalg.from_matrices(SL3, mats)
@@ -766,7 +768,9 @@ def reference_z_root_decomposition(q):
     of B = Q_n | (Q_r cap R+) are the members that are no sum of two, and
     one ``canonicalize`` of [S | positive classes] proves that their
     restrictions S are a basis of z* and gives each positive class its
-    coordinates in S, which must be nonnegative integers."""
+    coordinates in S, which must be nonnegative integers.  Returns
+    (center, zroots, positive, simple_zroots), the values that
+    ``ZRootDecomposition`` builds when they are read."""
     system = q.system
     if q.q_r:
         rows = DenseMatrix([list(a) for a in sorted(q.q_r)])
@@ -818,14 +822,20 @@ def reference_z_root_decomposition(q):
     negatives = {tuple(-k for k in key) for key in positive}
     if {key for key, _ in zroots} - set(positive) != negatives:
         raise AssertionError("negative z-roots are not the negated positive ones")
-    return ZRootDecomposition(
-        center=center,
-        zroots=tuple((unscaled(key), comp) for key, comp in zroots),
-        positive=tuple(unscaled(key) for key in positive),
-        simple_zroots=tuple(
-            (unscaled(key), comp) for key, comp in zroots if key in simple
-        ),
+    return (
+        center,
+        tuple((unscaled(key), comp) for key, comp in zroots),
+        tuple(unscaled(key) for key in positive),
+        tuple((unscaled(key), comp) for key, comp in zroots if key in simple),
     )
+
+
+def read_fields(z):
+    """The decomposition's values that the reference returns, in its order."""
+    return z.center, z.zroots, z.positive, z.simple_zroots
+
+
+LAZY = {"zroots", "positive", "simple_zroots"}
 
 
 def _random_conjugate_parabolic(rng, system, perms):
@@ -913,25 +923,26 @@ class TestZRootCounter:
         for q in enumerate_parabolics(system):
             z = z_root_decomposition(q)
             dims = z.positive_dims
-            assert not {"zroots", "positive", "simple_zroots"} & z.__dict__.keys()
-            assert z == reference_z_root_decomposition(q)
+            assert not LAZY & z.__dict__.keys()
+            assert read_fields(z) == reference_z_root_decomposition(q)
             assert dims == [len(c) for nu, c in z.zroots if nu in z.positive]
 
     def test_pickle_round_trip_and_equality(self):
+        names = [f.name for f in dataclasses.fields(ZRootDecomposition)]
+        assert names == ["center", "system", "scale", "classes", "simple_keys"]
         for q in (Q1_B3, Q2_B3, Q_C2, standard_borel(B2)):
             z = z_root_decomposition(q)
-            back = pickle.loads(pickle.dumps(z))
-            assert back == z and z == back
-            assert back.positive_dims == z.positive_dims
-            built = ZRootDecomposition(
-                center=z.center,
-                zroots=z.zroots,
-                positive=z.positive,
-                simple_zroots=z.simple_zroots,
-            )
-            assert built == z
-            assert built.positive_dims == z.positive_dims
-            assert repr(built) == repr(z)
+            unread = pickle.loads(pickle.dumps(z))
+            assert not LAZY & (z.__dict__.keys() | unread.__dict__.keys())
+            fields = read_fields(z)
+            assert LAZY <= z.__dict__.keys()
+            for back in (unread, pickle.loads(pickle.dumps(z))):
+                assert back == z and z == back
+                assert hash(back) == hash(z)
+                assert back.system is q.system
+                assert back.positive_dims == z.positive_dims
+                assert read_fields(back) == fields
+            assert dataclasses.replace(z) == z
         one, other = z_root_decomposition(Q1_B3), z_root_decomposition(Q2_B3)
         assert one != other
         assert one != "not a decomposition"
@@ -987,7 +998,9 @@ class TestZRootCounter:
                     else:
                         assert valid
                         assert z == z_root_decomposition(p)
-                        assert z == reference_z_root_decomposition(_with_q_n(q, q_n))
+                        assert read_fields(z) == reference_z_root_decomposition(
+                            _with_q_n(q, q_n)
+                        )
         assert (cases, raised) == (469, 429)
 
     def test_uniqueness_check_survives_optimized_interpreter(self):

@@ -49,6 +49,7 @@ from crlie.matrixlie import (
 from crlie.fibration import euler_positive_clause, homotopic_characteristic
 from crlie.realforms import build_real_form, embed_regular
 from crlie.rootsys import RegularSubalgebra, build_root_system, closed_closure, neg
+from helpers import diagonal
 
 
 def g(re, im=0):
@@ -60,11 +61,11 @@ def unit(n, i, j):
 
 
 def diag(*entries):
-    return DenseMatrix.diag([GaussRational.of(e) for e in entries])
+    return diagonal([GaussRational.of(e) for e in entries])
 
 
 def idiag(*entries):
-    return DenseMatrix.diag([IUNIT * GaussRational.of(e) for e in entries])
+    return diagonal([IUNIT * GaussRational.of(e) for e in entries])
 
 
 GL2 = gl_ambient(2)
@@ -429,7 +430,7 @@ class TestNilradical:
     def test_isotropic_diagonal_line(self):
         # tr(x^2) = 0 here even though x is semisimple; the associative hull
         # pairing must still exclude it from the nilradical
-        v = Subalg.from_matrices(GL2, [DenseMatrix.diag([g(1), IUNIT])])
+        v = Subalg.from_matrices(GL2, [diagonal([g(1), IUNIT])])
         assert nilradical_nr(v).dim == 0
 
 
@@ -471,7 +472,7 @@ GL4 = gl_ambient(4)
 # the 3-cycle: tr P = tr P^2 = 0 and tr P^3 = 3
 CYCLE3 = DenseMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 # tr h = tr h^2 = tr h^3 = 0 and tr h^4 = 4
-H4 = DenseMatrix.diag([g(1), g(-1), g(0, 1), g(0, -1)])
+H4 = diagonal([g(1), g(-1), g(0, 1), g(0, -1)])
 CYCLE3_PLUS_0 = DenseMatrix([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
 # rounds of the trace-form loop and dim nr(v) for algebras whose nilradical
 # needs more than span(1, v) in the trace form
@@ -536,7 +537,7 @@ def killing_route_cases():
             yield bracket_closure(Subalg.from_matrices(amb, conj))
     yield GL3.zero_subalg()
     yield GL3.full_subalg()
-    yield Subalg.from_matrices(GL2, [DenseMatrix.diag([g(1), IUNIT])])
+    yield Subalg.from_matrices(GL2, [diagonal([g(1), IUNIT])])
     yield Subalg.from_matrices(GL3, [diag(1, 1, 0) + unit(3, 0, 1)])
     # V_TWISTED of test_crcore: not n-reductive
     yield Subalg.from_matrices(
@@ -838,7 +839,7 @@ class TestParabolicFromElement:
         assert q.dim == 9
 
     def test_fractional_spectrum(self):
-        a = DenseMatrix.diag([IUNIT * g(Fraction(1, 2)), IUNIT * g(Fraction(3, 2)), g(0)])
+        a = diagonal([IUNIT * g(Fraction(1, 2)), IUNIT * g(Fraction(3, 2)), g(0)])
         q = parabolic_from_element(GL3, a)
         assert q.dim == 6
         assert q.contains_matrix(unit(3, 1, 0))

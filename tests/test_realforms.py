@@ -206,10 +206,8 @@ class TestBuildRealForm:
 
     def test_root_vector_lookup(self):
         form = build_real_form("compact-u:3")
-        x = form.root_vector(r(1, -1, 0))
-        assert x == DenseMatrix.unit(3, 0, 1)
-        with pytest.raises(ValueError, match="not a root"):
-            form.root_vector(r(1, 1, -2))
+        assert form.root_vectors[r(1, -1, 0)] == DenseMatrix.unit(3, 0, 1)
+        assert r(1, 1, -2) not in form.root_vectors
 
     def test_adapted_pair_split_sizes(self):
         expected = {
@@ -414,8 +412,8 @@ class TestThetaSets:
         for alpha in extras:
             partner = neg(cls.sigma_star[alpha])
             assert partner in sets.theta_core_nilpotent
-            pa = (form.root_vector(alpha) + form.theta(form.root_vector(alpha)))
-            pb = (form.root_vector(partner) + form.theta(form.root_vector(partner)))
+            pa = (form.root_vectors[alpha] + form.theta(form.root_vectors[alpha]))
+            pb = (form.root_vectors[partner] + form.theta(form.root_vectors[partner]))
             assert gl_span([pa], n) == gl_span([pb], n)
 
     def test_slh2_crosses_13(self):
@@ -713,7 +711,7 @@ def _root_image(form, y):
         assert not val.im and val.re.denominator == 1
         beta.append(int(val.re))
     beta = tuple(beta)
-    xb = form.root_vector(beta)
+    xb = form.root_vectors[beta]
     i, j = _first_nonzero(xb)
     assert y == xb.scale(y[i, j] / xb[i, j])
     return beta
@@ -722,7 +720,7 @@ def _root_image(form, y):
 def matrix_classification(form):
     sigma_star, theta_star, tags = {}, {}, {}
     for alpha in form.system.roots_sorted:
-        x = form.root_vector(alpha)
+        x = form.root_vectors[alpha]
         sigma_star[alpha] = _root_image(form, form.sigma(x))
         theta_star[alpha] = _root_image(form, form.theta(x))
         bar = sigma_star[alpha]
@@ -746,15 +744,15 @@ def matrix_orbit_spans(form, sets):
         return (x + form.theta(x)).scale(HALF)
 
     roots = form.system.roots_sorted
-    g_basis = list(form.cartan_basis) + [form.root_vector(a) for a in roots]
+    g_basis = list(form.cartan_basis) + [form.root_vectors[a] for a in roots]
     k_space = gl_span([project(b) for b in g_basis], n)
     flag = gl_span(
-        list(form.cartan_basis) + [form.root_vector(a) for a in sets.flag_roots], n
+        list(form.cartan_basis) + [form.root_vectors[a] for a in sets.flag_roots], n
     )
     h_plus = list(form.adapted.h_plus_basis)
-    nr = gl_span([project(form.root_vector(a)) for a in sets.theta_core_nilpotent], n)
+    nr = gl_span([project(form.root_vectors[a]) for a in sets.theta_core_nilpotent], n)
     levi = gl_span(
-        h_plus + [project(form.root_vector(a)) for a in sets.theta_core_reductive], n
+        h_plus + [project(form.root_vectors[a]) for a in sets.theta_core_reductive], n
     )
     return k_space, flag.meet(k_space), nr, levi
 
