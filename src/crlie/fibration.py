@@ -40,8 +40,8 @@ from crlie.rootsys import (
     RegularSpan,
     RegularSubalgebra,
     RootSystem,
-    _weyl_orbit,
-    enumerate_parabolics,
+    _check_parabolic_mask,
+    _check_rank_cap,
     lie_closure_regular,
     regular_sum,
 )
@@ -192,23 +192,163 @@ def par_membership_regular(v: RegularSubalgebra, q: ParabolicRootSet) -> bool:
     return _par_test(v)(q._mask)
 
 
-def _par_members(v: RegularSubalgebra, rank_cap: int) -> list[ParabolicRootSet]:
-    """Every member of Par(v), in enumeration order (by ``sort_key``)."""
-    member = _par_test(v)
-    return [q for q in enumerate_parabolics(v.system, rank_cap) if member(q._mask)]
+def _center(system: RootSystem, roots) -> tuple:
+    """z = {H in t : alpha(H) = 0 for every alpha in roots}, the center of
+    the Levi algebra the roots span, with its basis scaled to integers:
+    returns the subspace, the common denominator ``scale`` of its basis,
+    and the basis rows times scale."""
+    if roots:
+        rows = DenseMatrix([list(a) for a in sorted(roots)])
+        center = kernel(rows).meet(system.cartan)
+    else:
+        center = system.cartan
+    rational = [[x.re for x in row] for row in center.basis]
+    scale = math.lcm(*(x.denominator for row in rational for x in row))
+    basis = [
+        [x.numerator * (scale // x.denominator) for x in row] for row in rational
+    ]
+    return center, scale, basis
 
 
-def _select(members: list[ParabolicRootSet], largest: bool) -> list[ParabolicRootSet]:
-    """The inclusion-maximal (largest) or -minimal members, in their given
-    order.  Masks are taken by size, largest or smallest first, so a mask is
-    dominated by some member iff it is dominated by one already kept."""
-    kept: list[int] = []
-    for m in sorted((q._mask for q in members), key=int.bit_count, reverse=largest):
-        # m below k iff m | k == k; m above k iff m & k == k
-        if all((m | k if largest else m & k) != k for k in kept):
-            kept.append(m)
-    chosen = set(kept)
-    return [q for q in members if q._mask in chosen]
+def _start_chamber(v: RegularSubalgebra) -> int:
+    """The mask of a member of Par(v) whose Levi is L0 = R cap span(V_r).
+
+    Write V for the root set of v, V_r = V cap -V, N = V minus V_r (the
+    roots of nr(v)) and z = {H in t : V_r(H) = 0}.  A parabolic q_A, the
+    roots with alpha(A) >= 0 (every parabolic is one), is in Par(v) iff A
+    lies in C = {A in z : beta(A) > 0 for beta in N}, which is convex and
+    open in z.  The sum rho_N of the roots of N lies in C:
+
+    - N is an ideal of V: for beta in N and alpha in V, a root beta + alpha
+      lies in V, and not in V_r, or else -beta = -(beta + alpha) + alpha
+      would lie in V.  So N is closed, and stable under adding roots of V_r.
+    - For beta in N, the beta-strings through the roots other than +-beta
+      partition them.  N being closed, a string meets N in an upper
+      segment; the values <beta, .> along a string increase and are
+      symmetric about 0, so the segment sums to >= 0.  So
+      <beta, rho_N> >= |beta|^2 > 0.
+    - For gamma in V_r, N is stable under adding +-gamma, so it is a union
+      of whole gamma-strings, each summing to 0 against gamma (+-gamma are
+      not in N).  So <gamma, rho_N> = 0, and rho_N lies in t, so in z.
+
+    The start is the set of roots alpha with (<alpha, rho_N>, <alpha, h_1>,
+    ..., <alpha, h_d>) >=_lex 0, for h_i the integer basis of z: the q_A of
+    A = rho_N + eps h_1 + ... + eps^d h_d for small eps > 0, which lies in
+    C.  A root outside span(V_r) is nonzero on some h_i, so the Levi of the
+    start, the roots whose whole tuple is 0, is exactly L0.  No genericity
+    is guessed."""
+    system = v.system
+    _, _, basis = _center(system, v.reductive_roots)
+    rho = [sum(col) for col in zip(*v.nilpotent_roots)] or [0] * system.coord_dim
+    grading = [rho] + basis
+    zero = (0,) * len(grading)
+    start = 0
+    for k, alpha in enumerate(system.roots_sorted):
+        if tuple(sum(map(mul, alpha, h)) for h in grading) >= zero:
+            start |= 1 << k
+    if not _par_test(v)(start):
+        raise AssertionError("the start chamber is not in Par(v)")
+    return start
+
+
+def _supports(system: RootSystem, q: int, levi: int) -> tuple:
+    """The z-supports of the roots, for a parabolic mask q with Levi mask
+    levi.  B = Q_n | (levi cap R+) is a positive system; let Pi_z be its
+    simple roots outside levi, d of them.  The support of a root of B is
+    the bitmask of the positions in Pi_z where its coordinate on the simple
+    roots of B (``RootSystem._positive_coordinates``) is nonzero, and a
+    root of -B gets the support of its negative.  Returns d and the list of
+    supports by root index: 0 on levi, nonzero elsewhere."""
+    simple, coords = system._positive_coordinates(
+        q & ~levi | levi & system._positive_mask
+    )
+    outside = [j for j, k in enumerate(simple) if not levi >> k & 1]
+    support = [0] * len(system.roots_sorted)
+    last = len(support) - 1
+    for k, c in coords.items():
+        support[k] = support[last - k] = sum(
+            1 << i for i, j in enumerate(outside) if c[j]
+        )
+    return len(outside), support
+
+
+def _walls(system: RootSystem, q: int, d: int, support: list) -> list:
+    """The walls of the parabolic mask q, given its supports from
+    ``_supports``: for each position j of Pi_z, the mask X_j of the roots
+    of Q_n supported on j alone.  These are the roots whose restriction to
+    z is a multiple of the j-th simple z-root."""
+    walls = [0] * d
+    for k in system._mask_indices(q):
+        s = support[k]
+        if s and not s & s - 1:
+            walls[s.bit_length() - 1] |= 1 << k
+    return walls
+
+
+def _chambers(system: RootSystem, start: int, nr: int):
+    """Every chamber of C once, from the start chamber: yields each mask
+    with d and its supports, as ``_supports`` gives them.
+
+    The chambers are the members q of Par(v) whose Levi is L0 = Q_r of the
+    start: the q_A with A in C off every root hyperplane of z.  Restricted
+    to z, the roots of B = Q_n | (L0 cap R+) are the nonnegative integer
+    combinations of the simple ones outside L0, which form a basis of z*
+    (the proof at ``z_root_decomposition``).  So the chamber of q is the
+    simplicial cone where those simple z-roots are positive, and its walls
+    are theirs (``_walls``).  Across the wall j the roots whose restriction
+    is a multiple of the j-th one, X_j, change sign and no other root does,
+    so the neighbour is (q minus X_j) | -X_j, in Par(v) iff X_j misses N.
+    C is convex and open in z, so a generic segment between two of its
+    chambers stays in C and crosses walls only: the walk reaches every
+    chamber.
+
+    When L0 is empty the chambers are Borel sets, the walls their simple
+    roots, and the neighbour across the simple root alpha is s_alpha(q),
+    whose simple roots are the images of those of q.  So its supports are
+    those of q composed with s_alpha, and need no coordinates."""
+    neg = system._neg_mask
+    levi = start & neg(start)
+    d, support = _supports(system, start, levi)
+    seen, todo = {start}, [(start, support)]
+    while todo:
+        q, support = todo.pop()
+        yield q, d, support
+        for x in _walls(system, q, d, support):
+            if x & nr:
+                continue
+            flipped = q ^ x | neg(x)
+            if flipped in seen:
+                continue
+            seen.add(flipped)
+            if levi:
+                _, moved = _supports(system, flipped, levi)
+            else:
+                reflection = system._root_reflection(x.bit_length() - 1)
+                moved = list(map(support.__getitem__, reflection))
+            todo.append((flipped, moved))
+
+
+def _check_answer(system: RootSystem, member, m: int):
+    """Raise AssertionError unless the mask is a parabolic in Par(v)."""
+    try:
+        _check_parabolic_mask(system, m)
+    except ValueError as exc:
+        raise AssertionError(f"a Par(v) answer is not parabolic: {exc}") from None
+    if not member(m):
+        raise AssertionError("a Par(v) answer is not in Par(v)")
+
+
+def _sorted_parabolics(system: RootSystem, masks) -> list[ParabolicRootSet]:
+    return [
+        ParabolicRootSet._from_mask(system, m)
+        for m in sorted(masks, key=system._mask_order)
+    ]
+
+
+def _free_sets(d: int, edges: frozenset) -> list:
+    """The maximal subsets of range(d), as bitmasks, that hold no edge."""
+    free = {s for s in range(1 << d) if all(e & ~s for e in edges)}
+    return [s for s in free if not any(t != s and t & s == s for t in free)]
 
 
 def maximal_par(
@@ -222,38 +362,78 @@ def maximal_par(
     contains the constraint, so the restricted maximal elements are maximal
     in Par(v) as well.
 
-    Members are filtered, constrained and selected on their root-index
-    masks, so only the answers build their root sets."""
+    Every member contains a chamber of ``_chambers``, and the parabolics
+    containing a chamber q = P_J(B), with J the simple roots of
+    B = Q_n | (L0 cap R+) in L0, are the P_{J|S}(B) for the subsets S of
+    the other simple roots.  P_{J|S}(B) is q with the negatives of the
+    roots of B supported in S added, and it is in Par(v) iff no root of N
+    is supported in S.  So the maximal members above q are those of the
+    maximal such S, and the maximal members of Par(v) are their union over
+    the chambers.  Each answer is checked to be a parabolic in Par(v) with
+    no upper cover in Par(v): adding the negatives of one wall of its own
+    positive system (``_walls``) must put a root of N into its Levi."""
     if containing is not None and containing.system != v.system:
         raise ValueError("v and containing live in different root systems")
-    members = _par_members(v, rank_cap)
+    system = v.system
+    _check_rank_cap(system, rank_cap)
+    neg = system._neg_mask
+    member = _par_test(v)
+    nr = system._mask_of(v.nilpotent_roots)
+    nr_indices = system._mask_indices(nr)
+    start = _start_chamber(v)
+    free_sets: dict = {}
+    found = set()
+    for q, d, support in _chambers(system, start, nr):
+        edges = frozenset(map(support.__getitem__, nr_indices))
+        if edges not in free_sets:
+            free_sets[edges] = _free_sets(d, edges)
+        indices = system._mask_indices(q)
+        for free in free_sets[edges]:
+            below = sum(1 << k for k in indices if not support[k] & ~free)
+            found.add(q | neg(below))
     if containing is not None:
         c = containing._mask
-        members = [q for q in members if q._mask & c == c]
-    return _select(members, largest=True)
+        found = {m for m in found if m & c == c}
+    for m in found:
+        _check_answer(system, member, m)
+        walls = _walls(system, m, *_supports(system, m, m & neg(m)))
+        if any(member(m | neg(x)) for x in walls):
+            raise AssertionError("a maximal element has an upper cover in Par(v)")
+    return _sorted_parabolics(system, found)
 
 
 def minimal_par(
     v: RegularSubalgebra, rank_cap: int = RANK_CAP_DEFAULT
 ) -> list[ParabolicRootSet]:
-    """Inclusion-minimal elements of Par(v), sorted by ``sort_key``.  Each
-    must absorb nr(v) into its nilradical and all their Levi root sets must
-    be Weyl conjugate; both facts are rechecked here.
+    """Inclusion-minimal elements of Par(v), sorted by ``sort_key``: the
+    chambers of ``_chambers``.
 
-    Members are found and selected on masks, as in ``maximal_par``.  The
-    conjugacy check tests each Levi mask against the Weyl orbit of the
-    first one, closed under simple reflections, so no Weyl table is built
-    but the one a root system's first enumeration builds."""
-    out = _select(_par_members(v, rank_cap), largest=False)
-    for q in out:
-        if not v.nilpotent_roots <= q.q_n:
-            raise AssertionError(f"minimal element {q!r} does not absorb nr(v)")
-    if out:
-        neg = v.system._neg_mask
-        levis = [q._mask & neg(q._mask) for q in out]
-        if not _weyl_orbit(v.system, levis[0]).issuperset(levis[1:]):
-            raise AssertionError("minimal elements with non-conjugate Levi root sets")
-    return out
+    Every member of Par(v) has a Levi containing L0 = R cap span(V_r), and
+    one with Levi L0 is minimal: a member q' below q has Q'_r inside Q_r,
+    so equal to it, and then |Q'| = |Q|.  A member with a larger Levi is
+    some q_A with A in C on a root hyperplane, and contains the q_A' of
+    the chambers next to A.  So the minimal members are the chambers, which
+    the walk reaches without building any Weyl table.  Each is rechecked
+    to be a parabolic in Par(v), to have Levi exactly L0, and to absorb
+    nr(v) into its nilradical."""
+    system = v.system
+    _check_rank_cap(system, rank_cap)
+    neg = system._neg_mask
+    member = _par_test(v)
+    nr = system._mask_of(v.nilpotent_roots)
+    start = _start_chamber(v)
+    levi = start & neg(start)
+    out = []
+    for q, _, _ in _chambers(system, start, nr):
+        _check_answer(system, member, q)
+        if q & neg(q) != levi:
+            raise AssertionError(
+                "a minimal element has a Levi root set other than R cap span(V_r)"
+            )
+        if nr & ~q | nr & neg(q):
+            raise AssertionError("a minimal element does not absorb nr(v)")
+        out.append(q)
+    return _sorted_parabolics(system, out)
 
 
 def combine_parabolics(
@@ -423,16 +603,7 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
     keys S; its Fraction tuples and root tuples are built when read.
     """
     system = q.system
-    if q.q_r:
-        rows = DenseMatrix([list(a) for a in sorted(q.q_r)])
-        center = kernel(rows).meet(system.cartan)
-    else:
-        center = system.cartan
-    rational = [[x.re for x in row] for row in center.basis]
-    scale = math.lcm(*(x.denominator for row in rational for x in row))
-    basis = [
-        [x.numerator * (scale // x.denominator) for x in row] for row in rational
-    ]
+    center, scale, basis = _center(system, q.q_r)
 
     def restrict(alpha):
         return tuple(sum(map(mul, alpha, row)) for row in basis)

@@ -11,12 +11,12 @@ Root sets are checked on index masks: an int whose bit i stands for
 order of ``roots_sorted`` (checked), so negating a mask reverses its bits;
 the sum-pair table (for every root, the index pairs summing to it, as
 masks), which gives closedness, the parabolic checks and the simple roots
-of a positive system with every root's coordinates on them; and the simple
-reflections as root-index permutations, which generate W.  A
-``ParabolicRootSet`` reads its root sets off its mask on first use, so the
-Par(v) search in ``fibration`` filters and selects the enumerated parabolics
-on ints and builds root sets for its answers only.  The public API still
-takes and returns frozensets of root tuples.
+of a positive system with every root's coordinates on them; and the
+reflections as root-index permutations, the simple ones, which generate W,
+built together and any other one on first use.  A ``ParabolicRootSet``
+reads its root sets off its mask on first use, so the Par(v) search in
+``fibration`` walks parabolics as ints and builds root sets for its answers
+only.  The public API still takes and returns frozensets of root tuples.
 """
 
 from __future__ import annotations
@@ -159,6 +159,7 @@ class RootSystem:
             if k is not None:
                 pairs[k].append(1 << i | 1 << j)
         self._sum_pairs = tuple(tuple(p) for p in pairs)
+        self._root_reflections = [None] * n
 
     def _mask_of(self, rootset) -> int:
         index = self.root_index
@@ -304,24 +305,35 @@ class RootSystem:
             pending = left
         return simple, coords
 
+    def _reflection(self, s: Root) -> tuple:
+        """The reflection alpha -> alpha - <alpha, s^vee> s, as a
+        permutation of root indices."""
+        norm = sum(x * x for x in s)
+        images = []
+        for alpha in self.roots_sorted:
+            c, rest = divmod(2 * sum(a * b for a, b in zip(alpha, s)), norm)
+            if rest:
+                raise AssertionError(f"<{alpha}, {s}^vee> is not an integer")
+            k = self.root_index.get(tuple(a - c * b for a, b in zip(alpha, s)))
+            if k is None:
+                raise AssertionError(f"the reflection in {s} maps {alpha} off R")
+            images.append(k)
+        return tuple(images)
+
+    def _root_reflection(self, k: int) -> tuple:
+        """The reflection in the k-th root of ``roots_sorted``, built on
+        first use and kept; the k-th root and its negative share it."""
+        table = self._root_reflections
+        if table[k] is None:
+            table[k] = table[len(table) - 1 - k] = self._reflection(
+                self.roots_sorted[k]
+            )
+        return table[k]
+
     @cached_property
     def _reflections(self) -> tuple:
-        """The simple reflections alpha -> alpha - <alpha, s^vee> s, in the
-        order of ``simple_roots``, as permutations of root indices."""
-        out = []
-        for s in self.simple_roots:
-            norm = sum(x * x for x in s)
-            images = []
-            for alpha in self.roots_sorted:
-                c, rest = divmod(2 * sum(a * b for a, b in zip(alpha, s)), norm)
-                if rest:
-                    raise AssertionError(f"<{alpha}, {s}^vee> is not an integer")
-                k = self.root_index.get(tuple(a - c * b for a, b in zip(alpha, s)))
-                if k is None:
-                    raise AssertionError(f"the reflection in {s} maps {alpha} off R")
-                images.append(k)
-            out.append(tuple(images))
-        return tuple(out)
+        """The simple reflections, in the order of ``simple_roots``."""
+        return tuple(map(self._reflection, self.simple_roots))
 
     def parse_root(self, text: str) -> Root:
         alpha = parse_root(text, self.coord_dim)
@@ -691,16 +703,6 @@ def standard_borel(system: RootSystem) -> ParabolicRootSet:
 
 RANK_CAP_DEFAULT = 6
 
-# The sorted parabolic masks of each RootSystem instance, least recently
-# used first: {id(system): (system, masks)}.
-_PARABOLIC_MASKS: dict = {}
-# The most masks the memo holds in all, some 25 MB: a mask takes 40 bytes
-# in its table at rank 5 and 48 at rank 6 (int and tuple slot, measured
-# with tracemalloc on B5), so the memo holds one rank-6 table (B6 and C6
-# have 423 857 parabolics) or every table up to rank 5.
-_PARABOLIC_MASKS_BOUND = 1 << 19
-
-
 def _check_rank_cap(system: RootSystem, rank_cap: int):
     if system.rank > rank_cap:
         raise ValueError(
@@ -732,30 +734,17 @@ def enumerate_parabolics(
     system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT
 ) -> list[ParabolicRootSet]:
     """All parabolic subsets of R, sorted by ``sort_key``, as new objects on
-    every call (their root sets are built only when read).
-
-    The masks are enumerated and checked by ``_parabolic_masks`` once per
-    ``RootSystem`` instance, sorted by ``RootSystem._mask_order``, whose
+    every call (their root sets are built only when read).  The masks come
+    from ``_parabolic_masks``, sorted by ``RootSystem._mask_order``, whose
     comment proves that it orders them as ``sort_key`` orders their root
-    sets.  The sorted tuple is kept in a memo of at most
-    ``_PARABOLIC_MASKS_BOUND`` masks in all, least recently used out first;
-    a table larger than that is not kept.  The memo is keyed on the
-    instance, not on family and rank (which ``__eq__`` compares), so an
-    instance with other tables runs every check itself.  The table does not
-    depend on the rank cap, which is checked on every call."""
+    sets.  Nothing in the package calls it: the Par(v) search in
+    ``fibration`` walks chambers, and this enumeration is its test
+    oracle."""
     _check_rank_cap(system, rank_cap)
-    entry = _PARABOLIC_MASKS.pop(id(system), None)
-    if entry is None:
-        # the entry holds its system, so the id is not reused while it lives
-        entry = (system, _parabolic_masks(system, rank_cap))
-    masks = entry[1]
-    if len(masks) <= _PARABOLIC_MASKS_BOUND:
-        held = sum(len(m) for _, m in _PARABOLIC_MASKS.values())
-        while held + len(masks) > _PARABOLIC_MASKS_BOUND:
-            _, evicted = _PARABOLIC_MASKS.pop(next(iter(_PARABOLIC_MASKS)))
-            held -= len(evicted)
-        _PARABOLIC_MASKS[id(system)] = entry
-    return [ParabolicRootSet._from_mask(system, m) for m in masks]
+    return [
+        ParabolicRootSet._from_mask(system, m)
+        for m in _parabolic_masks(system, rank_cap)
+    ]
 
 
 def _parabolic_masks(system: RootSystem, rank_cap: int) -> tuple:

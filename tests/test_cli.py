@@ -421,7 +421,7 @@ class TestCorpus:
         report = run("corpus", None)
         assert report["ok"] is True
         names = [f["name"] for f in report["fixtures"]]
-        assert len(names) == 18
+        assert len(names) == 19
         assert {"compact-u6-analyze.json", "su34-analyze.json"} <= set(names)
         assert names == sorted(names)
         assert all(f["ok"] and not f["mismatches"] for f in report["fixtures"])
@@ -458,8 +458,8 @@ class TestCorpus:
             cli, "_run_fixture", lambda name: {"name": name, "ok": True}
         )
         report = run("corpus", None, jobs=1000)
-        assert sizes == [18]
-        assert len(report["fixtures"]) == 18
+        assert sizes == [19]
+        assert len(report["fixtures"]) == 19
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # only corpus --jobs > 1 uses the pool, which slows every start-up

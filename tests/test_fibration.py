@@ -1,3 +1,4 @@
+import bisect
 import copy
 import dataclasses
 import functools
@@ -387,8 +388,8 @@ class TestMinimalPar:
             for q2 in (Q_C2, res[0], res[1]):
                 assert combine_parabolics_regular(q1, q2, v=V_REG) == q1
 
-    def test_builds_one_weyl_orbit(self, monkeypatch):
-        # a fresh instance, so no earlier test's enumeration is reused
+    def test_builds_no_weyl_table(self, monkeypatch):
+        # a fresh instance, so nothing an earlier test built is reused
         d4 = RootSystem("D", 4)
         pair = [d4.parse_root(t) for t in ("e1-e2", "-e1+e2")]
         v = RegularSubalgebra(
@@ -396,7 +397,14 @@ class TestMinimalPar:
             canonicalize([list(d4.coroot(pair[0]))], 4),
             pair + [d4.parse_root("e3+e4")],
         )
-        calls = dict.fromkeys(("weyl_conjugate_sets", "weyl_root_permutations"), 0)
+        names = (
+            "weyl_conjugate_sets",
+            "weyl_root_permutations",
+            "enumerate_parabolics",
+            "_parabolic_masks",
+            "_weyl_orbit",
+        )
+        calls = dict.fromkeys(names, 0)
         for module in (fibration, rootsys):
             for name in calls:
                 original = getattr(module, name, None)
@@ -408,48 +416,89 @@ class TestMinimalPar:
                     return _original(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
-        res = minimal_par(v)
-        assert len(res) > 1
-        assert calls["weyl_conjugate_sets"] == 0
-        assert calls["weyl_root_permutations"] == 1
-        # the second search on the same instance reuses its enumeration
-        assert minimal_par(v) == res
-        assert calls == {"weyl_conjugate_sets": 0, "weyl_root_permutations": 1}
+        assert len(minimal_par(v)) > 1
+        assert maximal_par(v)
+        assert maximal_par(v, containing=minimal_par(v)[0])
+        assert calls == dict.fromkeys(names, 0)
 
     def test_non_conjugate_levi_sets_are_rejected(self, monkeypatch):
+        # a Borel and the opposite of a non-Borel parabolic, both passed off
+        # as chambers of Par(0), whose minimal members are the Borels
         borel = standard_borel(B3)
         std = standard_parabolic(B3, [1])
         opposite = ParabolicRootSet(
             B3, std.q_r | {tuple(-x for x in a) for a in std.q_n}
         )
-        monkeypatch.setattr(
-            fibration, "enumerate_parabolics", lambda *a, **k: [borel, opposite]
-        )
+        fake = [(borel._mask, 3, None), (opposite._mask, 3, None)]
+        monkeypatch.setattr(fibration, "_chambers", lambda *a: iter(fake))
         v = RegularSubalgebra(B3, Subspace.zero(3), ())
-        with pytest.raises(AssertionError, match="non-conjugate"):
+        with pytest.raises(AssertionError, match="Levi root set other than"):
             minimal_par(v)
+
+    def test_non_parabolic_chamber_is_rejected(self, monkeypatch):
+        # the standard Borel with e1 swapped for -e1: e1 is no simple root,
+        # so the set is not closed
+        borel = standard_borel(B3)
+        i = B3.root_index[(1, 0, 0)]
+        doctored = borel._mask ^ (1 << i) | B3._neg_mask(1 << i)
+        fake = [(borel._mask, 3, None), (doctored, 3, None)]
+        monkeypatch.setattr(fibration, "_chambers", lambda *a: iter(fake))
+        v = RegularSubalgebra(B3, Subspace.zero(3), ())
+        with pytest.raises(AssertionError, match="answer is not parabolic"):
+            minimal_par(v)
+
+    def test_start_off_the_center_is_rejected(self, monkeypatch):
+        # a basis of all of t in place of z = ker(e1-e2): the lexicographic
+        # start then holds e1-e2 but not -e1+e2
+        pair = [(1, -1), (-1, 1)]
+        v = RegularSubalgebra(C2, canonicalize([list(C2.coroot(pair[0]))], 2), pair)
+        monkeypatch.setattr(
+            fibration, "_center", lambda system, roots: (None, 1, [[1, 0], [0, 1]])
+        )
+        with pytest.raises(AssertionError, match="start chamber is not in Par"):
+            minimal_par(v)
+
+    def test_non_maximal_answer_is_rejected(self, monkeypatch):
+        # every free set in place of the maximal ones: the chambers
+        # themselves come out, and each has an upper cover in Par(v)
+        def every_free_set(d, edges):
+            return [s for s in range(1 << d) if all(e & ~s for e in edges)]
+
+        monkeypatch.setattr(fibration, "_free_sets", every_free_set)
+        with pytest.raises(AssertionError, match="has an upper cover in Par"):
+            maximal_par(SO7_V)
+
+
+def reference_select(members, largest):
+    """Pairwise selection over the ParabolicRootSet members of Par(v), on
+    their masks: the members that no other member contains (largest) or
+    lies in.  A strict superset has more roots, so each member is compared
+    with every larger (smaller) one."""
+    by_size = sorted((q._mask for q in members), key=int.bit_count)
+    sizes = [m.bit_count() for m in by_size]
+    out = []
+    for q in members:
+        m = q._mask
+        if largest:
+            others = by_size[bisect.bisect_right(sizes, m.bit_count()):]
+            beaten = any(not m & ~o for o in others)
+        else:
+            others = by_size[: bisect.bisect_left(sizes, m.bit_count())]
+            beaten = any(not o & ~m for o in others)
+        if not beaten:
+            out.append(q)
+    return sorted(out, key=ParabolicRootSet.sort_key)
 
 
 def reference_maximal_par(members, containing=None):
-    """Pairwise selection over the ParabolicRootSet members of Par(v)."""
     if containing is not None:
         members = [q for q in members if q.contains_parabolic(containing)]
-    out = [
-        q
-        for q in members
-        if not any(o is not q and o.contains_parabolic(q) for o in members)
-    ]
-    return sorted(out, key=ParabolicRootSet.sort_key)
+    return reference_select(members, largest=True)
 
 
 def reference_minimal_par(v, members, perms):
     """Pairwise selection, and the Levi check on frozensets of indices."""
-    out = [
-        q
-        for q in members
-        if not any(o is not q and q.contains_parabolic(o) for o in members)
-    ]
-    out.sort(key=ParabolicRootSet.sort_key)
+    out = reference_select(members, largest=False)
     assert all(v.nilpotent_roots <= q.q_n for q in out)
     if out:
         index = v.system.root_index
@@ -459,21 +508,59 @@ def reference_minimal_par(v, members, perms):
     return out
 
 
+def seeded_closed_subalgebras(system, salt, count=40):
+    """The Lie closures of 0-3 random roots, with the coroots of their +-
+    pairs as toral part, seeded by the system and the salt."""
+    rng = random.Random(f"{salt}:{system.family}{system.rank}")
+    for _ in range(count):
+        roots = rng.sample(system.roots_sorted, rng.randrange(4))
+        span = RegularSpan(system, Subspace.zero(system.coord_dim), roots)
+        yield rng, lie_closure_regular(system, span, mode="algebra")
+
+
+def dot(alpha, beta):
+    return sum(a * b for a, b in zip(alpha, beta))
+
+
+class TestChamberStart:
+    @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "A4", "B4", "C4", "D4"])
+    def test_rho_n_lies_in_the_cone(self, tag):
+        # 7 x 40 = 280 seeded closed sets: rho_N, the sum of the roots of
+        # nr(v), is positive on N (at least |beta|^2) and zero on V_r, and
+        # the start chamber is a member of Par(v) whose Levi is exactly the
+        # roots in the span of V_r, by a rank test
+        system = build_root_system(tag[0], int(tag[1:]))
+        for _, v in seeded_closed_subalgebras(system, "rho-n"):
+            nilpotent, reductive = v.nilpotent_roots, v.reductive_roots
+            rho = [sum(col) for col in zip(*nilpotent)] or [0] * system.coord_dim
+            assert all(dot(b, rho) >= dot(b, b) for b in nilpotent)
+            assert all(dot(g, rho) == 0 for g in reductive)
+            start = fibration._start_chamber(v)
+            q = ParabolicRootSet(system, system._mask_roots(start))
+            assert par_membership_regular(v, q)
+            rank = canonicalize([list(g) for g in reductive], system.coord_dim).dim
+            spanned = {
+                a
+                for a in system.roots
+                if canonicalize(
+                    [list(g) for g in reductive] + [list(a)], system.coord_dim
+                ).dim
+                == rank
+            }
+            assert q.q_r == spanned
+
+
 class TestParExtremaAgainstReference:
-    @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "A4", "D4"])
+    @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "A4", "B4", "C4", "D4"])
     def test_seeded_closed_subalgebras(self, tag):
-        # 5 x 40 = 200 seeded closed root subalgebras: the Lie closure of 0-3
+        # 7 x 40 = 280 seeded closed root subalgebras: the Lie closure of 0-3
         # random roots, with the coroots of their +- pairs as toral part;
         # the constraint is a random member of Par(v), which is never empty
         system = build_root_system(tag[0], int(tag[1:]))
         pars = enumerate_parabolics(system)
         perms = reference_weyl_table(system)
-        rng = random.Random(f"par-extrema:{tag}")
         several = 0
-        for _ in range(40):
-            roots = rng.sample(system.roots_sorted, rng.randrange(4))
-            span = RegularSpan(system, Subspace.zero(system.coord_dim), roots)
-            v = lie_closure_regular(system, span, mode="algebra")
+        for rng, v in seeded_closed_subalgebras(system, "par-extrema"):
             members = [q for q in pars if par_membership_regular(v, q)]
             containing = rng.choice(members)
             expected = reference_minimal_par(v, members, perms)

@@ -118,7 +118,7 @@ TRIPPED = {
         "AssertionError: a submersion that is not a spread",
     ),
     # a Borel and the opposite of a non-Borel parabolic, both posing as the
-    # minimal members of Par(0): their Levi sets are not conjugate
+    # chambers of Par(0): the Levi of the second is not R cap span(V_r) = {}
     "fibration.minimal_par": (
         "from crlie import fibration\n"
         "from crlie.exactlin import Subspace\n"
@@ -129,10 +129,63 @@ TRIPPED = {
         "std = standard_parabolic(b3, [1])\n"
         "opposite = ParabolicRootSet(\n"
         "    b3, std.q_r | {tuple(-x for x in a) for a in std.q_n})\n"
-        "pars = [standard_borel(b3), opposite]\n"
-        "fibration.enumerate_parabolics = lambda system, rank_cap: pars\n"
+        "fake = [(standard_borel(b3)._mask, 3, None), (opposite._mask, 3, None)]\n"
+        "fibration._chambers = lambda *a: iter(fake)\n"
         "fibration.minimal_par(RegularSubalgebra(b3, Subspace.zero(3), ()))\n",
-        "AssertionError: minimal elements with non-conjugate Levi root sets",
+        "AssertionError: a minimal element has a Levi root set other than "
+        "R cap span(V_r)",
+    ),
+    # a basis of all of t in place of z = ker(e1-e2): the lexicographic
+    # start holds e1-e2 but not -e1+e2
+    "fibration.minimal_par.start": (
+        "from crlie import fibration\n"
+        "from crlie.exactlin import canonicalize\n"
+        "from crlie.rootsys import RegularSubalgebra, build_root_system\n"
+        "c2 = build_root_system('C', 2)\n"
+        "v = RegularSubalgebra(c2, canonicalize([[1, -1]], 2), [(1, -1), (-1, 1)])\n"
+        "fibration._center = lambda system, roots: (None, 1, [[1, 0], [0, 1]])\n"
+        "fibration.minimal_par(v)\n",
+        "AssertionError: the start chamber is not in Par(v)",
+    ),
+    # the standard Borel of B3 with e1 swapped for -e1, passed off as a
+    # chamber: e1 is no simple root, so the set is not closed
+    "fibration.minimal_par.parabolic": (
+        "from crlie import fibration\n"
+        "from crlie.exactlin import Subspace\n"
+        "from crlie.rootsys import RegularSubalgebra, build_root_system\n"
+        "from crlie.rootsys import standard_borel\n"
+        "b3 = build_root_system('B', 3)\n"
+        "e1 = 1 << b3.root_index[(1, 0, 0)]\n"
+        "doctored = standard_borel(b3)._mask ^ e1 | b3._neg_mask(e1)\n"
+        "fibration._chambers = lambda *a: iter([(doctored, 3, None)])\n"
+        "fibration.minimal_par(RegularSubalgebra(b3, Subspace.zero(3), ()))\n",
+        "AssertionError: a Par(v) answer is not parabolic: "
+        "parabolic set must be closed",
+    ),
+    # the opposite Borel, passed off as a chamber of Par(v) for v = {e2}
+    "fibration.minimal_par.member": (
+        "from crlie import fibration\n"
+        "from crlie.exactlin import Subspace\n"
+        "from crlie.rootsys import RegularSubalgebra, build_root_system\n"
+        "from crlie.rootsys import standard_borel\n"
+        "b3 = build_root_system('B', 3)\n"
+        "opposite = b3._neg_mask(standard_borel(b3)._mask)\n"
+        "fibration._chambers = lambda *a: iter([(opposite, 3, None)])\n"
+        "fibration.minimal_par(RegularSubalgebra(b3, Subspace.zero(3), [(0, 1, 0)]))\n",
+        "AssertionError: a Par(v) answer is not in Par(v)",
+    ),
+    # every free set in place of the maximal ones: the chambers come out
+    # too, and each has an upper cover in Par(v)
+    "fibration.maximal_par": (
+        "from crlie import fibration\n"
+        "from crlie.exactlin import Subspace\n"
+        "from crlie.rootsys import RegularSubalgebra, build_root_system\n"
+        "b3 = build_root_system('B', 3)\n"
+        "fibration._free_sets = lambda d, edges: [\n"
+        "    s for s in range(1 << d) if all(e & ~s for e in edges)]\n"
+        "fibration.maximal_par(\n"
+        "    RegularSubalgebra(b3, Subspace.zero(3), [(1, 0, -1), (0, 1, 0)]))\n",
+        "AssertionError: a maximal element has an upper cover in Par(v)",
     ),
     # the Levi of the B3 parabolic crossed at e2-e3 and e3, with -e1+e2
     # left out: -e1+e2 vanishes on z all the same

@@ -612,6 +612,30 @@ class TestWeyl:
                 assert _weyl_orbit(system, mask) == expected
 
     @pytest.mark.parametrize("tag", "A3 B3 C3 D4".split())
+    def test_root_reflections_are_weyl_involutions(self, tag):
+        # reference: the signed-permutation table; the reflection in a root
+        # lies in W, negates the root, fixes the roots orthogonal to it,
+        # squares to 1, and is shared with the negative root
+        system = RootSystem(tag[0], int(tag[1:]))
+        table = set(reference_weyl_table(system))
+        roots = system.roots_sorted
+        n = len(roots)
+        for k, alpha in enumerate(roots):
+            r = system._root_reflection(k)
+            assert r in table
+            assert r[k] == n - 1 - k
+            assert all(
+                r[i] == i
+                for i, beta in enumerate(roots)
+                if sum(a * b for a, b in zip(alpha, beta)) == 0
+            )
+            assert all(r[r[i]] == i for i in range(n))
+            assert system._root_reflection(n - 1 - k) is r
+        index = system.root_index
+        simple = [system._root_reflection(index[s]) for s in system.simple_roots]
+        assert system._reflections == tuple(simple)
+
+    @pytest.mark.parametrize("tag", "A3 B3 C3 D4".split())
     def test_conjugate_sets_match_table_scan(self, tag):
         # reference: map the first Levi set by every element of the table
         system = build_root_system(tag[0], int(tag[1:]))
@@ -864,33 +888,6 @@ class TestEnumerateParabolics:
         with pytest.raises(ValueError, match="parabolic set must be closed"):
             enumerate_parabolics(fresh)
         assert len(enumerate_parabolics(B3)) == 147
-
-    def test_memo_stays_within_its_bound(self, monkeypatch):
-        # 3 + 13 + 17 + 17 + 75 + 147 + 147 masks from seven fresh systems
-        # through a memo bounded at 200: each table that would overflow it
-        # evicts the least recently used ones, and one above the bound is
-        # not kept at all
-        monkeypatch.setattr(rootsys, "_PARABOLIC_MASKS", {})
-        monkeypatch.setattr(rootsys, "_PARABOLIC_MASKS_BOUND", 200)
-        memo = rootsys._PARABOLIC_MASKS
-        tags = ["A1", "A2", "B2", "C2", "A3", "B3", "C3"]
-        systems = [RootSystem(t[0], int(t[1:])) for t in tags]
-        for system in systems:
-            pars = enumerate_parabolics(system)
-            assert sum(len(masks) for _, masks in memo.values()) <= 200
-            assert memo[id(system)] == (system, tuple(q._mask for q in pars))
-        assert [entry[0] for entry in memo.values()] == systems[-1:]
-        # a hit makes its entry the most recently used
-        enumerate_parabolics(systems[2])
-        enumerate_parabolics(systems[3])
-        enumerate_parabolics(systems[2])
-        assert [entry[0] for entry in memo.values()] == [
-            systems[6], systems[3], systems[2]
-        ]
-        assert len(enumerate_parabolics(RootSystem("A", 4))) == 541
-        assert [entry[0] for entry in memo.values()] == [
-            systems[6], systems[3], systems[2]
-        ]
 
     # reference: the ascending index tuples; each parabolic without its
     # last member is a prefix of it, which must sort first
