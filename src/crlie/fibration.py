@@ -256,20 +256,22 @@ def _supports(system: RootSystem, q: int, levi: int) -> tuple:
     levi.  B = Q_n | (levi cap R+) is a positive system; let Pi_z be its
     simple roots outside levi, d of them.  The support of a root of B is
     the bitmask of the positions in Pi_z where its coordinate on the simple
-    roots of B (``RootSystem._positive_coordinates``) is nonzero, and a
-    root of -B gets the support of its negative.  Returns d and the list of
-    supports by root index: 0 on levi, nonzero elsewhere."""
-    simple, coords = system._positive_coordinates(
-        q & ~levi | levi & system._positive_mask
-    )
-    outside = [j for j, k in enumerate(simple) if not levi >> k & 1]
+    roots of B is nonzero, and a root of -B gets the support of its
+    negative.  The coordinates are nonnegative, so the support of a sum is
+    the union of the supports, and they are read along
+    ``RootSystem._positive_sums``.  Returns d and the list of supports by
+    root index: 0 on levi, nonzero elsewhere."""
+    simple, sums = system._positive_sums(q & ~levi | levi & system._positive_mask)
     support = [0] * len(system.roots_sorted)
     last = len(support) - 1
-    for k, c in coords.items():
-        support[k] = support[last - k] = sum(
-            1 << i for i, j in enumerate(outside) if c[j]
-        )
-    return len(outside), support
+    d = 0
+    for k in simple:
+        if not levi >> k & 1:
+            support[k] = support[last - k] = 1 << d
+            d += 1
+    for k, a, b in sums:
+        support[k] = support[last - k] = support[a] | support[b]
+    return d, support
 
 
 def _walls(system: RootSystem, q: int, d: int, support: list) -> list:
@@ -300,18 +302,13 @@ def _chambers(system: RootSystem, start: int, nr: int):
     so the neighbour is (q minus X_j) | -X_j, in Par(v) iff X_j misses N.
     C is convex and open in z, so a generic segment between two of its
     chambers stays in C and crosses walls only: the walk reaches every
-    chamber.
-
-    When L0 is empty the chambers are Borel sets, the walls their simple
-    roots, and the neighbour across the simple root alpha is s_alpha(q),
-    whose simple roots are the images of those of q.  So its supports are
-    those of q composed with s_alpha, and need no coordinates."""
+    chamber."""
     neg = system._neg_mask
     levi = start & neg(start)
-    d, support = _supports(system, start, levi)
-    seen, todo = {start}, [(start, support)]
+    seen, todo = {start}, [start]
     while todo:
-        q, support = todo.pop()
+        q = todo.pop()
+        d, support = _supports(system, q, levi)
         yield q, d, support
         for x in _walls(system, q, d, support):
             if x & nr:
@@ -320,12 +317,7 @@ def _chambers(system: RootSystem, start: int, nr: int):
             if flipped in seen:
                 continue
             seen.add(flipped)
-            if levi:
-                _, moved = _supports(system, flipped, levi)
-            else:
-                reflection = system._root_reflection(x.bit_length() - 1)
-                moved = list(map(support.__getitem__, reflection))
-            todo.append((flipped, moved))
+            todo.append(flipped)
 
 
 def _check_answer(system: RootSystem, member, m: int):

@@ -11,12 +11,12 @@ Root sets are checked on index masks: an int whose bit i stands for
 order of ``roots_sorted`` (checked), so negating a mask reverses its bits;
 the sum-pair table (for every root, the index pairs summing to it, as
 masks), which gives closedness, the parabolic checks and the simple roots
-of a positive system with every root's coordinates on them; and the
-reflections as root-index permutations, the simple ones, which generate W,
-built together and any other one on first use.  A ``ParabolicRootSet``
-reads its root sets off its mask on first use, so the Par(v) search in
-``fibration`` walks parabolics as ints and builds root sets for its answers
-only.  The public API still takes and returns frozensets of root tuples.
+of a positive system with every root's coordinates on them; and the simple
+reflections as root-index permutations, which generate W.  A
+``ParabolicRootSet`` reads its root sets off its mask on first use, so the
+Par(v) search in ``fibration`` walks parabolics as ints and builds root
+sets for its answers only.  The public API still takes and returns
+frozensets of root tuples.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import itertools
 import re as _re
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add
 from typing import Iterable, Sequence
 
 from crlie.exactlin import Subspace, canonicalize
@@ -159,7 +160,6 @@ class RootSystem:
             if k is not None:
                 pairs[k].append(1 << i | 1 << j)
         self._sum_pairs = tuple(tuple(p) for p in pairs)
-        self._root_reflections = [None] * n
 
     def _mask_of(self, rootset) -> int:
         index = self.root_index
@@ -267,32 +267,29 @@ class RootSystem:
             table[neg(roots[k])] = neg(c)
         return table
 
-    def _positive_coordinates(self, borel: int) -> tuple:
+    def _positive_sums(self, borel: int) -> tuple:
         """The simple roots Pi of a positive system B, given as a mask, in
-        ascending index order, and {index: integer coordinates on Pi} for
-        every root of B.  A root of B is simple iff no pair in B sums to it;
-        any other is the sum of a pair of smaller height (Humphreys,
-        Introduction to Lie Algebras and Representation Theory, section
-        10.1) and gets the sum of their coordinates.  A pass over the roots
-        still without coordinates that assigns none means B is no positive
-        system."""
+        ascending index order, and every other root of B as a triple
+        (k, i, j) of indices with root k = root i + root j, each of i and j
+        simple or the first entry of an earlier triple.  A root of B is
+        simple iff no pair in B sums to it; any other is the sum of a pair
+        of smaller height (Humphreys, Introduction to Lie Algebras and
+        Representation Theory, section 10.1).  A pass over the roots still
+        without a triple that finds none means B is no positive system."""
         pairs = self._sum_pairs
         members = self._mask_indices(borel)
         outside = ~borel
         simple = tuple(k for k in members if all(map(outside.__and__, pairs[k])))
-        zero = (0,) * len(simple)
-        coords = {k: zero[:j] + (1,) + zero[j + 1:] for j, k in enumerate(simple)}
         done = sum(1 << k for k in simple)
-        pending = [k for k in members if k not in coords]
+        pending = [k for k in members if not done >> k & 1]
+        sums = []
         while pending:
             left = []
             for k in pending:
                 for p in pairs[k]:
                     if done & p == p:
                         low = p & -p
-                        a = coords[low.bit_length() - 1]
-                        b = coords[(p ^ low).bit_length() - 1]
-                        coords[k] = tuple(x + y for x, y in zip(a, b))
+                        sums.append((k, low.bit_length() - 1, (p ^ low).bit_length() - 1))
                         done |= 1 << k
                         break
                 else:
@@ -303,37 +300,37 @@ class RootSystem:
                     f"{len(left)} of its roots get no coordinates"
                 )
             pending = left
+        return simple, sums
+
+    def _positive_coordinates(self, borel: int) -> tuple:
+        """The simple roots Pi of a positive system B, given as a mask, in
+        ascending index order, and {index: integer coordinates on Pi} for
+        every root of B, summed along ``_positive_sums``."""
+        simple, sums = self._positive_sums(borel)
+        zero = (0,) * len(simple)
+        coords = {k: zero[:j] + (1,) + zero[j + 1:] for j, k in enumerate(simple)}
+        for k, a, b in sums:
+            coords[k] = tuple(map(add, coords[a], coords[b]))
         return simple, coords
-
-    def _reflection(self, s: Root) -> tuple:
-        """The reflection alpha -> alpha - <alpha, s^vee> s, as a
-        permutation of root indices."""
-        norm = sum(x * x for x in s)
-        images = []
-        for alpha in self.roots_sorted:
-            c, rest = divmod(2 * sum(a * b for a, b in zip(alpha, s)), norm)
-            if rest:
-                raise AssertionError(f"<{alpha}, {s}^vee> is not an integer")
-            k = self.root_index.get(tuple(a - c * b for a, b in zip(alpha, s)))
-            if k is None:
-                raise AssertionError(f"the reflection in {s} maps {alpha} off R")
-            images.append(k)
-        return tuple(images)
-
-    def _root_reflection(self, k: int) -> tuple:
-        """The reflection in the k-th root of ``roots_sorted``, built on
-        first use and kept; the k-th root and its negative share it."""
-        table = self._root_reflections
-        if table[k] is None:
-            table[k] = table[len(table) - 1 - k] = self._reflection(
-                self.roots_sorted[k]
-            )
-        return table[k]
 
     @cached_property
     def _reflections(self) -> tuple:
-        """The simple reflections, in the order of ``simple_roots``."""
-        return tuple(map(self._reflection, self.simple_roots))
+        """The simple reflections alpha -> alpha - <alpha, s^vee> s, in the
+        order of ``simple_roots``, as permutations of root indices."""
+        out = []
+        for s in self.simple_roots:
+            norm = sum(x * x for x in s)
+            images = []
+            for alpha in self.roots_sorted:
+                c, rest = divmod(2 * sum(a * b for a, b in zip(alpha, s)), norm)
+                if rest:
+                    raise AssertionError(f"<{alpha}, {s}^vee> is not an integer")
+                k = self.root_index.get(tuple(a - c * b for a, b in zip(alpha, s)))
+                if k is None:
+                    raise AssertionError(f"the reflection in {s} maps {alpha} off R")
+                images.append(k)
+            out.append(tuple(images))
+        return tuple(out)
 
     def parse_root(self, text: str) -> Root:
         alpha = parse_root(text, self.coord_dim)
