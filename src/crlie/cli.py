@@ -38,7 +38,7 @@ from .fibration import (
     lift_regular,
     maximal_par,
     minimal_par,
-    z_root_decomposition,
+    z_root_decompositions,
 )
 from .matrixlie import AmbientAlgebra, Subalg, is_subalgebra
 from .realforms import RealFormSpec, build_minimal_orbit, build_real_form, embed_regular, type_criteria
@@ -393,10 +393,13 @@ def _chain_out(chain):
 
 
 def _root_parabolic_out(q):
+    system = q.system
+    names = system._formatted_roots
+    levi = q._mask & system._neg_mask(q._mask)
     return {
         "dim": q.dim,
-        "nilpotent": _roots_out(q.q_n),
-        "reductive": _roots_out(q.q_r),
+        "nilpotent": [names[k] for k in system._mask_indices(q._mask ^ levi)],
+        "reductive": [names[k] for k in system._mask_indices(levi)],
     }
 
 
@@ -508,9 +511,9 @@ def _cmd_par(ws: Workspace, problem: ProblemFile, maximal: bool):
     finder = maximal_par if maximal else minimal_par
     members = finder(ws.v, rank_cap=problem.rank_cap)
     rendered = []
-    for q in members:
+    for q, z in zip(members, z_root_decompositions(members)):
         entry = _root_parabolic_out(q)
-        entry["z_component_dims"] = z_root_decomposition(q).positive_dims
+        entry["z_component_dims"] = z.positive_dims
         rendered.append(entry)
     return {"par": {"count": len(rendered), "members": rendered}}
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from operator import mul
+from operator import add, mul
 
 from crlie.crcore import (
     is_n_reductive,
@@ -196,10 +196,12 @@ def _center(system: RootSystem, roots) -> tuple:
     """z = {H in t : alpha(H) = 0 for every alpha in roots}, the center of
     the Levi algebra the roots span, with its basis scaled to integers:
     returns the subspace, the common denominator ``scale`` of its basis,
-    and the basis rows times scale."""
+    and the basis rows times scale.  z is one kernel: of the roots, one of
+    each pair +-alpha, and the equations of t."""
     if roots:
-        rows = DenseMatrix([list(a) for a in sorted(roots)])
-        center = kernel(rows).meet(system.cartan)
+        positive = {max(a, tuple(-x for x in a)) for a in roots}
+        rows = [list(a) for a in sorted(positive)]
+        center = kernel(DenseMatrix(rows + list(system._cartan_equations)))
     else:
         center = system.cartan
     rational = [[x.re for x in row] for row in center.basis]
@@ -555,6 +557,34 @@ class ZRootDecomposition:
         )
 
 
+def _levi_restrictions(system: RootSystem, q_r) -> tuple:
+    """What the z-roots of every parabolic with Levi set q_r share: the
+    center z and the common denominator ``scale`` of ``_center``, the mask
+    of q_r, and the integer restriction to z of every root, by root
+    index."""
+    center, scale, basis = _center(system, q_r)
+    restriction = [
+        tuple(sum(map(mul, alpha, row)) for row in basis)
+        for alpha in system.roots_sorted
+    ]
+    return center, scale, system._mask_of(q_r), restriction
+
+
+def z_root_decompositions(qs) -> list[ZRootDecomposition]:
+    """The ``z_root_decomposition`` of each parabolic of qs, in order.  The
+    center z and the restrictions of the roots to it depend on the Levi set
+    alone, so they are computed once per distinct ``q.q_r`` of the batch;
+    each q still gets the whole certificate."""
+    levis: dict = {}
+    out = []
+    for q in qs:
+        key = q.system, q.q_r
+        if key not in levis:
+            levis[key] = _levi_restrictions(*key)
+        out.append(_decompose(q, *levis[key]))
+    return out
+
+
 def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
     """Group all roots by their restriction to z = {H in t : Q_r(H) = 0},
     for the split of q read from ``q.q_n`` and ``q.q_r``.
@@ -563,22 +593,22 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
     simple roots Pi are the roots of B that are no sum of two roots of B,
     and every other root of B is the sum of two of smaller height
     (Humphreys, Introduction to Lie Algebras and Representation Theory,
-    section 10.1).  So every root of B gets nonnegative integer coordinates
-    on Pi, the sum of a splitting pair's coordinates
-    (``RootSystem._positive_coordinates``, which raises if B is no positive
-    system).  Call c the coordinates of a root on Pi minus Q_r.
+    section 10.1), as ``RootSystem._positive_sums`` lists them (it raises
+    if B is no positive system).  So every root of B gets nonnegative
+    integer coordinates on Pi, the sum of a splitting pair's coordinates.
+    Call c the coordinates of a root on Pi minus Q_r.
 
-    No root is restricted to z but the simple ones and one per positive
-    class.  The simple roots in Q_r must vanish on z, and those outside Q_r
-    give the simple keys S, which must number dim z.  Restriction is
-    linear, so a root of B restricts to the combination of S with its c.
-    Once R = B | -B (checked last), every root is plus or minus a
-    combination of Pi, so Pi spans t*; restriction maps t* onto z*, so S
-    spans z*, and |S| = dim z makes it a basis.  So two roots of B restrict
-    alike iff their c agree, and a root of B and the negative of one iff
-    both c are zero, since c is nonnegative: the restriction classes are
-    the groups of B on c and their negatives.
+    The simple roots in Q_r must vanish on z, and those outside Q_r give
+    the simple keys S, their restrictions to z, which must number dim z.
+    Restriction is linear, so a root of B restricts to the combination of
+    S with its c.  Once R = B | -B (checked last), every root is plus or
+    minus a combination of Pi, so Pi spans t*; restriction maps t* onto z*,
+    so S spans z*, and |S| = dim z makes it a basis.  So two roots of B
+    restrict alike iff their c agree, and a root of B and the negative of
+    one iff both c are zero, since c is nonnegative: the restriction
+    classes are the groups of B on c and their negatives.
 
+    c and the combination of S with it are summed along the same pairs.
     The checks: the zero group and its negatives, the roots vanishing on z,
     are exactly Q_r; every other group, a positive class, lies inside Q_n,
     and together they fill it; each positive key, the combination of S with
@@ -592,48 +622,55 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
 
     Returns the ``ZRootDecomposition`` of z, the system, that denominator,
     the positive classes as (key, root-index mask) in key order, and the
-    keys S; its Fraction tuples and root tuples are built when read.
+    keys S; its Fraction tuples and root tuples are built when read.  A
+    batch of parabolics shares its work per Levi set through
+    ``z_root_decompositions``.
     """
-    system = q.system
-    center, scale, basis = _center(system, q.q_r)
+    return z_root_decompositions([q])[0]
 
-    def restrict(alpha):
-        return tuple(sum(map(mul, alpha, row)) for row in basis)
+
+def _decompose(
+    q: ParabolicRootSet, center: Subspace, scale: int, q_r: int, restriction: list
+) -> ZRootDecomposition:
+    """The certificate of ``z_root_decomposition`` for one q, given what
+    ``_levi_restrictions`` computed for its Levi set."""
+    system = q.system
 
     def unscaled(key):
         return tuple(Fraction(k, scale) for k in key)
 
     q_n = system._mask_of(q.q_n)
-    q_r = system._mask_of(q.q_r)
-    simple, coords = system._positive_coordinates(
-        q_n | q_r & system._positive_mask
-    )
-    roots = system.roots_sorted
-    # positions in Pi of the simple roots outside Q_r
-    outside = [j for j, k in enumerate(simple) if not q_r >> k & 1]
-    dim = len(basis)
+    simple, sums = system._positive_sums(q_n | q_r & system._positive_mask)
+    outside = [k for k in simple if not q_r >> k & 1]
+    dim = center.dim
     if len(outside) != dim:
         raise AssertionError("simple restrictions are not a basis of z*")
     zero = (0,) * dim
     levi_message = "roots vanishing on z are not exactly the Levi roots"
-    if any(restrict(roots[k]) != zero for k in simple if q_r >> k & 1):
+    if any(restriction[k] != zero for k in simple if q_r >> k & 1):
         raise AssertionError(levi_message)
-    simple_keys = [restrict(roots[simple[j]]) for j in outside]
+    simple_keys = [restriction[k] for k in outside]
 
+    # each root of B as c followed by its key: a unit c and its restriction
+    # for a simple root outside Q_r, zero for the other simple roots, and
+    # sums along the pairs
+    folded = dict.fromkeys(simple, zero + zero)
+    for j, k in enumerate(outside):
+        folded[k] = zero[:j] + (1,) + zero[j + 1 :] + simple_keys[j]
+    for k, a, b in sums:
+        folded[k] = tuple(map(add, folded[a], folded[b]))
     groups: dict = {}
-    for k, c in coords.items():
-        c = tuple(map(c.__getitem__, outside))
-        groups[c] = groups.get(c, 0) | 1 << k
+    for k, ck in folded.items():
+        groups[ck] = groups.get(ck, 0) | 1 << k
     neg = system._neg_mask
-    vanishing = groups.pop(zero, 0)
+    vanishing = groups.pop(zero + zero, 0)
     if vanishing | neg(vanishing) != q_r:
         raise AssertionError(levi_message)
 
-    columns = list(zip(*simple_keys))
     positive = []
     covered = 0
-    for c, m in groups.items():
-        key = tuple(sum(map(mul, c, col)) for col in columns)
+    for ck, m in groups.items():
+        key = ck[dim:]
         inside = m & q_n
         if inside not in (0, m):
             raise AssertionError(f"mixed z-root component at {unscaled(key)}")
@@ -643,14 +680,14 @@ def z_root_decomposition(q: ParabolicRootSet) -> ZRootDecomposition:
     if covered != q_n:
         raise AssertionError("positive components do not fill nr(q)")
     for key, m in positive:
-        if restrict(roots[(m & -m).bit_length() - 1]) != key:
+        if restriction[(m & -m).bit_length() - 1] != key:
             raise AssertionError(
                 f"positive z-root {unscaled(key)} is not a nonnegative "
                 "integer combination of simple ones"
             )
 
     if q_n | neg(q_n) | q_r != system._full_mask or (
-        2 * q_n.bit_count() + q_r.bit_count() != len(roots)
+        2 * q_n.bit_count() + q_r.bit_count() != len(system.roots_sorted)
     ):
         raise AssertionError(
             "the negative z-roots are not the negatives of the positive ones"

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 from operator import add
 from typing import Iterable, Sequence
 
-from crlie.exactlin import Subspace, canonicalize
+from crlie.exactlin import DenseMatrix, Subspace, canonicalize, kernel
 
 Root = tuple  # integer coordinate tuple
 
@@ -266,6 +266,17 @@ class RootSystem:
             table[roots[k]] = c = tuple(map(c.__getitem__, order))
             table[neg(roots[k])] = neg(c)
         return table
+
+    @cached_property
+    def _cartan_equations(self) -> tuple:
+        """Rows whose common kernel is the Cartan t, in the coordinates: a
+        basis of its annihilator (none when t is the whole space)."""
+        return kernel(DenseMatrix([list(row) for row in self.cartan.basis])).basis
+
+    @cached_property
+    def _formatted_roots(self) -> tuple:
+        """``format_root`` of each root, in the order of ``roots_sorted``."""
+        return tuple(map(format_root, self.roots_sorted))
 
     def _positive_sums(self, borel: int) -> tuple:
         """The simple roots Pi of a positive system B, given as a mask, in
@@ -625,7 +636,7 @@ class ParabolicRootSet:
 
     @property
     def dim(self) -> int:
-        return self.system.cartan.dim + len(self.q)
+        return self.system.cartan.dim + self._mask.bit_count()
 
     def to_regular(self) -> RegularSubalgebra:
         return RegularSubalgebra(self.system, self.system.cartan, self.q)

@@ -5,13 +5,14 @@ import time
 
 import pytest
 
-from crlie import cli, crcore, matrixlie, realforms
+from crlie import cli, crcore, fibration, matrixlie, realforms
 from crlie.cli import (
     ProblemError,
     emit_report,
     parse_problem,
     run,
 )
+from crlie.rootsys import build_root_system, enumerate_parabolics
 
 HOROCYCLIC = {
     "ambient": {"system": "C2"},
@@ -213,6 +214,40 @@ class TestRun:
         with pytest.raises(ValueError, match="par-min needs"):
             run("par-min", prob)
 
+    @pytest.mark.parametrize(
+        "command, system, roots, count, levis",
+        [
+            ("par-min", "A4", ["e1-e2"], 60, 1),
+            ("par-max", "D4", ["e1+e2"], 15, 15),
+            ("par-max", "B3", ["e1-e2", "e3"], 5, 5),
+        ],
+    )
+    def test_par_commands_compute_each_center_once(
+        self, monkeypatch, command, system, roots, count, levis
+    ):
+        # the finder's own _center calls come before the batch; the batch
+        # makes one per distinct Levi set of the members
+        centers, batches = [], []
+        center, batch = fibration._center, cli.z_root_decompositions
+
+        def counted_center(system, rootset):
+            centers.append(frozenset(rootset))
+            return center(system, rootset)
+
+        def counted_batch(qs):
+            batches.append(len(centers))
+            return batch(qs)
+
+        monkeypatch.setattr(fibration, "_center", counted_center)
+        monkeypatch.setattr(cli, "z_root_decompositions", counted_batch)
+        problem = {"ambient": {"system": system}, "subalgebra": {"roots": roots}}
+        members = run(command, parse_problem(problem))["par"]["members"]
+        assert len(members) == count
+        assert len({tuple(m["reductive"]) for m in members}) == levis
+        assert len(batches) == 1
+        in_batch = centers[batches[0]:]
+        assert len(in_batch) == len(set(in_batch)) == levis
+
     def test_roots_embed_into_compact_forms(self):
         prob = parse_problem(
             {
@@ -388,6 +423,18 @@ class TestRun:
             "levi_normalizer_rank": 3,
         }
         assert full.count(True) == 1
+
+
+class TestParabolicOut:
+    @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "D4"])
+    def test_mask_rendering_matches_root_sets(self, tag):
+        system = build_root_system(tag[0], int(tag[1:]))
+        for q in enumerate_parabolics(system):
+            assert cli._root_parabolic_out(q) == {
+                "dim": q.dim,
+                "nilpotent": cli._roots_out(q.q_n),
+                "reductive": cli._roots_out(q.q_r),
+            }
 
 
 class TestEmitReport:

@@ -40,6 +40,7 @@ from crlie.fibration import (
     par_membership_regular,
     ZRootDecomposition,
     z_root_decomposition,
+    z_root_decompositions,
 )
 from crlie.matrixlie import Subalg, gl_ambient, nilradical_nr, sl_ambient
 from crlie.regularize import certify_parabolic_regular, regularize_regular
@@ -1107,6 +1108,69 @@ class TestZRootCounter:
         err = done.stderr.decode()
         assert "AssertionError" in err
         assert "simple restrictions are not a basis of z*" in err
+
+
+class TestZRootBatch:
+    @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "A4", "D4"])
+    def test_batch_equals_per_q_on_seeded_par_answers(self, tag):
+        # 5 x 20 seeded closed root subalgebras: the maximal members and
+        # the minimal ones, shuffled, in one batch; each entry equals, field
+        # by field, the decomposition of a fresh copy of its q on its own
+        # (which TestZRootCounter checks against the reduction over Q(i))
+        system = build_root_system(tag[0], int(tag[1:]))
+        several = 0
+        for rng, v in seeded_closed_subalgebras(system, "z-batch", count=20):
+            batch = maximal_par(v) + minimal_par(v)
+            rng.shuffle(batch)
+            levis = {q.q_r for q in batch}
+            several += len(levis) > 1 and len(batch) > len(levis)
+            zs = z_root_decompositions(batch)
+            assert len(zs) == len(batch)
+            for q, z in zip(batch, zs):
+                alone = z_root_decomposition(
+                    ParabolicRootSet._from_mask(system, q._mask)
+                )
+                assert z == alone
+                assert z.positive_dims == alone.positive_dims
+        assert several > 0
+
+    @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "A4", "D4"])
+    def test_center_is_the_kernel_inside_t(self, tag):
+        # every Levi set of a parabolic, and the same sets without their
+        # negative roots: one kernel with the equations of t gives the
+        # kernel of the roots met with t
+        system = build_root_system(tag[0], int(tag[1:]))
+        levis = {q.q_r for q in enumerate_parabolics(system)}
+        halves = {frozenset(a for a in r if a in system.positive_roots) for r in levis}
+        for roots in levis | halves:
+            if roots:
+                rows = DenseMatrix([list(a) for a in sorted(roots)])
+                expected = kernel(rows).meet(system.cartan)
+            else:
+                expected = system.cartan
+            assert fibration._center(system, roots)[0] == expected
+
+    def test_faulty_split_inside_a_batch_raises(self):
+        # the Borel sets of A3 share one Levi set, so a bad q_n in the
+        # middle meets the center and restrictions its neighbours use, and
+        # a bad q_r in the middle gets a center of its own
+        a3 = build_root_system("A", 3)
+        borels = minimal_par(RegularSubalgebra(a3, a3.cartan, ()))
+        assert len(borels) == 24
+        assert len(z_root_decompositions(borels)) == 24
+        middle = borels[12]
+        dropped = _with_q_n(middle, middle.q_n - {min(middle.q_n)})
+        with pytest.raises(AssertionError):
+            z_root_decompositions(borels[:12] + [dropped] + borels[13:])
+        alpha = min(middle.q_n)
+        flipped = _with_q_n(middle, middle.q_n - {alpha} | {rootsys.neg(alpha)})
+        with pytest.raises(AssertionError):
+            z_root_decompositions(borels[:12] + [flipped] + borels[13:])
+        q = standard_parabolic(a3, [1])
+        bad = copy.copy(q)
+        bad.q_r = q.q_r - {min(q.q_r)}
+        with pytest.raises(AssertionError, match="not exactly the Levi roots"):
+            z_root_decompositions([q, bad, q])
 
 
 class TestLift:

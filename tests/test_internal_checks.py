@@ -197,6 +197,17 @@ TRIPPED = {
         "z_root_decomposition(q)\n",
         "AssertionError: roots vanishing on z are not exactly the Levi roots",
     ),
+    # the same Levi fault in the middle of a batch of Borel sets of A2:
+    # e2-e3 left out of the full Levi set of the whole algebra
+    "fibration.z_root_decompositions": (
+        "from crlie.fibration import z_root_decompositions\n"
+        "from crlie.rootsys import ParabolicRootSet, build_root_system, standard_borel\n"
+        "a2 = build_root_system('A', 2)\n"
+        "q = ParabolicRootSet(a2, a2.roots)\n"
+        "q.q_r = q.q_r - {(0, 1, -1)}\n"
+        "z_root_decompositions([standard_borel(a2), q, standard_borel(a2)])\n",
+        "AssertionError: roots vanishing on z are not exactly the Levi roots",
+    ),
     # t^2 passed off as squarefree shares the factor t with its derivative
     "matrixlie": (
         "from crlie import matrixlie\n"

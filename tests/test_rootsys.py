@@ -539,6 +539,12 @@ class TestParabolics:
         with pytest.raises(ValueError, match="non-roots"):
             ParabolicRootSet(C2, [(1, 0)] + list(C2.roots))
 
+    @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "D4"])
+    def test_dim_counts_the_mask(self, tag):
+        system = build_root_system(tag[0], int(tag[1:]))
+        for q in enumerate_parabolics(system):
+            assert q.dim == system.cartan.dim + len(q.q)
+
     def test_fundamental_coweights(self):
         for system in ALL_SYSTEMS:
             for i in range(1, system.rank + 1):
