@@ -3,8 +3,8 @@
 Everything downstream (root systems, matrix Lie algebras, CR invariants)
 reduces to membership, intersection and kernel questions about spans of
 vectors with Gaussian-rational coordinates.  This module provides the
-scalar type, dense matrices, canonical subspaces (unique reduced row
-echelon basis, so structural equality is subspace equality), and minimal
+scalar type, matrices, canonical subspaces (unique reduced row echelon
+basis, so structural equality is subspace equality), and minimal
 polynomials.  No floats anywhere.
 
 A scalar (a + b*i)/d is three ints with d > 0 and gcd(a, b, d) = 1, zero
@@ -12,11 +12,14 @@ being 0/1.  The form is unique, so equality and truth compare ints, and
 each +, -, * and / takes one gcd to restore it; .re and .im give the parts
 as Fractions at the boundary with the integer root code.
 
-_rref is the one row-elimination routine.  The coordinate primitives the
-Lie algebra modules share live here too: sparse and apply_sparse (maps
-stored as sparse columns, linear or antilinear), combine (linear
-combinations of rows), DenseMatrix.mul_vec, DenseMatrix.from_flat and
-Subspace.full (the unit rows).
+A DenseMatrix holds the nonzeros of each row and runs its arithmetic on
+them alone; its dense entries are a view built when read.  SpanTracker
+reduces on {index: value} rows and reads a matrix's nonzeros directly.
+_rref is the one row-elimination routine, on dense rows.  The coordinate
+primitives the Lie algebra modules share live here too: sparse and
+apply_sparse (maps stored as sparse columns, linear or antilinear), combine
+(linear combinations of rows), DenseMatrix.mul_vec, DenseMatrix.from_flat
+and Subspace.full (the unit rows).
 """
 
 from __future__ import annotations
@@ -297,17 +300,29 @@ def _co_row(row) -> tuple:
 
 
 class DenseMatrix:
-    """Immutable rectangular matrix with GaussRational entries."""
+    """Immutable rectangular matrix with GaussRational entries.
 
-    __slots__ = ("rows", "cols", "entries")
+    Stored by rows of nonzeros: _nz[i] holds the (column, value) pairs of
+    row i, columns increasing, values nonzero.  The form is unique, so ==
+    and hash compare it.  The arithmetic and zero, identity and unit touch
+    the nonzeros alone (the product row by row, as Gustavson's sparse
+    product) and build their results through _from_nonzeros, which checks
+    nothing; DenseMatrix(rows) coerces and validates.  .entries is the dense
+    view, built on first read and kept; [i, j], flatten, kernel,
+    solve_linear and pickling read it.  A matrix with no rows has no
+    columns, as DenseMatrix([]) has.
+    """
+
+    __slots__ = ("rows", "cols", "_nz", "_dense")
 
     def __init__(self, entries: Sequence[Sequence]):
         grid = tuple(_co_row(r) for r in entries)
         if grid and any(len(r) != len(grid[0]) for r in grid):
             raise ValueError("ragged matrix rows")
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
+        _set_rows(self, len(grid))
+        _set_cols(self, len(grid[0]) if grid else 0)
+        _set_nz(self, tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in grid))
+        _set_dense(self, grid)
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
@@ -315,20 +330,30 @@ class DenseMatrix:
     def __reduce__(self):
         return DenseMatrix, (self.entries,)
 
+    @property
+    def entries(self) -> tuple:
+        if self._dense is None:
+            cols = range(self.cols)
+            rows = (dict(row) for row in self._nz)
+            _set_dense(self, tuple(tuple(r.get(j, ZERO) for j in cols) for r in rows))
+        return self._dense
+
     @staticmethod
     def zero(rows: int, cols: int) -> "DenseMatrix":
-        return DenseMatrix([[0] * cols for _ in range(rows)])
+        return _from_nonzeros(rows, cols, ((),) * rows)
 
     @staticmethod
     def identity(n: int) -> "DenseMatrix":
-        return DenseMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _from_nonzeros(n, n, tuple(((i, ONE),) for i in range(n)))
 
     @staticmethod
     def unit(n: int, i: int, j: int) -> "DenseMatrix":
         """The elementary matrix E_ij (0-based indices) in gl_n."""
-        return DenseMatrix(
-            [[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)]
-        )
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"unit index ({i}, {j}) outside gl_{n}")
+        rows = [()] * n
+        rows[i] = ((j, ONE),)
+        return _from_nonzeros(n, n, tuple(rows))
 
     @staticmethod
     def from_flat(values: Sequence, cols: int) -> "DenseMatrix":
@@ -345,21 +370,13 @@ class DenseMatrix:
 
     def __add__(self, other):
         self._match(other)
-        return DenseMatrix(
-            [
-                [a + b if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
+        return _from_nonzeros(
+            self.rows, self.cols, tuple(map(_row_sum, self._nz, other._nz))
         )
 
     def __sub__(self, other):
         self._match(other)
-        return DenseMatrix(
-            [
-                [a - b if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self + other.scale(-1)
 
     def __neg__(self):
         return self.scale(-1)
@@ -369,18 +386,21 @@ class DenseMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("matrix product shape mismatch")
-        oe = other.entries
-        p = other.cols
+        onz = other._nz
         out = []
-        for row in self.entries:
-            acc = [ZERO] * p
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in enumerate(oe[k]):
-                        if b:
-                            acc[j] = acc[j] + a * b
-            out.append(acc)
-        return DenseMatrix(out)
+        for row in self._nz:
+            if len(row) == 1:
+                # one nonzero: a multiple of one row of other, no sums
+                k, a = row[0]
+                out.append(onz[k] if a is ONE else tuple((j, a * b) for j, b in onz[k]))
+                continue
+            acc = {}
+            for k, a in row:
+                for j, b in onz[k]:
+                    x = acc.get(j)
+                    acc[j] = a * b if x is None else x + a * b
+            out.append(_sorted_nonzeros(acc))
+        return _from_nonzeros(self.rows, other.cols, tuple(out))
 
     def __pow__(self, k: int):
         if self.rows != self.cols or k < 0:
@@ -400,52 +420,60 @@ class DenseMatrix:
         if len(vector) != self.cols:
             raise ValueError("matrix-vector shape mismatch")
         return tuple(
-            sum((a * x for a, x in zip(row, vector) if a and x), ZERO)
-            for row in self.entries
+            sum((a * vector[j] for j, a in row if vector[j]), ZERO) for row in self._nz
         )
 
     def scale(self, c) -> "DenseMatrix":
         c = GaussRational.of(c)
-        return DenseMatrix([[c * a if a else a for a in row] for row in self.entries])
+        return self._mapped(c.__mul__) if c else DenseMatrix.zero(self.rows, self.cols)
 
     def bracket(self, other: "DenseMatrix") -> "DenseMatrix":
         return self * other - other * self
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return self._transposed(False)
 
     def conj(self) -> "DenseMatrix":
-        return DenseMatrix([[a.conjugate() for a in row] for row in self.entries])
+        return self._mapped(GaussRational.conjugate)
 
     def conj_transpose(self) -> "DenseMatrix":
-        return self.conj().transpose()
+        return self._transposed(True)
+
+    def _mapped(self, f) -> "DenseMatrix":
+        """f applied to each nonzero entry; f must keep it nonzero."""
+        rows = tuple(tuple((j, f(x)) for j, x in row) for row in self._nz)
+        return _from_nonzeros(self.rows, self.cols, rows)
+
+    def _transposed(self, conjugate: bool) -> "DenseMatrix":
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._nz):
+            for j, x in row:
+                out[j].append((i, x.conjugate() if conjugate else x))
+        return _from_nonzeros(self.cols, self.rows, tuple(map(tuple, out)))
 
     def trace(self) -> GaussRational:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
+        return sum((x for i, row in enumerate(self._nz) for j, x in row if j == i), ZERO)
 
     def trace_product(self, other: "DenseMatrix") -> GaussRational:
         """trace(self @ other) without forming the product."""
         if self.cols != other.rows or self.rows != other.cols:
             raise ValueError("trace_product shape mismatch")
+        lookup = [dict(row) for row in other._nz]
         acc = ZERO
-        oe = other.entries
-        for t, row in enumerate(self.entries):
-            for s, x in enumerate(row):
-                if x:
-                    y = oe[s][t]
-                    if y:
-                        acc = acc + x * y
+        for t, row in enumerate(self._nz):
+            for s, x in row:
+                y = lookup[s].get(t)
+                if y is not None:
+                    acc = acc + x * y
         return acc
 
     def flatten(self) -> tuple:
         return tuple(a for row in self.entries for a in row)
 
     def is_zero(self) -> bool:
-        return not any(a for row in self.entries for a in row)
+        return not any(self._nz)
 
     def _match(self, other):
         if not isinstance(other, DenseMatrix):
@@ -456,16 +484,50 @@ class DenseMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, DenseMatrix)
-            and self.entries == other.entries
             and self.cols == other.cols
+            and self._nz == other._nz
         )
 
     def __hash__(self):
-        return hash((self.cols, self.entries))
+        return hash((self.cols, self._nz))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in row) for row in self.entries)
         return f"DenseMatrix[{self.rows}x{self.cols}: {body}]"
+
+
+_set_rows = DenseMatrix.rows.__set__
+_set_cols = DenseMatrix.cols.__set__
+_set_nz = DenseMatrix._nz.__set__
+_set_dense = DenseMatrix._dense.__set__
+
+
+def _from_nonzeros(rows: int, cols: int, nz: tuple) -> DenseMatrix:
+    """The matrix of shape rows x cols whose rows of nonzeros are nz, already
+    in DenseMatrix's form; nothing is checked."""
+    m = _new(DenseMatrix)
+    _set_rows(m, rows)
+    _set_cols(m, cols if rows else 0)
+    _set_nz(m, nz)
+    _set_dense(m, None)
+    return m
+
+
+def _sorted_nonzeros(acc: dict) -> tuple:
+    """The nonzero items of a {column: value} dict, columns increasing."""
+    return tuple(sorted((j, x) for j, x in acc.items() if x))
+
+
+def _row_sum(ra: tuple, rb: tuple) -> tuple:
+    if not rb:
+        return ra
+    if not ra:
+        return rb
+    acc = dict(ra)
+    for j, b in rb:
+        x = acc.get(j)
+        acc[j] = b if x is None else x + b
+    return _sorted_nonzeros(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +776,11 @@ class SpanTracker:
     span of everything inserted so far and returns coordinates with respect
     to the inserted (not the reduced) vectors.  Used for minimal polynomials,
     structure constants and bracket closures.
+
+    A vector is a sequence of width scalars or a DenseMatrix with width
+    entries, read row after row from its nonzeros.  Each reduced row and its
+    combination of inserted vectors are kept as {index: nonzero value}
+    dicts, so a reduction touches only the nonzeros of the rows it uses.
     """
 
     def __init__(self, width: int):
@@ -726,37 +793,57 @@ class SpanTracker:
         return len(self.rows)
 
     def _reduce(self, vector):
-        w = list(_co_row(vector))
-        if len(w) != self.width:
-            raise ValueError("vector width mismatch")
-        combo = [ZERO] * self.count
+        if isinstance(vector, DenseMatrix):
+            cols = vector.cols
+            if vector.rows * cols != self.width:
+                raise ValueError("vector width mismatch")
+            w = {i * cols + j: x for i, row in enumerate(vector._nz) for j, x in row}
+        else:
+            row = _co_row(vector)
+            if len(row) != self.width:
+                raise ValueError("vector width mismatch")
+            w = {j: x for j, x in enumerate(row) if x}
+        combo = {}
         for row, pivot, rcombo in self.rows:
-            c = w[pivot]
-            if c:
-                w = [a - c * b if b else a for a, b in zip(w, row)]
-                combo = [a + c * b if b else a for a, b in zip(combo, rcombo)]
+            c = w.get(pivot)
+            if c is not None:
+                _axpy(w, -c, row)
+                _axpy(combo, c, rcombo)
         return w, combo
 
     def express(self, vector):
         w, combo = self._reduce(vector)
-        return tuple(combo) if not any(w) else None
+        if w:
+            return None
+        return tuple(combo.get(i, ZERO) for i in range(self.count))
 
     def add(self, vector) -> bool:
         """Insert a vector; True if it enlarged the span."""
         w, combo = self._reduce(vector)
-        for other in self.rows:
-            other[2].append(ZERO)
+        index = self.count
         self.count += 1
-        if not any(w):
+        if not w:
             return False
-        pivot = next(i for i, a in enumerate(w) if a)
+        pivot = min(w)
         piv = w[pivot]
         if piv != ONE:
-            w = [a / piv if a else a for a in w]
-            combo = [a / piv if a else a for a in combo]
-        rcombo = [-a if a else a for a in combo] + [ONE / piv]
-        self.rows.append([w, pivot, rcombo])
+            w = {j: a / piv for j, a in w.items()}
+            combo = {j: a / piv for j, a in combo.items()}
+        rcombo = {j: -a for j, a in combo.items()}
+        rcombo[index] = ONE / piv
+        self.rows.append((w, pivot, rcombo))
         return True
+
+
+def _axpy(acc: dict, c: GaussRational, row: dict):
+    """acc += c * row on {index: nonzero value} dicts, dropping zeros."""
+    for j, b in row.items():
+        x = acc.get(j)
+        x = c * b if x is None else x + c * b
+        if x:
+            acc[j] = x
+        else:
+            del acc[j]
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +1020,7 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def min_poly(m: DenseMatrix) -> Poly:
-    """Monic minimal polynomial, by Krylov iteration on flattened powers."""
+    """Monic minimal polynomial, by Krylov iteration on the powers of m."""
     if m.rows != m.cols:
         raise ValueError("minimal polynomial needs a square matrix")
     n = m.rows
@@ -942,10 +1029,10 @@ def min_poly(m: DenseMatrix) -> Poly:
     tracker = SpanTracker(n * n)
     power = DenseMatrix.identity(n)
     for d in range(n + 1):
-        combo = tracker.express(power.flatten())
+        combo = tracker.express(power)
         if combo is not None:
             return Poly([-c for c in combo] + [1])
-        tracker.add(power.flatten())
+        tracker.add(power)
         power = power * m
     raise AssertionError("minimal polynomial degree exceeded matrix size")
 

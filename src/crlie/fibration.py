@@ -369,7 +369,7 @@ def maximal_par(
     if containing is not None and containing.system != v.system:
         raise ValueError("v and containing live in different root systems")
     system = v.system
-    _check_rank_cap(system, rank_cap)
+    _check_rank_cap(system, rank_cap, "Par(v) rank cap")
     neg = system._neg_mask
     member = _par_test(v)
     nr = system._mask_of(v.nilpotent_roots)
@@ -411,7 +411,7 @@ def minimal_par(
     to be a parabolic in Par(v), to have Levi exactly L0, and to absorb
     nr(v) into its nilradical."""
     system = v.system
-    _check_rank_cap(system, rank_cap)
+    _check_rank_cap(system, rank_cap, "Par(v) rank cap")
     neg = system._neg_mask
     member = _par_test(v)
     nr = system._mask_of(v.nilpotent_roots)

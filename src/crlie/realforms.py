@@ -569,10 +569,10 @@ def _build(spec: RealFormSpec) -> RealForm:
     dim = len(g_basis)
     tracker = SpanTracker(n * n)
     for b in g_basis:
-        _require(tracker.add(b.flatten()), "presentation basis is dependent")
+        _require(tracker.add(b), "presentation basis is dependent")
 
     def coords(x):
-        c = tracker.express(x.flatten())
+        c = tracker.express(x)
         _require(c is not None, "sigma, theta or h0 leaves g")
         return c
 
@@ -627,8 +627,8 @@ def _build(spec: RealFormSpec) -> RealForm:
             _require(a.bracket(b).is_zero(), "adapted Cartan is not abelian")
     on_coord = SpanTracker(n * n)
     for h in pres.coord_elements:
-        on_coord.add(h.flatten())
-    weights = [on_coord.express(h.flatten()) for h in h0]
+        on_coord.add(h)
+    weights = [on_coord.express(h) for h in h0]
     _require(None not in weights, "h0 leaves the span of the coordinate elements")
 
     split = len(pres.h_minus)

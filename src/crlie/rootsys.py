@@ -711,11 +711,9 @@ def standard_borel(system: RootSystem) -> ParabolicRootSet:
 
 RANK_CAP_DEFAULT = 6
 
-def _check_rank_cap(system: RootSystem, rank_cap: int):
+def _check_rank_cap(system: RootSystem, rank_cap: int, cap="Weyl enumeration cap"):
     if system.rank > rank_cap:
-        raise ValueError(
-            f"rank {system.rank} exceeds the Weyl enumeration cap {rank_cap}"
-        )
+        raise ValueError(f"rank {system.rank} exceeds the {cap} {rank_cap}")
 
 
 def weyl_root_permutations(system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT):

@@ -577,6 +577,15 @@ class TestMain:
         assert report["dims"]["v"] == 5
         assert report["flags"]["n_reductive"] is True
 
+    @pytest.mark.parametrize("command", ["par-max", "par-min"])
+    def test_par_rank_cap_exits_one(self, tmp_path, capsysbinary, command):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**HOROCYCLIC, "options": {"rank_cap": 1}}))
+        assert cli.main([command, str(path)]) == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.decode() == "crlie: rank 2 exceeds the Par(v) rank cap 1\n"
+
     def test_schema_violations_exit_one(self, tmp_path, capsysbinary):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps({"ambient": {}, "subalgebra": {}}))

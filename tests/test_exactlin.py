@@ -458,6 +458,109 @@ def test_matrix_add_sub_bracket_match_entrywise_reference():
         assert a.bracket(b) == DenseMatrix(product)
 
 
+def _rand_rect(rng, rows, cols, density):
+    """A seeded rows x cols matrix, given as lists, a share density nonzero."""
+    return [
+        [rand_scalar(rng) if rng.random() < density else g(0) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def _assert_kernel_form(m):
+    """m holds its nonzeros in the one stored form, and agrees with the
+    matrix the public constructor builds from its dense view."""
+    assert len(m._nz) == m.rows and all(len(row) == m.cols for row in m.entries)
+    for row in m._nz:
+        columns = [j for j, _ in row]
+        assert columns == sorted(set(columns)) and all(0 <= j < m.cols for j in columns)
+        assert all(type(x) is GaussRational and x for _, x in row)
+    again = DenseMatrix(m.entries)
+    assert m == again and hash(m) == hash(again)
+    assert (m.rows, m.cols) == (again.rows, again.cols)
+
+
+def test_rectangular_kernel_matches_entrywise_reference():
+    rng = random.Random(5151)
+    for _ in range(300):
+        k, m, p = (rng.choice((0, 1, 2, 3, 4, 5)) for _ in range(3))
+        m = m if k else 0  # a matrix with no rows has no columns
+        density = rng.choice((0.0, 0.2, 0.5, 1.0))
+        ra, rb = _rand_rect(rng, k, m, density), _rand_rect(rng, m, p, density)
+        a, b = DenseMatrix(ra), DenseMatrix(rb)
+        product = a * b
+        want = [
+            [sum((ra[i][t] * rb[t][j] for t in range(m)), g(0)) for j in range(b.cols)]
+            for i in range(k)
+        ]
+        assert product == DenseMatrix(want)
+        assert (product.rows, product.cols) == (k, b.cols if k else 0)
+        assert a.transpose() == DenseMatrix(
+            [[ra[i][j] for i in range(k)] for j in range(a.cols)]
+        )
+        assert a.conj_transpose() == DenseMatrix(
+            [[ra[i][j].conjugate() for i in range(k)] for j in range(a.cols)]
+        )
+        assert a.conj().conj() == a
+        if m:  # a k x 0 matrix transposes to 0 x 0, as DenseMatrix([]) is
+            assert a.transpose().transpose() == a
+        v = [rand_scalar(rng) if rng.random() < 0.5 else g(0) for _ in range(a.cols)]
+        assert a.mul_vec(v) == tuple(
+            sum((x * y for x, y in zip(row, v)), g(0)) for row in ra
+        )
+        if k == m:
+            assert a.trace() == sum((ra[i][i] for i in range(k)), g(0))
+        if m and k:
+            c = DenseMatrix(_rand_rect(rng, m, k, density))
+            assert a.trace_product(c) == (a * c).trace()
+        for x in (product, a.transpose(), a.conj_transpose(), a.scale(rand_scalar(rng))):
+            _assert_kernel_form(x)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        DenseMatrix([[1, 2]]) * DenseMatrix([[1, 2]])
+    with pytest.raises(ValueError, match="outside gl_2"):
+        DenseMatrix.unit(2, 0, 2)
+
+
+def test_kernel_results_cancel_to_zero():
+    rng = random.Random(5252)
+    for _ in range(200):
+        k, m = rng.randint(1, 5), rng.randint(1, 5)
+        a = DenseMatrix(_rand_rect(rng, k, m, rng.choice((0.3, 0.7, 1.0))))
+        b = DenseMatrix(_rand_rect(rng, k, m, 0.5))
+        zero = DenseMatrix.zero(k, m)
+        for x in (a - a, a + a.scale(-1), -a + a, (a + b) - b - a, a.scale(0)):
+            assert x == zero and x.is_zero() and not any(x._nz)
+            _assert_kernel_form(x)
+        assert (a + b) - b == a
+        # a times a basis of its null space: every entry sums to zero
+        null = kernel(a).basis
+        if null:
+            n = DenseMatrix([list(col) for col in zip(*null)])
+            assert (a * n).is_zero() and a * n == DenseMatrix.zero(k, len(null))
+            _assert_kernel_form(a * n)
+    x = DenseMatrix([[1, g(0, 1)], [g(0, 1), -1]])
+    assert (x * x).is_zero() and x.bracket(x).is_zero()
+    assert not DenseMatrix([[0, 1]]).is_zero()
+
+
+def test_kernel_built_values_agree_with_public_constructor():
+    e, f = DenseMatrix.unit(3, 0, 1), DenseMatrix.unit(3, 1, 0)
+    h = e.bracket(f)
+    for m in (
+        e,
+        h,
+        DenseMatrix.identity(3),
+        DenseMatrix.zero(2, 3),
+        DenseMatrix.zero(0, 4),
+        (e + f.scale(g(0, 2))).conj_transpose(),
+        e ** 0,
+        e ** 2,
+    ):
+        _assert_kernel_form(m)
+        assert {m: 1}[DenseMatrix(m.entries)] == 1
+    assert h == DenseMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]) and h[1, 1] == g(-1)
+    assert DenseMatrix.zero(0, 4) == DenseMatrix([]) and DenseMatrix([]).cols == 0
+
+
 def test_meet_join_equals_canonicalized_halves():
     rng = random.Random(515)
     for _ in range(200):
@@ -579,11 +682,19 @@ def test_value_types_pickle_round_trip():
         Poly([]),
         SplitEvidence(True, 12),
         SplitEvidence(False, 3, witness=rand_matrix(rng, 3, 3)),
+        # built by the kernel, not the public constructor
+        rand_matrix(rng, 3, 3).bracket(DenseMatrix.unit(3, 0, 2)),
+        rand_matrix(rng, 2, 4).conj_transpose(),
+        DenseMatrix.unit(4, 1, 3),
     ]
     for value in values:
         back = pickle.loads(pickle.dumps(value))
         assert type(back) is type(value)
         assert back == value and hash(back) == hash(value)
+        if isinstance(value, DenseMatrix):
+            # the pickle carries the entries alone, never the cached view
+            assert value.__reduce__() == (DenseMatrix, (value.entries,))
+            assert (back.rows, back.cols, back.entries) == (value.rows, value.cols, value.entries)
     s = values[3]
     assert pickle.loads(pickle.dumps(s)).pivots == s.pivots
 
@@ -719,6 +830,78 @@ def test_span_tracker_express_matches_solve_linear():
                     c = rand_scalar(rng)
                     target = [a + c * b for a, b in zip(target, v)]
             assert tracker.express(target) == solve_linear(columns, target)
+
+
+class DenseSpanTracker:
+    """Reference: SpanTracker on dense rows, each combination a full list."""
+
+    def __init__(self, width):
+        self.width, self.rows, self.count = width, [], 0
+
+    def _reduce(self, vector):
+        w = [GaussRational.of(x) for x in vector]
+        assert len(w) == self.width
+        combo = [g(0)] * self.count
+        for row, pivot, rcombo in self.rows:
+            c = w[pivot]
+            if c:
+                w = [a - c * b for a, b in zip(w, row)]
+                combo = [a + c * b for a, b in zip(combo, rcombo)]
+        return w, combo
+
+    def express(self, vector):
+        w, combo = self._reduce(vector)
+        return tuple(combo) if not any(w) else None
+
+    def add(self, vector):
+        w, combo = self._reduce(vector)
+        for other in self.rows:
+            other[2].append(g(0))
+        self.count += 1
+        if not any(w):
+            return False
+        pivot = next(i for i, a in enumerate(w) if a)
+        piv = w[pivot]
+        w, combo = [a / piv for a in w], [a / piv for a in combo]
+        self.rows.append([w, pivot, [-a for a in combo] + [g(1) / piv]])
+        return True
+
+
+def test_span_tracker_matches_dense_reference():
+    rng = random.Random(7373)
+    found = {True: 0, False: 0, "member": 0, "outside": 0}
+    for _ in range(150):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        density = rng.choice((0.15, 0.4, 1.0))
+        width = rows * cols
+        on_matrices, on_tuples = SpanTracker(width), SpanTracker(width)
+        reference = DenseSpanTracker(width)
+        inserted = []
+        for _ in range(rng.randint(1, width + 3)):
+            if inserted and rng.random() < 0.3:
+                a, b = rng.choice(inserted), rng.choice(inserted)
+                m = a + b.scale(rand_scalar(rng))
+            else:
+                m = DenseMatrix(_rand_rect(rng, rows, cols, density))
+            inserted.append(m)
+            want = reference.add(m.flatten())
+            assert on_matrices.add(m) == want == on_tuples.add(m.flatten())
+            found[want] += 1
+            member = DenseMatrix.zero(rows, cols)
+            for x in inserted:
+                member = member + x.scale(rand_scalar(rng))
+            other = DenseMatrix(_rand_rect(rng, rows, cols, density))
+            for target in (member, other, DenseMatrix.zero(rows, cols)):
+                want = reference.express(target.flatten())
+                assert on_matrices.express(target) == want
+                assert on_tuples.express(target.flatten()) == want
+                found["outside" if want is None else "member"] += 1
+        assert on_matrices.dim == on_tuples.dim == len(reference.rows)
+        with pytest.raises(ValueError, match="width mismatch"):
+            on_matrices.add(DenseMatrix.zero(rows, cols + 1))
+        with pytest.raises(ValueError, match="width mismatch"):
+            on_tuples.express([g(0)] * (width + 1))
+    assert min(found.values()) >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,15 @@ class TestMaximalPar:
                 maximal_par(SO7_V, containing=other)
 
 
+class TestParRankCap:
+    @pytest.mark.parametrize("finder", [maximal_par, minimal_par])
+    def test_finders_name_their_own_cap(self, finder):
+        # the finders walk chambers and build no Weyl table
+        with pytest.raises(ValueError, match=r"^rank 3 exceeds the Par\(v\) rank cap 2$"):
+            finder(SO7_V, rank_cap=2)
+        assert finder(SO7_V, rank_cap=3)
+
+
 class TestMinimalPar:
     def test_parabolic_input_is_its_minimum(self):
         q = standard_parabolic(C2, [1])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from crlie import matrixlie
+from crlie import cli, matrixlie
 from crlie.crcore import levi_part, regularity_type
 from crlie.exactlin import (
     DenseMatrix,
@@ -24,6 +24,8 @@ from crlie.matrixlie import (
     AmbientAlgebra,
     Subalg,
     _internal_ads,
+    _internal_coords,
+    _radical_space_from_ads,
     bracket_closure,
     centralizer,
     centralizer_element,
@@ -468,6 +470,37 @@ def reference_nilradical(sub):
     return Subalg(amb, kernel(DenseMatrix(equations)).meet(rad.space))
 
 
+def quotient_ads(sub, ideal):
+    """Structure of v / ideal: ad matrices on a complement of the ideal."""
+    amb, space = sub.ambient, sub.space
+    ideal_internal = canonicalize(
+        [
+            _internal_coords(space, row, "ideal is not inside the subalgebra")
+            for row in ideal.space.basis
+        ],
+        sub.dim,
+    )
+    pivset = set(ideal_internal.pivots)
+    free = [i for i in range(sub.dim) if i not in pivset]
+    ads = []
+    for c1 in free:
+        cols = []
+        for c2 in free:
+            br = amb.bracket(space.basis[c1], space.basis[c2])
+            red, _ = ideal_internal.reduce(_internal_coords(space, br))
+            cols.append([red[t] for t in free])
+        ads.append(DenseMatrix(cols).transpose())
+    return ads, len(free)
+
+
+def assert_reductive_quotient(sub, nil):
+    """Killing-form oracle: the radical of v / nil, Killing-orthogonal to
+    its derived algebra, is central, so v / nil is reductive."""
+    ads, dim = quotient_ads(sub, nil)
+    for c in _radical_space_from_ads(ads, dim).basis:
+        assert not any(any(ad.mul_vec(c)) for ad in ads), "v / nr(v) is not reductive"
+
+
 GL4 = gl_ambient(4)
 # the 3-cycle: tr P = tr P^2 = 0 and tr P^3 = 3
 CYCLE3 = DenseMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
@@ -565,7 +598,9 @@ class TestNilradicalAgainstKillingRoute:
         for v in killing_route_cases():
             expected = reference_nilradical(v)
             start = len(round_dims)
-            assert nilradical_nr(v).space == expected.space
+            nil = nilradical_nr(v)
+            assert nil.space == expected.space
+            assert_reductive_quotient(v, nil)
             later_rounds += len(round_dims) - start > 1
             meet, join = expected.meet_join(levi_part(v))
             not_n_reductive += meet.dim > 0 or join.space != v.space
@@ -582,6 +617,21 @@ class TestNilradicalAgainstKillingRoute:
         assert len(round_dims) == rounds
         assert nil.dim == nr_dim == round_dims[-1]
         assert nil.space == reference_nilradical(v).space
+
+
+def test_corpus_quotients_by_the_nilradical_are_reductive(monkeypatch):
+    fresh, seen = matrixlie.nilradical_nr, []
+
+    def recorded(sub):
+        seen.append((sub, fresh(sub)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(matrixlie, "nilradical_nr", recorded)
+    for name in cli._fixture_names():
+        assert cli._run_fixture(name)["ok"], name
+    assert len(seen) >= 16
+    for sub, nil in seen:
+        assert_reductive_quotient(sub, nil)
 
 
 class TestNilradicalAccessor:
