@@ -370,13 +370,13 @@ class DenseMatrix:
 
     def __add__(self, other):
         self._match(other)
-        return _from_nonzeros(
-            self.rows, self.cols, tuple(map(_row_sum, self._nz, other._nz))
-        )
+        rows = tuple(_row_sum(ra, rb, False) for ra, rb in zip(self._nz, other._nz))
+        return _from_nonzeros(self.rows, self.cols, rows)
 
     def __sub__(self, other):
         self._match(other)
-        return self + other.scale(-1)
+        rows = tuple(_row_sum(ra, rb, True) for ra, rb in zip(self._nz, other._nz))
+        return _from_nonzeros(self.rows, self.cols, rows)
 
     def __neg__(self):
         return self.scale(-1)
@@ -428,7 +428,24 @@ class DenseMatrix:
         return self._mapped(c.__mul__) if c else DenseMatrix.zero(self.rows, self.cols)
 
     def bracket(self, other: "DenseMatrix") -> "DenseMatrix":
-        return self * other - other * self
+        """self * other - other * self, summed row by row in one pass."""
+        self._match(other)
+        if self.rows != self.cols:
+            raise ValueError("bracket of non-square matrices")
+        anz, bnz = self._nz, other._nz
+        out = []
+        for ra, rb in zip(anz, bnz):
+            acc = {}
+            for k, a in ra:
+                for j, b in bnz[k]:
+                    x = acc.get(j)
+                    acc[j] = a * b if x is None else x + a * b
+            for k, b in rb:
+                for j, a in anz[k]:
+                    x = acc.get(j)
+                    acc[j] = -(b * a) if x is None else x - b * a
+            out.append(_sorted_nonzeros(acc))
+        return _from_nonzeros(self.rows, self.cols, tuple(out))
 
     def transpose(self) -> "DenseMatrix":
         return self._transposed(False)
@@ -518,15 +535,19 @@ def _sorted_nonzeros(acc: dict) -> tuple:
     return tuple(sorted((j, x) for j, x in acc.items() if x))
 
 
-def _row_sum(ra: tuple, rb: tuple) -> tuple:
+def _row_sum(ra: tuple, rb: tuple, negate: bool) -> tuple:
+    """ra + rb, or ra - rb if negate, on rows of nonzeros."""
     if not rb:
         return ra
     if not ra:
-        return rb
+        return tuple((j, -b) for j, b in rb) if negate else rb
     acc = dict(ra)
     for j, b in rb:
         x = acc.get(j)
-        acc[j] = b if x is None else x + b
+        if x is None:
+            acc[j] = -b if negate else b
+        else:
+            acc[j] = x - b if negate else x + b
     return _sorted_nonzeros(acc)
 
 

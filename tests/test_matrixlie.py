@@ -632,6 +632,10 @@ def test_corpus_quotients_by_the_nilradical_are_reductive(monkeypatch):
     assert len(seen) >= 16
     for sub, nil in seen:
         assert_reductive_quotient(sub, nil)
+    # the oracle refuses a quotient that is not reductive: the Borel of gl2
+    borel = Subalg.from_matrices(GL2, [unit(2, 0, 0), unit(2, 1, 1), unit(2, 0, 1)])
+    with pytest.raises(AssertionError, match="not reductive"):
+        assert_reductive_quotient(borel, GL2.zero_subalg())
 
 
 class TestNilradicalAccessor:
