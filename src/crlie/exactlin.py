@@ -369,14 +369,19 @@ class DenseMatrix:
         return self.entries[i][j]
 
     def __add__(self, other):
-        self._match(other)
-        rows = tuple(_row_sum(ra, rb, False) for ra, rb in zip(self._nz, other._nz))
-        return _from_nonzeros(self.rows, self.cols, rows)
+        return self._plus(other, ONE)
 
     def __sub__(self, other):
+        return self._plus(other, -ONE)
+
+    def _plus(self, other, c):
         self._match(other)
-        rows = tuple(_row_sum(ra, rb, True) for ra, rb in zip(self._nz, other._nz))
-        return _from_nonzeros(self.rows, self.cols, rows)
+        out = []
+        for ra, rb in zip(self._nz, other._nz):
+            acc = dict(ra)
+            _axpy(acc, c, rb)
+            out.append(tuple(sorted(acc.items())))
+        return _from_nonzeros(self.rows, self.cols, tuple(out))
 
     def __neg__(self):
         return self.scale(-1)
@@ -396,10 +401,8 @@ class DenseMatrix:
                 continue
             acc = {}
             for k, a in row:
-                for j, b in onz[k]:
-                    x = acc.get(j)
-                    acc[j] = a * b if x is None else x + a * b
-            out.append(_sorted_nonzeros(acc))
+                _axpy(acc, a, onz[k])
+            out.append(tuple(sorted(acc.items())))
         return _from_nonzeros(self.rows, other.cols, tuple(out))
 
     def __pow__(self, k: int):
@@ -428,45 +431,38 @@ class DenseMatrix:
         return self._mapped(c.__mul__) if c else DenseMatrix.zero(self.rows, self.cols)
 
     def bracket(self, other: "DenseMatrix") -> "DenseMatrix":
-        """self * other - other * self, summed row by row in one pass."""
+        """self * other - other * self, row by row in one pass."""
         self._match(other)
         if self.rows != self.cols:
-            raise ValueError("bracket of non-square matrices")
+            raise ValueError("matrix product shape mismatch")
         anz, bnz = self._nz, other._nz
         out = []
         for ra, rb in zip(anz, bnz):
             acc = {}
             for k, a in ra:
-                for j, b in bnz[k]:
-                    x = acc.get(j)
-                    acc[j] = a * b if x is None else x + a * b
+                _axpy(acc, a, bnz[k])
             for k, b in rb:
-                for j, a in anz[k]:
-                    x = acc.get(j)
-                    acc[j] = -(b * a) if x is None else x - b * a
-            out.append(_sorted_nonzeros(acc))
+                _axpy(acc, -b, anz[k])
+            out.append(tuple(sorted(acc.items())))
         return _from_nonzeros(self.rows, self.cols, tuple(out))
 
     def transpose(self) -> "DenseMatrix":
-        return self._transposed(False)
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._nz):
+            for j, x in row:
+                out[j].append((i, x))
+        return _from_nonzeros(self.cols, self.rows, tuple(map(tuple, out)))
 
     def conj(self) -> "DenseMatrix":
         return self._mapped(GaussRational.conjugate)
 
     def conj_transpose(self) -> "DenseMatrix":
-        return self._transposed(True)
+        return self.conj().transpose()
 
     def _mapped(self, f) -> "DenseMatrix":
         """f applied to each nonzero entry; f must keep it nonzero."""
         rows = tuple(tuple((j, f(x)) for j, x in row) for row in self._nz)
         return _from_nonzeros(self.rows, self.cols, rows)
-
-    def _transposed(self, conjugate: bool) -> "DenseMatrix":
-        out = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self._nz):
-            for j, x in row:
-                out[j].append((i, x.conjugate() if conjugate else x))
-        return _from_nonzeros(self.cols, self.rows, tuple(map(tuple, out)))
 
     def trace(self) -> GaussRational:
         if self.rows != self.cols:
@@ -528,27 +524,6 @@ def _from_nonzeros(rows: int, cols: int, nz: tuple) -> DenseMatrix:
     _set_nz(m, nz)
     _set_dense(m, None)
     return m
-
-
-def _sorted_nonzeros(acc: dict) -> tuple:
-    """The nonzero items of a {column: value} dict, columns increasing."""
-    return tuple(sorted((j, x) for j, x in acc.items() if x))
-
-
-def _row_sum(ra: tuple, rb: tuple, negate: bool) -> tuple:
-    """ra + rb, or ra - rb if negate, on rows of nonzeros."""
-    if not rb:
-        return ra
-    if not ra:
-        return tuple((j, -b) for j, b in rb) if negate else rb
-    acc = dict(ra)
-    for j, b in rb:
-        x = acc.get(j)
-        if x is None:
-            acc[j] = -b if negate else b
-        else:
-            acc[j] = x - b if negate else x + b
-    return _sorted_nonzeros(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -815,21 +790,19 @@ class SpanTracker:
 
     def _reduce(self, vector):
         if isinstance(vector, DenseMatrix):
-            cols = vector.cols
-            if vector.rows * cols != self.width:
-                raise ValueError("vector width mismatch")
+            size, cols = vector.rows * vector.cols, vector.cols
             w = {i * cols + j: x for i, row in enumerate(vector._nz) for j, x in row}
         else:
-            row = _co_row(vector)
-            if len(row) != self.width:
-                raise ValueError("vector width mismatch")
-            w = {j: x for j, x in enumerate(row) if x}
+            vector = _co_row(vector)
+            size, w = len(vector), dict(sparse(vector))
+        if size != self.width:
+            raise ValueError("vector width mismatch")
         combo = {}
         for row, pivot, rcombo in self.rows:
             c = w.get(pivot)
             if c is not None:
-                _axpy(w, -c, row)
-                _axpy(combo, c, rcombo)
+                _axpy(w, -c, row.items())
+                _axpy(combo, c, rcombo.items())
         return w, combo
 
     def express(self, vector):
@@ -856,9 +829,10 @@ class SpanTracker:
         return True
 
 
-def _axpy(acc: dict, c: GaussRational, row: dict):
-    """acc += c * row on {index: nonzero value} dicts, dropping zeros."""
-    for j, b in row.items():
+def _axpy(acc: dict, c: GaussRational, pairs):
+    """acc += c * pairs, for (index, value) pairs and a dict of nonzeros;
+    entries that cancel leave the dict."""
+    for j, b in pairs:
         x = acc.get(j)
         x = c * b if x is None else x + c * b
         if x:
