@@ -67,12 +67,12 @@ def regularity_type(v: Subalg) -> RegularityReport:
     amb = v.ambient
     ambient_rank = amb.rank
 
-    def rank(n):
-        m = n.meet(n.sigma_image())
+    def rank(m):
         return ambient_rank if m.dim == amb.dim else maximal_torus(m).dim
 
-    rank1 = rank(normalizer(v))
-    rank2 = rank(normalizer(levi_part(v)))
+    m1, m2 = (n.meet(n.sigma_image()) for n in (normalizer(v), normalizer(levi_part(v))))
+    rank1 = rank(m1)
+    rank2 = rank1 if m2 == m1 else rank(m2)
 
     if rank1 == ambient_rank:
         kind = "I"

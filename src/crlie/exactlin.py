@@ -12,14 +12,13 @@ being 0/1.  The form is unique, so equality and truth compare ints, and
 each +, -, * and / takes one gcd to restore it; .re and .im give the parts
 as Fractions at the boundary with the integer root code.
 
-A DenseMatrix holds the nonzeros of each row and runs its arithmetic on
-them alone; its dense entries are a view built when read.  SpanTracker
-reduces on {index: value} rows and reads a matrix's nonzeros directly.
-_rref is the one row-elimination routine, on dense rows.  The coordinate
-primitives the Lie algebra modules share live here too: sparse and
-apply_sparse (maps stored as sparse columns, linear or antilinear), combine
-(linear combinations of rows), DenseMatrix.mul_vec, DenseMatrix.from_flat
-and Subspace.full (the unit rows).
+A vector's nonzeros are its (index, value) pairs, indices increasing.  A
+DenseMatrix holds the nonzeros of each row, a Subspace those of its RREF
+rows, each with a dense view built when read.  _rref is the one
+row-elimination routine, a sparse Gauss-Jordan on {index: value} rows.
+The coordinate primitives the Lie algebra modules share live here too, on
+nonzeros: sparse, sparse_span, combine (linear combinations of rows) and
+apply_sparse (maps stored as sparse columns, linear or antilinear).
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 
@@ -308,20 +308,19 @@ class DenseMatrix:
     the nonzeros alone (the product row by row, as Gustavson's sparse
     product) and build their results through _from_nonzeros, which checks
     nothing; DenseMatrix(rows) coerces and validates.  .entries is the dense
-    view, built on first read and kept; [i, j], flatten, kernel,
-    solve_linear and pickling read it.  A matrix with no rows has no
-    columns, as DenseMatrix([]) has.
+    view, built on first read and kept; [i, j], flatten and pickling read
+    it.  A matrix with no rows has no columns, as DenseMatrix([]) has.
     """
 
     __slots__ = ("rows", "cols", "_nz", "_dense")
 
     def __init__(self, entries: Sequence[Sequence]):
-        grid = tuple(_co_row(r) for r in entries)
+        grid = tuple(map(_co_row, entries))
         if grid and any(len(r) != len(grid[0]) for r in grid):
             raise ValueError("ragged matrix rows")
         _set_rows(self, len(grid))
         _set_cols(self, len(grid[0]) if grid else 0)
-        _set_nz(self, tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in grid))
+        _set_nz(self, tuple(map(sparse, grid)))
         _set_dense(self, grid)
 
     def __setattr__(self, name, value):
@@ -333,9 +332,7 @@ class DenseMatrix:
     @property
     def entries(self) -> tuple:
         if self._dense is None:
-            cols = range(self.cols)
-            rows = (dict(row) for row in self._nz)
-            _set_dense(self, tuple(tuple(r.get(j, ZERO) for j in cols) for r in rows))
+            _set_dense(self, tuple(_densify(row, self.cols) for row in self._nz))
         return self._dense
 
     @staticmethod
@@ -380,7 +377,7 @@ class DenseMatrix:
         for ra, rb in zip(self._nz, other._nz):
             acc = dict(ra)
             _axpy(acc, c, rb)
-            out.append(tuple(sorted(acc.items())))
+            out.append(_pairs(acc))
         return _from_nonzeros(self.rows, self.cols, tuple(out))
 
     def __neg__(self):
@@ -402,7 +399,7 @@ class DenseMatrix:
             acc = {}
             for k, a in row:
                 _axpy(acc, a, onz[k])
-            out.append(tuple(sorted(acc.items())))
+            out.append(_pairs(acc))
         return _from_nonzeros(self.rows, other.cols, tuple(out))
 
     def __pow__(self, k: int):
@@ -443,7 +440,7 @@ class DenseMatrix:
                 _axpy(acc, a, bnz[k])
             for k, b in rb:
                 _axpy(acc, -b, anz[k])
-            out.append(tuple(sorted(acc.items())))
+            out.append(_pairs(acc))
         return _from_nonzeros(self.rows, self.cols, tuple(out))
 
     def transpose(self) -> "DenseMatrix":
@@ -526,116 +523,105 @@ def _from_nonzeros(rows: int, cols: int, nz: tuple) -> DenseMatrix:
     return m
 
 
-# ---------------------------------------------------------------------------
-# Row reduction: one sparse Gauss-Jordan pass.  Each pivot row is divided by
-# its pivot once, then cleared out of every other row, remaining or already
-# placed, that is nonzero in the pivot column; only the columns where the
-# pivot row is nonzero are touched.  Rows that vanish are dropped.  The RREF
-# of a span is unique, so the result does not depend on the elimination
-# order.
-# ---------------------------------------------------------------------------
-
-
-def _rref(vectors: Iterable[Sequence], width: int):
-    work = []
-    for v in vectors:
-        row = _co_row(v)
-        if len(row) != width:
-            raise ValueError(
-                f"vector of length {len(row)} in ambient of dimension {width}"
-            )
-        if any(row):
-            work.append(list(row))
-    placed = []
-    pivots = []
-    for c in range(width):
-        if not work:
-            break
-        src = next((i for i, row in enumerate(work) if row[c]), None)
-        if src is None:
+def _rref(rows) -> tuple:
+    """(RREF rows as nonzeros, pivots) of the span of rows, {column: value}
+    dicts that are consumed.  Each row is reduced by the placed rows (as in
+    Subspace._reduce_nz), scaled to 1 at its pivot, and cleared from the
+    placed rows.  The RREF is unique, so the order does not matter."""
+    placed = {}
+    for w in rows:
+        for p, c in [(p, c) for p, c in w.items() if p in placed]:
+            _axpy(w, -c, placed[p].items())
+        if not w:
             continue
-        row = work.pop(src)
-        piv = row[c]
+        pivot = min(w)
+        piv = w[pivot]
         if piv != ONE:
-            row = [a / piv if a else a for a in row]
-        support = [j for j in range(c, width) if row[j]]
-        for other in placed:
-            f = other[c]
-            if f:
-                for j in support:
-                    other[j] = other[j] - f * row[j]
-        kept = []
-        for other in work:
-            f = other[c]
-            if f:
-                for j in support:
-                    other[j] = other[j] - f * row[j]
-                # columns before c are already zero in every remaining row
-                if not any(other[c + 1 :]):
-                    continue
-            kept.append(other)
-        work = kept
-        placed.append(row)
-        pivots.append(c)
-    return tuple(tuple(row) for row in placed), tuple(pivots)
+            w = {j: a / piv for j, a in w.items()}
+        for other in placed.values():
+            f = other.get(pivot)
+            if f is not None:
+                _axpy(other, -f, w.items())
+        placed[pivot] = w
+    pivots = tuple(sorted(placed))
+    return tuple(_pairs(placed[p]) for p in pivots), pivots
 
 
 class Subspace:
     """A subspace of Q(i)^n held by its unique RREF basis.
 
-    Structural equality of Subspace values is equality of subspaces.
+    _nz holds the nonzeros of the RREF rows, so == and hash compare
+    subspaces; .basis is the dense view, built on first read, and pickling
+    carries _nz alone.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "pivots", "_nz", "_dense", "_at")
 
     def __init__(self, ambient_dim: int, basis: tuple, pivots: tuple):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
+        basis = tuple(map(_co_row, basis))
+        _fill(self, ambient_dim, tuple(pivots), tuple(map(sparse, basis)), basis, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     def __reduce__(self):
-        return Subspace, (self.ambient_dim, self.basis, self.pivots)
+        return _subspace, (self.ambient_dim, self._nz, self.pivots)
+
+    @property
+    def basis(self) -> tuple:
+        if self._dense is None:
+            dense = tuple(_densify(row, self.ambient_dim) for row in self._nz)
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._nz)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, (), ())
+        return _subspace(ambient_dim, (), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         """The whole space; its RREF basis is the unit rows."""
-        units = tuple(
-            tuple(ONE if i == j else ZERO for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return Subspace(ambient_dim, units, tuple(range(ambient_dim)))
+        units = tuple(((i, ONE),) for i in range(ambient_dim))
+        return _subspace(ambient_dim, units, tuple(range(ambient_dim)))
 
     def reduce(self, vector: Sequence):
         """Return (residual, coefficients w.r.t. basis rows) for a vector."""
-        w = list(_co_row(vector))
-        if len(w) != self.ambient_dim:
+        w = dict(self._sparse(vector))
+        coeffs = _densify(self._reduce_nz(w), self.dim)
+        return list(_densify(w.items(), self.ambient_dim)), coeffs
+
+    def _reduce_nz(self, w: dict) -> list:
+        """Reduce the {index: value} dict w by the rows, in place; the
+        (row, coefficient) nonzeros used.  The rows are 0 at each other's
+        pivots, so w's entries there are the coefficients."""
+        if self._at is None:
+            object.__setattr__(self, "_at", {p: r for r, p in enumerate(self.pivots)})
+        coeffs = sorted((self._at[p], c) for p, c in w.items() if p in self._at)
+        for r, c in coeffs:
+            _axpy(w, -c, self._nz[r])
+        return coeffs
+
+    def _sparse(self, vector) -> tuple:
+        row = _co_row(vector)
+        if len(row) != self.ambient_dim:
             raise ValueError("vector/ambient dimension mismatch")
-        coeffs = []
-        for row, p in zip(self.basis, self.pivots):
-            c = w[p]
-            coeffs.append(c)
-            if c:
-                w = [a - c * b if b else a for a, b in zip(w, row)]
-        return w, tuple(coeffs)
+        return sparse(row)
 
     def contains(self, vector: Sequence) -> bool:
-        residual, _ = self.reduce(vector)
-        return not any(residual)
+        return self._contains_nz(self._sparse(vector))
+
+    def _contains_nz(self, vector) -> bool:
+        w = dict(vector)
+        self._reduce_nz(w)
+        return not w
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._match(other)
-        return all(other.contains(row) for row in self.basis)
+        return all(map(other._contains_nz, self._nz))
 
     def meet(self, other: "Subspace") -> "Subspace":
         return meet_join(self, other)[0]
@@ -644,9 +630,9 @@ class Subspace:
         return meet_join(self, other)[1]
 
     def conjugate(self) -> "Subspace":
-        return canonicalize(
-            [[a.conjugate() for a in row] for row in self.basis], self.ambient_dim
-        )
+        """Conjugation keeps the zeros and pivot 1s: no elimination."""
+        rows = tuple(tuple((j, x.conjugate()) for j, x in row) for row in self._nz)
+        return _subspace(self.ambient_dim, rows, self.pivots)
 
     def _match(self, other):
         if not isinstance(other, Subspace):
@@ -658,45 +644,64 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._nz == other._nz
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self._nz))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def _fill(value, *slots):
+    for name, x in zip(type(value).__slots__, slots):
+        object.__setattr__(value, name, x)
+
+
+def _subspace(ambient_dim: int, nz: tuple, pivots: tuple) -> Subspace:
+    """The Subspace of RREF nonzeros nz, unchecked."""
+    s = _new(Subspace)
+    _fill(s, ambient_dim, pivots, nz, None, None)
+    return s
+
+
 def canonicalize(vectors: Iterable[Sequence], ambient_dim: int | None = None) -> Subspace:
     """The unique RREF basis of the span of the given vectors."""
-    vectors = [list(v) for v in vectors]
+    vectors = [_co_row(v) for v in vectors]
     if ambient_dim is None:
         if not vectors:
             raise ValueError("ambient dimension required for an empty span")
         ambient_dim = len(vectors[0])
-    basis, pivots = _rref(vectors, ambient_dim)
-    return Subspace(ambient_dim, basis, pivots)
+    for v in vectors:
+        if len(v) != ambient_dim:
+            raise ValueError(
+                f"vector of length {len(v)} in ambient of dimension {ambient_dim}"
+            )
+    return sparse_span(map(sparse, vectors), ambient_dim)
+
+
+def sparse_span(rows, ambient_dim: int) -> Subspace:
+    """canonicalize for vectors given by their nonzeros."""
+    return _subspace(ambient_dim, *_rref([dict(row) for row in rows]))
 
 
 def meet_join(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     """Intersection and sum, via the Zassenhaus double-width reduction."""
     a._match(b)
     n = a.ambient_dim
-    stacked = [list(row) + list(row) for row in a.basis]
-    stacked += [list(row) + [ZERO] * n for row in b.basis]
-    reduced, pivots = _rref(stacked, 2 * n)
-    # Both halves are already in RREF: rows pivoting in the left half give
-    # the join by their left halves, the others (zero on the left) give the
-    # meet by their right halves.
+    stacked = [dict(row + tuple((j + n, x) for j, x in row)) for row in a._nz]
+    stacked += [dict(row) for row in b._nz]
+    reduced, pivots = _rref(stacked)
+    # rows pivoting in the left half give the join by their left halves,
+    # the others (zero on the left) the meet by their right halves
     split = sum(1 for p in pivots if p < n)
-    join = Subspace(n, tuple(row[:n] for row in reduced[:split]), pivots[:split])
-    meet = Subspace(
-        n,
-        tuple(row[n:] for row in reduced[split:]),
-        tuple(p - n for p in pivots[split:]),
+    join = tuple(tuple(e for e in row if e[0] < n) for row in reduced[:split])
+    meet = tuple(tuple((j - n, x) for j, x in row) for row in reduced[split:])
+    return (
+        _subspace(n, meet, tuple(p - n for p in pivots[split:])),
+        _subspace(n, join, pivots[:split]),
     )
-    return meet, join
 
 
 def solve_membership(vector: Sequence, space: Subspace):
@@ -707,18 +712,15 @@ def solve_membership(vector: Sequence, space: Subspace):
 
 def kernel(m: DenseMatrix) -> Subspace:
     """Right null space {x : m x = 0}, returned as rows of a Subspace."""
-    reduced, pivots = _rref(list(m.entries), m.cols)
+    reduced, pivots = _rref([dict(row) for row in m._nz])
     pivot_set = set(pivots)
-    vectors = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[free] = ONE
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[free]
-        vectors.append(v)
-    return canonicalize(vectors, m.cols)
+    # per free column f: 1 at f and, at each pivot, minus that row's entry at f
+    free = {f: {f: ONE} for f in range(m.cols) if f not in pivot_set}
+    for row in reduced:
+        p = row[0][0]
+        for j, x in row[1:]:
+            free[j][p] = -x
+    return _subspace(m.cols, *_rref(list(free.values())))
 
 
 def solve_linear(a: DenseMatrix, b: Sequence):
@@ -726,13 +728,18 @@ def solve_linear(a: DenseMatrix, b: Sequence):
     rhs = _co_row(b)
     if len(rhs) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    augmented = [list(row) + [rhs[i]] for i, row in enumerate(a.entries)]
-    reduced, pivots = _rref(augmented, a.cols + 1)
+    rows = [dict(row) for row in a._nz]
+    for row, y in zip(rows, rhs):
+        if y:
+            row[a.cols] = y
+    reduced, pivots = _rref(rows)
     if a.cols in pivots:
         return None
     x = [ZERO] * a.cols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[-1]
+    for row in reduced:
+        j, y = row[-1]
+        if j == a.cols:
+            x[row[0][0]] = y
     return tuple(x)
 
 
@@ -744,25 +751,17 @@ def sparse(vector) -> tuple:
 def apply_sparse(columns, vector, antilinear=False) -> tuple:
     """vector under the map whose j-th column is the sparse list columns[j];
     an antilinear map conjugates the entries of vector first."""
-    out = [ZERO] * len(columns)
-    for x, col in zip(vector, columns):
-        if x:
-            if antilinear:
-                x = GaussRational.of(x).conjugate()
-            for k, s in col:
-                out[k] = out[k] + x * s
-    return tuple(out)
+    if antilinear:
+        vector = [(j, x.conjugate()) for j, x in vector]
+    return combine(vector, columns)
 
 
-def combine(coeffs, rows, width: int) -> tuple:
-    """sum of coeffs[i] * rows[i], skipping zero coefficients and entries."""
-    out = [ZERO] * width
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] = out[j] + c * x
-    return tuple(out)
+def combine(coeffs, rows) -> tuple:
+    """The sum of c * rows[i] over the (i, c) of coeffs."""
+    acc = {}
+    for i, c in coeffs:
+        _axpy(acc, c, rows[i])
+    return _pairs(acc)
 
 
 class SpanTracker:
@@ -806,10 +805,13 @@ class SpanTracker:
         return w, combo
 
     def express(self, vector):
+        combo = self.express_nz(vector)
+        return None if combo is None else _densify(combo, self.count)
+
+    def express_nz(self, vector):
+        """express, with the coordinates as nonzeros."""
         w, combo = self._reduce(vector)
-        if w:
-            return None
-        return tuple(combo.get(i, ZERO) for i in range(self.count))
+        return None if w else _pairs(combo)
 
     def add(self, vector) -> bool:
         """Insert a vector; True if it enlarged the span."""
@@ -839,6 +841,17 @@ def _axpy(acc: dict, c: GaussRational, pairs):
             acc[j] = x
         else:
             del acc[j]
+
+
+def _pairs(acc: dict) -> tuple:
+    return tuple(sorted(acc.items()))
+
+
+def _densify(pairs, width: int) -> tuple:
+    out = [ZERO] * width
+    for j, x in pairs:
+        out[j] = x
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -885,11 +898,8 @@ class Poly:
         return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
 
     def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [ZERO] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [ZERO] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
+        pairs = zip_longest(self.coeffs, _as_poly(other).coeffs, fillvalue=ZERO)
+        return Poly([x + y for x, y in pairs])
 
     def __sub__(self, other):
         return self + (-_as_poly(other))

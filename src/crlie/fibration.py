@@ -200,8 +200,7 @@ def _center(system: RootSystem, roots) -> tuple:
     each pair +-alpha, and the equations of t."""
     if roots:
         positive = {max(a, tuple(-x for x in a)) for a in roots}
-        rows = [list(a) for a in sorted(positive)]
-        center = kernel(DenseMatrix(rows + list(system._cartan_equations)))
+        center = kernel(DenseMatrix([*sorted(positive), *system._cartan_equations]))
     else:
         center = system.cartan
     rational = [[x.re for x in row] for row in center.basis]
@@ -787,8 +786,7 @@ def euler_positive_clause(q: Subalg, m: Subalg) -> bool:
 
 
 def _coroot_span(q: ParabolicRootSet) -> Subspace:
-    rows = [list(q.system.coroot(a)) for a in sorted(q.q_r)]
-    return canonicalize(rows, q.system.coord_dim)
+    return canonicalize([q.system.coroot(a) for a in sorted(q.q_r)], q.system.coord_dim)
 
 
 def homotopic_characteristic_regular(
@@ -799,7 +797,7 @@ def homotopic_characteristic_regular(
     if not (m.rootset <= q.q_r and m.toral.is_subspace_of(q.system.cartan)):
         raise ValueError("m must lie inside the Levi part of q")
     span = _coroot_span(q)
-    roots = canonicalize([list(a) for a in sorted(q.q_r)], q.system.coord_dim)
+    roots = canonicalize(sorted(q.q_r), q.system.coord_dim)
     if span.dim != roots.dim:
         raise AssertionError("coroot span and root span differ in dimension")
     c = span.dim - span.meet(m.toral).dim

@@ -23,10 +23,15 @@ from crlie.exactlin import (
     DenseMatrix,
     GaussRational,
     IUNIT,
+    ONE,
     Poly,
     SpanTracker,
     Subspace,
     ZERO,
+    _axpy,
+    _densify,
+    _from_nonzeros,
+    _pairs,
     apply_sparse,
     canonicalize,
     combine,
@@ -35,6 +40,7 @@ from crlie.exactlin import (
     min_poly,
     poly_xgcd,
     sparse,
+    sparse_span,
     squarefree_part,
 )
 
@@ -59,28 +65,28 @@ class AmbientAlgebra:
         self.basis = list(basis)
         self.dim = len(self.basis)
         self._tracker = SpanTracker(n * n)
-        self._flat = [b.flatten() for b in self.basis]
+        self._flat = [sparse(b.flatten()) for b in self.basis]
         for b in self.basis:
             if b.rows != n or b.cols != n:
                 raise ValueError("basis matrix has wrong shape")
             if not self._tracker.add(b):
                 raise ValueError("ambient basis is linearly dependent")
+        express = self._tracker.express_nz
         self._brackets = [[()] * self.dim for _ in range(self.dim)]
         for i, a in enumerate(self.basis):
             for j in range(i + 1, self.dim):
-                c = self.coords(a.bracket(self.basis[j]))
-                if c is None:
+                terms = express(a.bracket(self.basis[j]))
+                if terms is None:
                     raise ValueError("ambient basis does not close under brackets")
-                terms = sparse(c)
                 self._brackets[i][j] = terms
                 self._brackets[j][i] = tuple((k, -x) for k, x in terms)
-        self._sigma = []
-        for b in self.basis:
-            c = self.coords(sigma(b))
-            if c is None:
-                raise ValueError("ambient algebra is not sigma-stable")
-            self._sigma.append(sparse(c))
-        self.unit_coords = Subspace.full(self.dim).basis
+        self._sigma = [express(sigma(b)) for b in self.basis]
+        if None in self._sigma:
+            raise ValueError("ambient algebra is not sigma-stable")
+
+    @cached_property
+    def unit_coords(self) -> tuple:
+        return Subspace.full(self.dim).basis
 
     def coords(self, x: DenseMatrix):
         return self._tracker.express(x)
@@ -89,24 +95,30 @@ class AmbientAlgebra:
         return self.coords(x) is not None
 
     def from_coords(self, c) -> DenseMatrix:
-        return DenseMatrix.from_flat(combine(c, self._flat, self.n * self.n), self.n)
+        return self._matrix(sparse(c))
+
+    def _matrix(self, c) -> DenseMatrix:
+        return DenseMatrix.from_flat(_densify(combine(c, self._flat), self.n**2), self.n)
 
     def bracket(self, x, y) -> tuple:
         """[x, y] for coordinate vectors x and y."""
-        ys = sparse(y)
-        out = [ZERO] * self.dim
-        for i, a in enumerate(x):
-            if a:
-                row = self._brackets[i]
-                for j, b in ys:
-                    ab = a * b
-                    for k, c in row[j]:
-                        out[k] = out[k] + ab * c
-        return tuple(out)
+        return _densify(self._bracket_nz(sparse(x), sparse(y)), self.dim)
+
+    def _bracket_nz(self, x, y) -> tuple:
+        acc = {}
+        for i, a in x:
+            row = self._brackets[i]
+            for j, b in y:
+                if row[j]:
+                    _axpy(acc, a * b, row[j])
+        return _pairs(acc)
 
     def sigma_coords(self, c) -> tuple:
         """sigma on coordinates; sigma is antilinear, so the coefficients
         are conjugated."""
+        return _densify(self._sigma_nz(sparse(c)), self.dim)
+
+    def _sigma_nz(self, c) -> tuple:
         return apply_sparse(self._sigma, c, antilinear=True)
 
     def ad_matrix(self, x: DenseMatrix) -> DenseMatrix:
@@ -172,12 +184,9 @@ class Subalg:
 
     @classmethod
     def from_matrices(cls, ambient: AmbientAlgebra, mats) -> "Subalg":
-        rows = []
-        for m in mats:
-            c = ambient.coords(m)
-            if c is None:
-                raise ValueError("matrix outside the ambient algebra")
-            rows.append(list(c))
+        rows = [ambient.coords(m) for m in mats]
+        if None in rows:
+            raise ValueError("matrix outside the ambient algebra")
         return cls(ambient, canonicalize(rows, ambient.dim))
 
     @property
@@ -186,9 +195,7 @@ class Subalg:
 
     def matrices(self):
         if self._mats is None:
-            self._mats = [
-                self.ambient.from_coords(row) for row in self.space.basis
-            ]
+            self._mats = [self.ambient._matrix(row) for row in self.space._nz]
         return self._mats
 
     def nilradical(self) -> "Subalg":
@@ -199,7 +206,7 @@ class Subalg:
 
     def contains_matrix(self, x: DenseMatrix) -> bool:
         c = self.ambient.coords(x)
-        return c is not None and self.space.contains(list(c))
+        return c is not None and self.space.contains(c)
 
     def is_subspace_of(self, other: "Subalg") -> bool:
         return self.space.is_subspace_of(other.space)
@@ -216,8 +223,8 @@ class Subalg:
         return Subalg(self.ambient, self.space.join(other.space))
 
     def sigma_image(self) -> "Subalg":
-        rows = [self.ambient.sigma_coords(row) for row in self.space.basis]
-        return Subalg(self.ambient, canonicalize(rows, self.ambient.dim))
+        rows = map(self.ambient._sigma_nz, self.space._nz)
+        return Subalg(self.ambient, sparse_span(rows, self.ambient.dim))
 
     def is_sigma_stable(self) -> bool:
         return self.sigma_image().space == self.space
@@ -238,58 +245,46 @@ class Subalg:
 
 def _pair_brackets(amb: AmbientAlgebra, rows):
     """[a, b] for every pair a before b of the rows: they span [v, v]."""
-    return [amb.bracket(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :]]
+    return [amb._bracket_nz(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :]]
 
 
 def _is_ideal(sub: Subalg, ideal: Subalg) -> bool:
     amb = sub.ambient
     return all(
-        ideal.space.contains(amb.bracket(a, b))
-        for a in sub.space.basis
-        for b in ideal.space.basis
+        ideal.space._contains_nz(amb._bracket_nz(a, b))
+        for a in sub.space._nz
+        for b in ideal.space._nz
     )
 
 
 def is_subalgebra(sub: Subalg) -> bool:
-    return all(sub.space.contains(c) for c in _pair_brackets(sub.ambient, sub.space.basis))
+    return all(map(sub.space._contains_nz, _pair_brackets(sub.ambient, sub.space._nz)))
+
+
+def _series(sub: Subalg, step):
+    """sub's space, then spans of step(newest rows) until zero or unchanged."""
+    out = [sub.space]
+    while out[-1].dim:
+        nxt = sparse_span(step(out[-1]._nz), sub.ambient.dim)
+        if nxt == out[-1]:
+            break
+        out.append(nxt)
+    return out
+
+
+def derived_series(sub: Subalg):
+    return _series(sub, lambda rows: _pair_brackets(sub.ambient, rows))
 
 
 def bracket_closure(sub: Subalg) -> Subalg:
     """Smallest bracket-closed subspace containing the input."""
-    space = sub.space
-    while True:
-        rows = list(space.basis) + _pair_brackets(sub.ambient, space.basis)
-        new = canonicalize(rows, sub.ambient.dim)
-        if new == space:
-            return Subalg(sub.ambient, space)
-        space = new
-
-
-def derived_series(sub: Subalg):
-    out = [sub.space]
-    current = sub
-    while current.dim:
-        rows = _pair_brackets(sub.ambient, current.space.basis)
-        nxt = Subalg(sub.ambient, canonicalize(rows, sub.ambient.dim))
-        if nxt.space == current.space:
-            break
-        out.append(nxt.space)
-        current = nxt
-    return out
+    amb = sub.ambient
+    return Subalg(amb, _series(sub, lambda rows: [*rows, *_pair_brackets(amb, rows)])[-1])
 
 
 def lower_central_series(sub: Subalg):
-    amb = sub.ambient
-    out = [sub.space]
-    current = sub
-    while current.dim:
-        rows = [amb.bracket(a, b) for a in sub.space.basis for b in current.space.basis]
-        nxt = Subalg(sub.ambient, canonicalize(rows, sub.ambient.dim))
-        if nxt.space == current.space:
-            break
-        out.append(nxt.space)
-        current = nxt
-    return out
+    bracket = sub.ambient._bracket_nz
+    return _series(sub, lambda rows: [bracket(a, b) for a in sub.space._nz for b in rows])
 
 
 def is_solvable(sub: Subalg) -> bool:
@@ -301,15 +296,21 @@ def is_nilpotent_algebra(sub: Subalg) -> bool:
 
 
 def _bracket_kernel(sub: Subalg, target: Subspace) -> Subalg:
-    """{w in ambient : [w, s] lies in target for every s in sub}."""
+    """{w in ambient : [w, s] lies in target for every s in sub}: one
+    equation per row s and coordinate t, entry t of [e_i, s] reduced by
+    target at column i, with [e_i, s] from the structure constants."""
     amb = sub.ambient
-    equations = []
-    for s in sub.space.basis:
-        cols = [target.reduce(amb.bracket(e, s))[0] for e in amb.unit_coords]
-        equations.extend([col[t] for col in cols] for t in range(amb.dim))
+    equations = {}
+    for n, s in enumerate(sub.space._nz):
+        for i, row in enumerate(amb._brackets):
+            w = dict(combine(s, row))
+            target._reduce_nz(w)
+            for t, x in w.items():
+                equations.setdefault((n, t), []).append((i, x))
     if not equations:
         return amb.full_subalg()
-    return Subalg(amb, kernel(DenseMatrix(equations)))
+    rows = tuple(map(tuple, equations.values()))
+    return Subalg(amb, kernel(_from_nonzeros(len(rows), amb.dim, rows)))
 
 
 def normalizer(sub: Subalg) -> Subalg:
@@ -372,8 +373,8 @@ def radical(sub: Subalg) -> Subalg:
         raise AssertionError("radical needs a bracket-closed input")
     ads = _internal_ads(sub)
     rad_internal = _radical_space_from_ads(ads, sub.dim)
-    rows = [combine(c, sub.space.basis, sub.ambient.dim) for c in rad_internal.basis]
-    rad = Subalg(sub.ambient, canonicalize(rows, sub.ambient.dim))
+    rows = [combine(c, sub.space._nz) for c in rad_internal._nz]
+    rad = Subalg(sub.ambient, sparse_span(rows, sub.ambient.dim))
     if not is_solvable(rad):
         raise AssertionError("radical candidate is not solvable")
     if not _is_ideal(sub, rad):
@@ -447,15 +448,13 @@ def jordan_chevalley(x: DenseMatrix):
     if g.degree != 0:
         raise AssertionError("squarefree part shares a factor with its derivative")
     y = x
-    guard = 0
-    while True:
+    for _ in range(x.rows + 3):
         val = p(y)
         if val.is_zero():
             break
         y = y - val * u(y)
-        guard += 1
-        if guard > x.rows + 2:
-            raise AssertionError("Newton iteration failed to converge")
+    else:
+        raise AssertionError("Newton iteration failed to converge")
     s, n = y, x - y
     if not s.bracket(n).is_zero():
         raise AssertionError("Jordan parts do not commute")
@@ -495,7 +494,7 @@ def splittable_evidence(sub: Subalg, trials: int = 12, seed: int = 0) -> SplitEv
         coeffs = [
             GaussRational(rng.randrange(-6, 7), rng.randrange(-6, 7)) for _ in mats
         ]
-        combo = amb.from_coords(combine(coeffs, sub.space.basis, amb.dim))
+        combo = amb._matrix(combine(sparse(coeffs), sub.space._nz))
         samples += 1
         s, _ = jordan_chevalley(combo)
         if not sub.contains_matrix(s):
@@ -523,16 +522,16 @@ def maximal_torus(sub: Subalg) -> Subalg:
     t, c = amb.zero_subalg(), sub
     while c.space != t.space:
         parts = (
-            combine(pair, (r, amb.sigma_coords(r)), amb.dim)
-            for r in c.space.basis
-            for pair in ((1, 1), (IUNIT, -IUNIT))
+            combine(pair, (r, amb._sigma_nz(r)))
+            for r in c.space._nz
+            for pair in (((0, ONE), (1, ONE)), ((0, IUNIT), (1, -IUNIT)))
         )
-        part = next((p for p in parts if not t.space.contains(p)), None)
+        part = next((p for p in parts if not t.space._contains_nz(p)), None)
         if part is None:
             raise AssertionError("no sigma-fixed part of Z(t) escapes the torus")
-        t = Subalg(amb, canonicalize([*t.space.basis, part], amb.dim))
+        t = Subalg(amb, sparse_span([*t.space._nz, part], amb.dim))
         c = centralizer(t).meet(sub)
-    if any(map(any, _pair_brackets(amb, t.space.basis))):
+    if any(_pair_brackets(amb, t.space._nz)):
         raise AssertionError("maximal torus is not abelian")
     if not t.is_sigma_stable():
         raise AssertionError("maximal torus is not sigma-stable")
@@ -547,14 +546,8 @@ def _integer_divisors(n: int):
         return [0]
     if n > 10**12:
         raise ValueError("constant term too large for rational root search")
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
 
 
 def rational_roots_complete(p: Poly):
@@ -569,20 +562,17 @@ def rational_roots_complete(p: Poly):
         denom = math.lcm(*(f.denominator for f in fracs))
         ints = [int(f * denom) for f in fracs]
         lead, const = ints[-1], ints[0]
-        root = None
         if const == 0:
             root = Fraction(0)
         else:
-            for pn in _integer_divisors(const):
-                for qn in _integer_divisors(lead):
-                    for cand in (Fraction(pn, qn), Fraction(-pn, qn)):
-                        if not current(GaussRational.of(cand)):
-                            root = cand
-                            break
-                    if root is not None:
-                        break
-                if root is not None:
-                    break
+            candidates = (
+                c
+                for pn in _integer_divisors(const)
+                for qn in _integer_divisors(lead)
+                for c in (Fraction(pn, qn), Fraction(-pn, qn))
+                if not current(GaussRational.of(c))
+            )
+            root = next(candidates, None)
         if root is None:
             raise ValueError("polynomial does not split over Q")
         roots.append(root)
@@ -600,10 +590,7 @@ def i_spectrum(x: DenseMatrix):
     returned as the sorted rational lambdas; ValueError if not of that form."""
     p = squarefree_part(min_poly(x))
     d = p.degree
-    coeffs = []
-    for j, c in enumerate(p.coeffs):
-        coeffs.append(c * IUNIT**j * (-IUNIT) ** d)
-    shifted = Poly(coeffs)
+    shifted = Poly([c * IUNIT**j * (-IUNIT) ** d for j, c in enumerate(p.coeffs)])
     return sorted(set(rational_roots_complete(shifted)))
 
 
@@ -626,10 +613,10 @@ def parabolic_from_element(amb: AmbientAlgebra, a: DenseMatrix) -> Subalg:
         ker = kernel(shift)
         total += ker.dim
         if lam >= 0:
-            q_rows.extend(list(r) for r in ker.basis)
+            q_rows.extend(ker._nz)
     if total != amb.dim:
         raise AssertionError("grading element is not semisimple on the ambient algebra")
-    q = Subalg(amb, canonicalize(q_rows, amb.dim))
+    q = Subalg(amb, sparse_span(q_rows, amb.dim))
     if bracket_closure(q).space != q.space:
         raise AssertionError("q_A is not a subalgebra")
     if q.join(q.sigma_image()).dim != amb.dim:

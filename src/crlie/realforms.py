@@ -39,10 +39,12 @@ from crlie.exactlin import (
     GaussRational,
     SpanTracker,
     Subspace,
+    _densify,
     apply_sparse,
     canonicalize,
     combine,
     sparse,
+    sparse_span,
 )
 from crlie.matrixlie import AmbientAlgebra, Subalg
 from crlie.matrixlie import sigma as compact_conjugation
@@ -533,8 +535,7 @@ def _require(ok, message):
 
 
 def _project(g_theta, c) -> tuple:
-    return tuple((a + b) * _HALF for a, b in zip(c, apply_sparse(g_theta, c)))
-
+    return combine(((0, _HALF), (1, _HALF)), (c, apply_sparse(g_theta, c)))
 
 def build_real_form(spec) -> RealForm:
     """Build and verify a real form from a RealFormSpec or a tag string.
@@ -594,7 +595,7 @@ def _build(spec: RealFormSpec) -> RealForm:
             columns.append(col)
     sig = partial(apply_sparse, g_sigma, antilinear=True)
     th = partial(apply_sparse, g_theta)
-    units = Subspace.full(dim).basis
+    units = Subspace.full(dim)._nz
     for e in units:
         _require(sig(sig(e)) == e, "sigma is not an involution")
         _require(th(th(e)) == e, "theta is not an involution")
@@ -604,22 +605,23 @@ def _build(spec: RealFormSpec) -> RealForm:
         for c, h in zip(alpha, pres.coord_elements):
             _require(h.bracket(x) == x.scale(c), "root vector eigenvalue mismatch")
 
-    k_space = canonicalize([_project(g_theta, e) for e in units], dim)
+    k_space = sparse_span([_project(g_theta, e) for e in units], dim)
     _require(k_space.dim == _k_dimension(spec), "unexpected dim for the compact part")
-    g_flat = [b.flatten() for b in g_basis]
+    g_flat = [sparse(b.flatten()) for b in g_basis]
     k_basis = [
-        DenseMatrix.from_flat(combine(row, g_flat, n * n), n) for row in k_space.basis
+        DenseMatrix.from_flat(_densify(combine(row, g_flat), n * n), n)
+        for row in k_space._nz
     ]
     k = AmbientAlgebra(n, k_basis, name=f"k({spec})")
 
     h0 = tuple(pres.h_minus) + tuple(pres.h_plus)
     h0_coords = [coords(h) for h in h0]
     signs = [-1] * len(pres.h_minus) + [1] * len(pres.h_plus)
-    for c, sign in zip(h0_coords, signs):
+    for c, sign in zip(map(sparse, h0_coords), signs):
         _require(sig(c) == c, "Cartan basis element is not sigma-fixed")
-        _require(th(c) == tuple(sign * x for x in c), "wrong theta-eigenvalue on h0")
+        _require(th(c) == tuple((j, sign * x) for j, x in c), "wrong theta-eigenvalue on h0")
     _require(
-        len(h0) == rank and canonicalize(h0_coords, dim).basis == units[:rank],
+        len(h0) == rank and canonicalize(h0_coords, dim)._nz == units[:rank],
         "h0 is not a basis of the Cartan",
     )
     for i, a in enumerate(h0):
@@ -680,7 +682,6 @@ def classify_roots(form: RealForm) -> RootClassification:
     system = form.system
     roots = system.roots_sorted
     rank = len(form.cartan_basis)
-    units = Subspace.full(form.k_space.ambient_dim).basis
     sigma_star = {}
     theta_star = {}
     for alpha in roots:
@@ -704,7 +705,7 @@ def classify_roots(form: RealForm) -> RootClassification:
             # theta_star fixes alpha: theta x = c x with c = +-1
             j = form.root_index[alpha]
             ((_, c),) = form.g_theta[j]
-            in_k = form.k_space.contains(units[j])
+            in_k = form.k_space._contains_nz(((j, ONE),))
             _require(in_k == (c == ONE), "imaginary root vector misplaced in k")
             tag = IMAGINARY_COMPACT if c == ONE else IMAGINARY_NONCOMPACT
         else:
@@ -764,15 +765,15 @@ def theta_sets(form: RealForm, crosses) -> ThetaSets:
 
 
 def _k_span(form: RealForm, rows) -> Subspace:
-    """The span of rows of g coordinates, in k's coordinates.  k's basis is
-    the RREF basis of k_space, so reducing a row of k by it leaves no
-    residual and its coefficients are the row's k coordinates."""
+    """The span of rows of g coordinates, as nonzeros, in k's coordinates.
+    k's basis is the RREF basis of k_space, so reducing a row of k by it
+    leaves no residual and its coefficients are the row's k coordinates."""
     out = []
     for row in rows:
-        residual, coeffs = form.k_space.reduce(row)
-        _require(not any(residual), "element outside k")
-        out.append(coeffs)
-    return canonicalize(out, form.k.dim)
+        w = dict(row)
+        out.append(form.k_space._reduce_nz(w))
+        _require(not w, "element outside k")
+    return sparse_span(out, form.k.dim)
 
 
 def build_minimal_orbit(form, crosses) -> MinimalOrbit:
@@ -789,25 +790,25 @@ def build_minimal_orbit(form, crosses) -> MinimalOrbit:
         form = build_real_form(form)
     sets = theta_sets(form, crosses)
     dim = form.k_space.ambient_dim
-    units = Subspace.full(dim).basis
+    units = Subspace.full(dim)._nz
 
     def projected(alphas):
         return [
             _project(form.g_theta, units[form.root_index[a]]) for a in sorted(alphas)
         ]
 
-    flag_space = canonicalize(
+    flag_space = sparse_span(
         list(units[: len(form.cartan_basis)])
         + [units[form.root_index[a]] for a in sorted(sets.flag_roots)],
         dim,
     )
     meet_space = flag_space.meet(form.k_space)
-    h_plus = list(form.adapted.h_plus_coords)
+    h_plus = list(map(sparse, form.adapted.h_plus_coords))
     _require(
-        meet_space == canonicalize(h_plus + projected(sets.theta_core), dim),
+        meet_space == sparse_span(h_plus + projected(sets.theta_core), dim),
         "flag space meet k and root formula disagree for v",
     )
-    v = Subalg(form.k, _k_span(form, meet_space.basis))
+    v = Subalg(form.k, _k_span(form, meet_space._nz))
 
     n_reductive, nr, levi = n_reductive_split(v)
     _require(
@@ -945,9 +946,7 @@ def embed_regular(form, reg: RegularSpan) -> Subalg:
         form.coord_elements == form.cartan_basis,
         "the coordinate elements of a compact form are not its Cartan basis",
     )
-    dim = form.k_space.ambient_dim
-    units = Subspace.full(dim).basis
-    pad = (ZERO,) * (dim - len(form.cartan_basis))
-    rows = [tuple(row) + pad for row in reg.toral.basis]
+    units = Subspace.full(form.k_space.ambient_dim)._nz
+    rows = list(reg.toral._nz)
     rows += [units[form.root_index[a]] for a in sorted(reg.rootset)]
     return Subalg(form.k, _k_span(form, rows))

@@ -236,7 +236,7 @@ class RootSystem:
     def _cartan_space(self) -> Subspace:
         if self.family != "A":
             return Subspace.full(self.coord_dim)
-        return canonicalize(list(self.simple_roots), self.coord_dim)
+        return canonicalize(self.simple_roots, self.coord_dim)
 
     def coroot(self, alpha: Root) -> Root:
         norm = sum(a * a for a in alpha)
@@ -271,7 +271,7 @@ class RootSystem:
     def _cartan_equations(self) -> tuple:
         """Rows whose common kernel is the Cartan t, in the coordinates: a
         basis of its annihilator (none when t is the whole space)."""
-        return kernel(DenseMatrix([list(row) for row in self.cartan.basis])).basis
+        return kernel(DenseMatrix(self.cartan.basis)).basis
 
     @cached_property
     def _formatted_roots(self) -> tuple:
@@ -411,7 +411,7 @@ def closed_closure(system: RootSystem, rootset: Iterable[Root]) -> frozenset:
 
 
 def _coroot_line(system: RootSystem, alpha: Root) -> Subspace:
-    return canonicalize([list(system.coroot(alpha))], system.coord_dim)
+    return canonicalize([system.coroot(alpha)], system.coord_dim)
 
 
 class RegularSpan:
@@ -467,7 +467,7 @@ class RegularSubalgebra(RegularSpan):
             raise ValueError("rootset is not closed")
         for alpha in self.rootset:
             if neg(alpha) in self.rootset:
-                if not self.toral.contains(list(system.coroot(alpha))):
+                if not self.toral.contains(system.coroot(alpha)):
                     raise ValueError(
                         f"coroot of {format_root(alpha)} missing from toral part"
                     )

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from crlie.exactlin import DenseMatrix, GaussRational, IUNIT, canonicalize
+from crlie import crcore
 from crlie.crcore import (
+    RegularityReport,
     cr_dims,
     cr_dims_regular,
     is_n_reductive,
@@ -17,7 +19,7 @@ from crlie.crcore import (
     strengthens,
     strengthens_regular,
 )
-from crlie.matrixlie import Subalg, gl_ambient, splittable_evidence
+from crlie.matrixlie import Subalg, gl_ambient, maximal_torus, splittable_evidence
 from crlie.rootsys import RegularSubalgebra, build_root_system
 from helpers import diagonal
 
@@ -123,11 +125,22 @@ class TestStrengthens:
 
 
 class TestRegularityType:
-    def test_torus_normalized(self):
+    def test_torus_normalized(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return maximal_torus(m)
+
+        monkeypatch.setattr(crcore, "maximal_torus", counted)
+        # N(v) meet sigma N(v) is N(L) meet sigma N(L) here: one torus for both
         rep = regularity_type(V_SPLIT)
-        assert rep.kind == "I"
-        assert rep.ambient_rank == 3
-        assert rep.v_normalizer_rank == 3
+        assert rep == RegularityReport("I", 3, 3, 3)
+        assert len(calls) == 1
+        # distinct spaces each get their own torus
+        calls.clear()
+        assert regularity_type(sub(unit(0, 2), idiag(1, 1, 0))) == RegularityReport("I", 3, 3, 3)
+        assert len(calls) == 2 and calls[0] != calls[1]
 
     def test_conjugated_stays_type_one(self):
         p = DenseMatrix.identity(3) + unit(0, 1)

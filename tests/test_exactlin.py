@@ -401,25 +401,33 @@ def _rand_pair(rng, density):
 
 
 def test_rref_matches_textbook_gauss_jordan():
+    # narrow dense-ish rows, and wide sparse ones as the Zassenhaus and
+    # bracket-kernel inputs are; each given dense to canonicalize and as
+    # nonzeros to _rref
     rng = random.Random(2024)
-    for _ in range(300):
-        width = rng.randint(1, 10)
-        density = rng.choice([0.15, 0.4, 1.0])
-        rows = [
-            [_rand_pair(rng, density) for _ in range(width)]
-            for _ in range(rng.randint(0, 8))
-        ]
+    for case in range(360):
+        if case < 300:
+            width, count = rng.randint(1, 10), rng.randint(0, 8)
+            density = rng.choice([0.15, 0.4, 1.0])
+        else:
+            width, count = rng.randint(11, 40), rng.randint(0, 12)
+            density = rng.choice([0.05, 0.075, 0.1])
+        rows = [[_rand_pair(rng, density) for _ in range(width)] for _ in range(count)]
         if rng.random() < 0.3:
             rows.append([(Fraction(0), Fraction(0))] * width)
         if rows and rng.random() < 0.3:
             rows.append(list(rng.choice(rows)))
         rng.shuffle(rows)
         want_rows, want_pivots = _oracle_rref(rows, width)
-        basis, pivots = _rref([[g(*x) for x in r] for r in rows], width)
-        assert list(pivots) == want_pivots
-        assert [[(a.re, a.im) for a in row] for row in basis] == want_rows
+        dense = [[g(*x) for x in r] for r in rows]
+        s = canonicalize(dense, width)
+        assert list(s.pivots) == want_pivots
+        assert [[(a.re, a.im) for a in row] for row in s.basis] == want_rows
+        basis, pivots = _rref([dict(sparse(r)) for r in dense])
+        assert (basis, pivots) == (s._nz, s.pivots)
+        assert all(row[0] == (p, g(1)) for row, p in zip(basis, pivots))
     with pytest.raises(ValueError, match="length 3 in ambient of dimension 2"):
-        _rref([[1, 0], [1, 2, 3]], 2)
+        canonicalize([[1, 0], [1, 2, 3]], 2)
 
 
 def _entrywise(a, b, op):
@@ -601,9 +609,10 @@ def test_apply_sparse_matches_dense_product():
         m = _rand_sparse_matrix(rng, n)
         columns = [sparse([m[i, j] for i in range(n)]) for j in range(n)]
         v = _sparse_vector(rng, n)
-        assert apply_sparse(columns, v) == (m * _column(v)).flatten()
+        assert apply_sparse(columns, sparse(v)) == sparse((m * _column(v)).flatten())
         conj = [x.conjugate() for x in v]
-        assert apply_sparse(columns, v, antilinear=True) == (m * _column(conj)).flatten()
+        want = sparse((m * _column(conj)).flatten())
+        assert apply_sparse(columns, sparse(v), antilinear=True) == want
 
 
 def test_apply_sparse_antilinear_is_sigma_on_gl_coordinates():
@@ -623,7 +632,8 @@ def test_apply_sparse_antilinear_is_sigma_on_gl_coordinates():
     for _ in range(200):
         n = rng.randint(1, 4)
         x = _rand_sparse_matrix(rng, n)
-        assert apply_sparse(maps[n], x.flatten(), antilinear=True) == sigma(x).flatten()
+        got = apply_sparse(maps[n], sparse(x.flatten()), antilinear=True)
+        assert got == sparse(sigma(x).flatten())
 
 
 def test_sparse_keeps_exactly_the_nonzero_entries():
@@ -642,7 +652,7 @@ def test_combine_matches_entrywise_sum():
         want = tuple(
             sum((c * row[j] for c, row in zip(coeffs, rows)), g(0)) for j in range(width)
         )
-        assert combine(coeffs, rows, width) == want
+        assert combine(sparse(coeffs), list(map(sparse, rows))) == sparse(want)
 
 
 def test_mul_vec_matches_dense_product():
@@ -697,6 +707,16 @@ def test_value_types_pickle_round_trip():
             assert (back.rows, back.cols, back.entries) == (value.rows, value.cols, value.entries)
     s = values[3]
     assert pickle.loads(pickle.dumps(s)).pivots == s.pivots
+    # a Subspace pickles as its RREF nonzeros, never with the dense view
+    # read above; one from the public constructor equals one from the
+    # elimination, with the same hash, as fibration's cache keys need
+    for space in (s, canonicalize([[0, 0, 1], [0, 2, 0]], 3), Subspace.full(4)):
+        space.basis
+        assert space.__reduce__()[1] == (space.ambient_dim, space._nz, space.pivots)
+        back = pickle.loads(pickle.dumps(space))
+        assert back._dense is None and back == space and back.basis == space.basis
+        public = Subspace(space.ambient_dim, space.basis, space.pivots)
+        assert (public, hash(public), public.pivots) == (space, hash(space), space.pivots)
 
 
 def test_meet_join_axes():
@@ -727,11 +747,18 @@ def test_modular_law_random():
 
 
 def test_conjugation_involution():
+    # the conjugate maps the nonzeros without elimination; it must be the
+    # RREF of the conjugated rows, on dense and on wide sparse spans
     rng = random.Random(31)
-    for _ in range(100):
-        n = rng.randint(1, 5)
-        s = canonicalize([rand_vector(rng, n) for _ in range(rng.randint(0, n))], n)
-        assert s.conjugate().conjugate() == s
+    for case in range(200):
+        n = rng.randint(1, 5) if case < 100 else rng.randint(6, 16)
+        k = rng.randint(0, n)
+        vecs = [rand_vector(rng, n) if case < 100 else _sparse_vector(rng, n) for _ in range(k)]
+        s = canonicalize(vecs, n)
+        got = s.conjugate()
+        want = canonicalize([[a.conjugate() for a in row] for row in vecs], n)
+        assert (got, got.pivots, hash(got)) == (want, want.pivots, hash(want))
+        assert got.conjugate() == s
 
 
 def test_membership_and_solve():
