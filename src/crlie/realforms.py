@@ -537,6 +537,7 @@ def _require(ok, message):
 def _project(g_theta, c) -> tuple:
     return combine(((0, _HALF), (1, _HALF)), (c, apply_sparse(g_theta, c)))
 
+
 def build_real_form(spec) -> RealForm:
     """Build and verify a real form from a RealFormSpec or a tag string.
 
