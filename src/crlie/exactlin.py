@@ -15,7 +15,8 @@ as Fractions at the boundary with the integer root code.
 A vector's nonzeros are its (index, value) pairs, indices increasing.  A
 DenseMatrix holds the nonzeros of each row, a Subspace those of its RREF
 rows, each with a dense view built when read.  _rref is the one
-row-elimination routine, a sparse Gauss-Jordan on {index: value} rows.
+row-elimination routine, a sparse Gauss-Jordan on {index: value} rows;
+SpanTracker places its rows through its two steps.
 The coordinate primitives the Lie algebra modules share live here too, on
 nonzeros: sparse, sparse_span, combine (linear combinations of rows) and
 apply_sparse (maps stored as sparse columns, linear or antilinear).
@@ -525,26 +526,33 @@ def _from_nonzeros(rows: int, cols: int, nz: tuple) -> DenseMatrix:
 
 def _rref(rows) -> tuple:
     """(RREF rows as nonzeros, pivots) of the span of rows, {column: value}
-    dicts that are consumed.  Each row is reduced by the placed rows (as in
-    Subspace._reduce_nz), scaled to 1 at its pivot, and cleared from the
-    placed rows.  The RREF is unique, so the order does not matter."""
+    dicts that are consumed; the RREF is unique, so order does not matter."""
     placed = {}
     for w in rows:
-        for p, c in [(p, c) for p, c in w.items() if p in placed]:
-            _axpy(w, -c, placed[p].items())
-        if not w:
-            continue
-        pivot = min(w)
-        piv = w[pivot]
-        if piv != ONE:
-            w = {j: a / piv for j, a in w.items()}
-        for other in placed.values():
-            f = other.get(pivot)
-            if f is not None:
-                _axpy(other, -f, w.items())
-        placed[pivot] = w
+        _reduce_by(placed, w)
+        if w:
+            _place(placed, w)
     pivots = tuple(sorted(placed))
     return tuple(_pairs(placed[p]) for p in pivots), pivots
+
+
+def _reduce_by(placed: dict, w: dict) -> None:
+    """Reduce w in place by the RREF rows placed, keyed by pivot."""
+    for p, c in [(p, c) for p, c in w.items() if p in placed]:
+        _axpy(w, -c, placed[p].items())
+
+
+def _place(placed: dict, w: dict) -> None:
+    """Scale w to 1 at its pivot, clear that column from placed, add w."""
+    pivot = min(w)
+    piv = w[pivot]
+    if piv != ONE:
+        w = {j: a / piv for j, a in w.items()}
+    for other in placed.values():
+        f = other.get(pivot)
+        if f is not None:
+            _axpy(other, -f, w.items())
+    placed[pivot] = w
 
 
 class Subspace:
@@ -773,19 +781,20 @@ class SpanTracker:
     structure constants and bracket closures.
 
     A vector is a sequence of width scalars or a DenseMatrix with width
-    entries, read row after row from its nonzeros.  Each reduced row and its
-    combination of inserted vectors are kept as {index: nonzero value}
-    dicts, so a reduction touches only the nonzeros of the rows it uses.
+    entries, read row after row from its nonzeros.  The rows are an RREF
+    placed by _rref's steps, inserted vector i with ONE in column width + i,
+    so a member reduces to its negated coordinates past width; a dependent
+    insert is not placed.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows = []  # (reduced vector, pivot, combo over inserted vectors)
         self.count = 0
+        self._rows = {}
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def _reduce(self, vector):
         if isinstance(vector, DenseMatrix):
@@ -796,13 +805,8 @@ class SpanTracker:
             size, w = len(vector), dict(sparse(vector))
         if size != self.width:
             raise ValueError("vector width mismatch")
-        combo = {}
-        for row, pivot, rcombo in self.rows:
-            c = w.get(pivot)
-            if c is not None:
-                _axpy(w, -c, row.items())
-                _axpy(combo, c, rcombo.items())
-        return w, combo
+        _reduce_by(self._rows, w)
+        return w
 
     def express(self, vector):
         combo = self.express_nz(vector)
@@ -810,24 +814,19 @@ class SpanTracker:
 
     def express_nz(self, vector):
         """express, with the coordinates as nonzeros."""
-        w, combo = self._reduce(vector)
-        return None if w else _pairs(combo)
+        w = self._reduce(vector)
+        if w and min(w) < self.width:
+            return None
+        return tuple((j - self.width, -x) for j, x in sorted(w.items()))
 
     def add(self, vector) -> bool:
         """Insert a vector; True if it enlarged the span."""
-        w, combo = self._reduce(vector)
-        index = self.count
+        w = self._reduce(vector)
+        w[self.width + self.count] = ONE
         self.count += 1
-        if not w:
+        if min(w) >= self.width:
             return False
-        pivot = min(w)
-        piv = w[pivot]
-        if piv != ONE:
-            w = {j: a / piv for j, a in w.items()}
-            combo = {j: a / piv for j, a in combo.items()}
-        rcombo = {j: -a for j, a in combo.items()}
-        rcombo[index] = ONE / piv
-        self.rows.append((w, pivot, rcombo))
+        _place(self._rows, w)
         return True
 
 

@@ -89,7 +89,8 @@ class AmbientAlgebra:
         return Subspace.full(self.dim).basis
 
     def coords(self, x: DenseMatrix):
-        return self._tracker.express(x)
+        """x on the basis, or None if x is no n x n matrix of the algebra."""
+        return self._tracker.express(x) if x.rows == x.cols == self.n else None
 
     def contains_matrix(self, x: DenseMatrix) -> bool:
         return self.coords(x) is not None

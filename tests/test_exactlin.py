@@ -894,41 +894,54 @@ class DenseSpanTracker:
         return True
 
 
+def _check_against_reference(rng, rows, cols, density, inserts, found):
+    width = rows * cols
+    on_matrices, on_tuples = SpanTracker(width), SpanTracker(width)
+    reference = DenseSpanTracker(width)
+    inserted = []
+    for _ in range(inserts):
+        if inserted and rng.random() < 0.3:
+            a, b = rng.choice(inserted), rng.choice(inserted)
+            m = a + b.scale(rand_scalar(rng))
+        else:
+            m = DenseMatrix(_rand_rect(rng, rows, cols, density))
+        inserted.append(m)
+        want = reference.add(m.flatten())
+        assert on_matrices.add(m) == want == on_tuples.add(m.flatten())
+        found[want] += 1
+        member = DenseMatrix.zero(rows, cols)
+        for x in inserted:
+            member = member + x.scale(rand_scalar(rng))
+        other = DenseMatrix(_rand_rect(rng, rows, cols, density))
+        for target in (member, other, DenseMatrix.zero(rows, cols)):
+            want = reference.express(target.flatten())
+            assert on_matrices.express(target) == want
+            assert on_tuples.express(target.flatten()) == want
+            found["outside" if want is None else "member"] += 1
+    assert on_matrices.dim == on_tuples.dim == len(reference.rows)
+    with pytest.raises(ValueError, match="width mismatch"):
+        on_matrices.add(DenseMatrix.zero(rows, cols + 1))
+    with pytest.raises(ValueError, match="width mismatch"):
+        on_tuples.express([g(0)] * (width + 1))
+
+
 def test_span_tracker_matches_dense_reference():
     rng = random.Random(7373)
     found = {True: 0, False: 0, "member": 0, "outside": 0}
     for _ in range(150):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         density = rng.choice((0.15, 0.4, 1.0))
-        width = rows * cols
-        on_matrices, on_tuples = SpanTracker(width), SpanTracker(width)
-        reference = DenseSpanTracker(width)
-        inserted = []
-        for _ in range(rng.randint(1, width + 3)):
-            if inserted and rng.random() < 0.3:
-                a, b = rng.choice(inserted), rng.choice(inserted)
-                m = a + b.scale(rand_scalar(rng))
-            else:
-                m = DenseMatrix(_rand_rect(rng, rows, cols, density))
-            inserted.append(m)
-            want = reference.add(m.flatten())
-            assert on_matrices.add(m) == want == on_tuples.add(m.flatten())
-            found[want] += 1
-            member = DenseMatrix.zero(rows, cols)
-            for x in inserted:
-                member = member + x.scale(rand_scalar(rng))
-            other = DenseMatrix(_rand_rect(rng, rows, cols, density))
-            for target in (member, other, DenseMatrix.zero(rows, cols)):
-                want = reference.express(target.flatten())
-                assert on_matrices.express(target) == want
-                assert on_tuples.express(target.flatten()) == want
-                found["outside" if want is None else "member"] += 1
-        assert on_matrices.dim == on_tuples.dim == len(reference.rows)
-        with pytest.raises(ValueError, match="width mismatch"):
-            on_matrices.add(DenseMatrix.zero(rows, cols + 1))
-        with pytest.raises(ValueError, match="width mismatch"):
-            on_tuples.express([g(0)] * (width + 1))
+        inserts = rng.randint(1, rows * cols + 3)
+        _check_against_reference(rng, rows, cols, density, inserts, found)
     assert min(found.values()) >= 100
+    # the widths of an ambient in gl_n, n = 5..8, with sparse matrices
+    found = dict.fromkeys(found, 0)
+    for n in (5, 6, 7, 8):
+        for _ in range(3):
+            density = rng.choice((0.05, 0.1, 0.15))
+            inserts = rng.randint(n, n * n // 2)
+            _check_against_reference(rng, n, n, density, inserts, found)
+    assert min(found.values()) >= 40
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,19 @@ class TestAmbient:
         assert SL3.coords(unit(3, 0, 0)) is None
         assert SL3.contains_matrix(unit(3, 0, 1))
 
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (1, 1), (3, 3), (2, 3)])
+    def test_wrong_shape_is_outside(self, shape):
+        # a 1 x 4 matrix has the entry count of gl_2 but is not in it
+        rows, cols = shape
+        x = DenseMatrix([[g(k + 1) for k in range(cols)] for _ in range(rows)])
+        assert GL2.coords(x) is None
+        assert not GL2.contains_matrix(x)
+        assert not GL2.full_subalg().contains_matrix(x)
+        with pytest.raises(ValueError):
+            GL2.ad_matrix(x)
+        with pytest.raises(ValueError):
+            Subalg.from_matrices(GL2, [x])
+
 
 class TestClosureAndSeries:
     def test_sl2_from_nilpotents(self):
