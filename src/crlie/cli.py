@@ -43,13 +43,13 @@ from .fibration import (
 from .matrixlie import AmbientAlgebra, Subalg, is_subalgebra
 from .realforms import RealFormSpec, build_minimal_orbit, build_real_form, embed_regular, type_criteria
 from .regularize import regularize, regularize_regular
-from .rootsys import RANK_CAP_DEFAULT, RegularSubalgebra, build_root_system, format_root
+from .rootsys import RegularSubalgebra, build_root_system, format_root
 
 COMMANDS = ("analyze", "regularize", "par-max", "par-min", "fibration", "lift", "corpus")
 
 _AMBIENT_KEYS = ("form", "matrices", "system")
 _SUBALGEBRA_KEYS = ("minimal-orbit", "matrices", "roots")
-_OPTION_KEYS = ("seed", "rank_cap", "format", "timings")
+_OPTION_KEYS = ("seed", "format", "timings")
 
 
 class ProblemError(ValueError):
@@ -76,7 +76,6 @@ class ProblemFile:
     sub_toral: object = "zero"
     crosses: tuple = ()
     seed: int = 0
-    rank_cap: int = RANK_CAP_DEFAULT
     format: str = "json"
     timings: bool = False
 
@@ -129,7 +128,7 @@ def _parse_matrix_list(obj, path, bad):
 
 def _parse_system(obj, bad):
     if isinstance(obj, str):
-        m = re.fullmatch(r"\s*([A-Da-d])\s*(\d+)\s*", obj)
+        m = re.fullmatch(r"\s*([A-Da-d])\s*([0-9]+)\s*", obj, re.ASCII)
         if not m:
             bad("ambient.system", f"expected a tag like 'B3', got {obj!r}")
             return None
@@ -288,11 +287,6 @@ def parse_problem(source) -> ProblemFile:
         problem.seed = seed
     else:
         bad("options.seed", "expected a non-negative integer")
-    rank_cap = options.get("rank_cap", RANK_CAP_DEFAULT)
-    if isinstance(rank_cap, int) and not isinstance(rank_cap, bool) and rank_cap >= 1:
-        problem.rank_cap = rank_cap
-    else:
-        bad("options.rank_cap", "expected a positive integer")
     fmt = options.get("format", "json")
     if fmt in ("json", "text"):
         problem.format = fmt
@@ -319,10 +313,13 @@ def _toral_space(problem, system) -> Subspace:
         return system.cartan
     if problem.sub_toral == "zero":
         return Subspace.zero(system.coord_dim)
-    rows = [
-        tuple(GaussRational.parse(entry) for entry in row)
-        for row in problem.sub_toral
-    ]
+    try:
+        rows = [
+            tuple(GaussRational.parse(entry) for entry in row)
+            for row in problem.sub_toral
+        ]
+    except (ValueError, ZeroDivisionError) as err:
+        raise ProblemError([f"subalgebra.toral: bad entry: {err}"]) from None
     if any(len(row) != system.coord_dim for row in rows):
         raise ValueError(
             f"toral rows must have {system.coord_dim} coordinates for {system}"
@@ -331,7 +328,10 @@ def _toral_space(problem, system) -> Subspace:
 
 
 def _regular_subalgebra(problem, system) -> RegularSubalgebra:
-    roots = frozenset(system.parse_root(t) for t in problem.sub_roots)
+    try:
+        roots = frozenset(system.parse_root(t) for t in problem.sub_roots)
+    except ValueError as err:
+        raise ProblemError([f"subalgebra.roots: {err}"]) from None
     return RegularSubalgebra(system, _toral_space(problem, system), roots)
 
 
@@ -509,7 +509,7 @@ def _cmd_par(ws: Workspace, problem: ProblemFile, maximal: bool):
     if ws.backend != "regular":
         raise ValueError(f"{name} needs a root-system problem")
     finder = maximal_par if maximal else minimal_par
-    members = finder(ws.v, rank_cap=problem.rank_cap)
+    members = finder(ws.v)
     rendered = []
     for q, z in zip(members, z_root_decompositions(members)):
         entry = _root_parabolic_out(q)
@@ -758,7 +758,6 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--format", choices=("json", "text"), default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--rank-cap", type=int, default=None)
     parser.add_argument(
         "--jobs", type=int, default=1, help="parallel corpus fixtures"
     )
@@ -784,10 +783,6 @@ def main(argv=None) -> int:
                 if args.seed < 0:
                     parser.error("--seed must be non-negative")
                 problem.seed = args.seed
-            if args.rank_cap is not None:
-                if args.rank_cap < 1:
-                    parser.error("--rank-cap must be at least 1")
-                problem.rank_cap = args.rank_cap
             if args.format is None:
                 fmt = problem.format
             report = run(args.command, problem)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re as _re
+import string
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence
@@ -86,7 +87,7 @@ class GaussRational:
     @staticmethod
     def parse(s: str) -> "GaussRational":
         """Parse literals like "0", "-7", "3/2", "i", "-i", "2i", "1/2-3/4i", "1+i"."""
-        text = s.strip().replace(" ", "")
+        text = s.strip(string.whitespace).replace(" ", "")
         if not text:
             raise ValueError("empty scalar literal")
         if not text.endswith("i"):
@@ -273,7 +274,7 @@ def _coerce(x):
 
 
 def _parse_fraction(text: str) -> Fraction:
-    if not _re.fullmatch(r"[+-]?\d+(/\d+)?", text):
+    if not _re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
         raise ValueError(f"bad rational literal {text!r}")
     return Fraction(text)
 

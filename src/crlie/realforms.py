@@ -22,6 +22,8 @@ meet of f with k or the structure algorithms, on every build.
 from __future__ import annotations
 
 import itertools
+import re
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -125,14 +127,13 @@ class RealFormSpec:
     @staticmethod
     def parse(text: str) -> "RealFormSpec":
         """Parse tags like "su:2,3", "slH:2", "so:3,5", "compact-sp:2"."""
-        head, sep, tail = text.strip().partition(":")
+        head, sep, tail = text.strip(string.whitespace).partition(":")
         if not sep or not tail:
             raise ValueError(f"malformed real-form tag {text!r}")
-        try:
-            params = tuple(int(part) for part in tail.split(","))
-        except ValueError:
-            raise ValueError(f"non-integer parameter in {text!r}") from None
-        return RealFormSpec(head, params)
+        params = tail.split(",")
+        if not all(re.fullmatch(r"\s*[0-9]+\s*", p, re.ASCII) for p in params):
+            raise ValueError(f"non-integer parameter in {text!r}")
+        return RealFormSpec(head, tuple(map(int, params)))
 
     @property
     def matrix_size(self) -> int:

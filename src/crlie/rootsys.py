@@ -62,9 +62,9 @@ def parse_root(text: str, coord_dim: int) -> Root:
     """Parse e_i syntax back into a coordinate tuple."""
     coords = [0] * coord_dim
     cleaned = text.replace(" ", "")
-    if not _re.fullmatch(r"[+-]?\d*e\d+([+-]\d*e\d+)*", cleaned):
+    if not _re.fullmatch(r"[+-]?[0-9]*e[0-9]+([+-][0-9]*e[0-9]+)*", cleaned):
         raise ValueError(f"bad root literal {text!r}")
-    for m in _re.finditer(r"([+-]?)(\d*)e(\d+)", cleaned):
+    for m in _re.finditer(r"([+-]?)([0-9]*)e([0-9]+)", cleaned):
         sign = -1 if m.group(1) == "-" else 1
         mag = int(m.group(2)) if m.group(2) else 1
         idx = int(m.group(3)) - 1
@@ -711,9 +711,11 @@ def standard_borel(system: RootSystem) -> ParabolicRootSet:
 
 RANK_CAP_DEFAULT = 6
 
-def _check_rank_cap(system: RootSystem, rank_cap: int, cap="Weyl enumeration cap"):
+def _check_rank_cap(system: RootSystem, rank_cap: int):
     if system.rank > rank_cap:
-        raise ValueError(f"rank {system.rank} exceeds the {cap} {rank_cap}")
+        raise ValueError(
+            f"rank {system.rank} exceeds the Weyl enumeration cap {rank_cap}"
+        )
 
 
 def weyl_root_permutations(system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT):

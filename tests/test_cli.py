@@ -12,7 +12,7 @@ from crlie.cli import (
     parse_problem,
     run,
 )
-from crlie.rootsys import build_root_system, enumerate_parabolics
+from crlie.rootsys import build_root_system, enumerate_parabolics, format_root
 
 HOROCYCLIC = {
     "ambient": {"system": "C2"},
@@ -468,7 +468,7 @@ class TestCorpus:
         report = run("corpus", None)
         assert report["ok"] is True
         names = [f["name"] for f in report["fixtures"]]
-        assert len(names) == 19
+        assert len(names) == 21
         assert {"compact-u6-analyze.json", "su34-analyze.json"} <= set(names)
         assert names == sorted(names)
         assert all(f["ok"] and not f["mismatches"] for f in report["fixtures"])
@@ -505,8 +505,8 @@ class TestCorpus:
             cli, "_run_fixture", lambda name: {"name": name, "ok": True}
         )
         report = run("corpus", None, jobs=1000)
-        assert sizes == [19]
-        assert len(report["fixtures"]) == 19
+        assert sizes == [21]
+        assert len(report["fixtures"]) == 21
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # only corpus --jobs > 1 uses the pool, which slows every start-up
@@ -577,14 +577,104 @@ class TestMain:
         assert report["dims"]["v"] == 5
         assert report["flags"]["n_reductive"] is True
 
-    @pytest.mark.parametrize("command", ["par-max", "par-min"])
-    def test_par_rank_cap_exits_one(self, tmp_path, capsysbinary, command):
+    def test_rank_cap_option_is_unknown(self, tmp_path, capsysbinary):
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps({**HOROCYCLIC, "options": {"rank_cap": 1}}))
-        assert cli.main([command, str(path)]) == 1
+        path.write_text(json.dumps({**HOROCYCLIC, "options": {"rank_cap": 7}}))
+        assert cli.main(["par-min", str(path)]) == 1
         captured = capsysbinary.readouterr()
         assert captured.out == b""
-        assert captured.err.decode() == "crlie: rank 2 exceeds the Par(v) rank cap 1\n"
+        assert captured.err == b"crlie: options.rank_cap: unknown option\n"
+
+    def test_rank_cap_flag_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(HOROCYCLIC))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["par-min", str(path), "--rank-cap", "7"])
+        assert err.value.code == 1
+
+    @pytest.mark.parametrize("command", ["par-max", "par-min"])
+    def test_par_at_rank_seven(self, tmp_path, capsysbinary, command):
+        # v = the 28 positive roots of A7 without toral part: a member of
+        # Par(v) contains R+ and its Levi misses R+, so the Borel is the one
+        path = tmp_path / "problem.json"
+        positive = build_root_system("A", 7).positive_roots
+        path.write_text(
+            json.dumps(
+                {
+                    "ambient": {"system": "A7"},
+                    "subalgebra": {"roots": [format_root(a) for a in positive]},
+                }
+            )
+        )
+        assert cli.main([command, str(path)]) == 0
+        par = json.loads(capsysbinary.readouterr().out)["par"]
+        assert par["count"] == 1
+        assert par["members"][0]["dim"] == 35
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        ("problem", "message"),
+        [
+            (
+                {**EMPTY, "subalgebra": {"roots": ["e\uff11-e\uff12"]}},
+                "subalgebra.roots: bad root literal 'e\uff11-e\uff12'",
+            ),
+            (
+                {**EMPTY, "ambient": {"system": "A\uff12"}},
+                "ambient.system: expected a tag like 'B3', got 'A\uff12'",
+            ),
+            (
+                {**ORBIT_SU13, "ambient": {"form": "su:\uff11,\uff13"}},
+                "ambient.form: non-integer parameter in 'su:\uff11,\uff13'",
+            ),
+            (
+                {**ORBIT_SU13, "ambient": {"form": "su:1,1_0"}},
+                "ambient.form: non-integer parameter in 'su:1,1_0'",
+            ),
+            (
+                {**EMPTY, "subalgebra": {"roots": [], "toral": [["\uff11", "-1", "0"]]}},
+                "subalgebra.toral: bad entry: bad rational literal '\uff11'",
+            ),
+            (
+                {**EMPTY, "subalgebra": {"roots": [], "toral": [["1/0", "-1", "0"]]}},
+                "subalgebra.toral: bad entry: Fraction(1, 0)",
+            ),
+            (
+                {**EMPTY, "ambient": {"system": "A2\u3000"}},
+                "ambient.system: expected a tag like 'B3', got 'A2\\u3000'",
+            ),
+            (
+                {**ORBIT_SU13, "ambient": {"form": "su:1,3\u3000"}},
+                "ambient.form: non-integer parameter in 'su:1,3\\u3000'",
+            ),
+            (
+                {**EMPTY, "subalgebra": {"roots": [], "toral": [["1\u3000", "-1", "0"]]}},
+                "subalgebra.toral: bad entry: bad rational literal '1\\u3000'",
+            ),
+        ],
+        ids=[
+            "root",
+            "system",
+            "form",
+            "form-underscore",
+            "toral",
+            "toral-zero-div",
+            "system-wide-space",
+            "form-wide-space",
+            "toral-wide-space",
+        ],
+    )
+    def test_bad_literals_are_schema_errors(
+        self, tmp_path, capsysbinary, problem, message, fmt
+    ):
+        # unicode digits once parsed, ran, and crashed the ASCII text report;
+        # a zero denominator in a toral row escaped as a traceback
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert cli.main(["analyze", str(path), "--format", fmt]) == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.decode() == f"crlie: {message}\n"
 
     def test_schema_violations_exit_one(self, tmp_path, capsysbinary):
         path = tmp_path / "problem.json"

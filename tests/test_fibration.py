@@ -52,6 +52,7 @@ from crlie.rootsys import (
     build_root_system,
     enumerate_parabolics,
     lie_closure_regular,
+    parabolic_from_crosses,
     regular_sum,
     root_sum,
     standard_borel,
@@ -361,15 +362,6 @@ class TestMaximalPar:
                 maximal_par(SO7_V, containing=other)
 
 
-class TestParRankCap:
-    @pytest.mark.parametrize("finder", [maximal_par, minimal_par])
-    def test_finders_name_their_own_cap(self, finder):
-        # the finders walk chambers and build no Weyl table
-        with pytest.raises(ValueError, match=r"^rank 3 exceeds the Par\(v\) rank cap 2$"):
-            finder(SO7_V, rank_cap=2)
-        assert finder(SO7_V, rank_cap=3)
-
-
 class TestMinimalPar:
     def test_parabolic_input_is_its_minimum(self):
         q = standard_parabolic(C2, [1])
@@ -581,6 +573,69 @@ class TestParExtremaAgainstReference:
             )
             several += len(expected) > 1
         assert several > 0
+
+
+def weyl_order(family, n):
+    """|W| of a connected Dynkin diagram of the family and rank n >= 0."""
+    if n == 0:
+        return 1
+    if family == "A":
+        return math.factorial(n + 1)
+    if family == "D":
+        return 2 ** (n - 1) * math.factorial(n)
+    return 2**n * math.factorial(n)
+
+
+def levi_weyl_order(family, rank, c):
+    """|W(L_c)| for the maximal parabolic crossed at simple root c: the
+    product over the components of the Dynkin diagram with node c removed,
+    A_{c-1} and a tail of the family of rank rank - c, except that D_r
+    leaves A_{r-1} when c is one of its two end nodes."""
+    if family == "D" and c >= rank - 1:
+        return weyl_order("A", rank - 1)
+    return weyl_order("A", c - 1) * weyl_order(family, rank - c)
+
+
+SINGLE_CROSSES = [
+    (family, rank, c)
+    for family, lowest in (("A", 1), ("B", 1), ("C", 1), ("D", 3))
+    for rank in range(lowest, 8)
+    for c in range(1, rank + 1)
+    if levi_weyl_order(family, rank, c) <= 720
+]
+
+
+class TestParOfAMaximalNilradical:
+    # v = Q_n of the maximal parabolic P_c, without toral part.  A member q
+    # of Par(v) contains Q_n and its Levi misses Q_n, so q misses -Q_n and
+    # lies in P_c.  So maximal_par(v) is [P_c], and the minimal members are
+    # the Borel sets inside P_c, |W(L_c)| of them, at every rank.
+    @pytest.mark.parametrize(
+        ("family", "rank", "c"),
+        SINGLE_CROSSES,
+        ids=[f"{f}{r}-c{c}" for f, r, c in SINGLE_CROSSES],
+    )
+    def test_closed_form(self, family, rank, c):
+        system = build_root_system(family, rank)
+        p = parabolic_from_crosses(system, [c])
+        v = RegularSubalgebra(system, Subspace.zero(system.coord_dim), p.q_n)
+        assert maximal_par(v) == [p]
+        minimal = minimal_par(v)
+        assert len(set(minimal)) == levi_weyl_order(family, rank, c)
+        assert all(not q.q_r and p.contains_parabolic(q) for q in minimal)
+        if rank <= 4:
+            members = [
+                q for q in enumerate_parabolics(system) if par_membership_regular(v, q)
+            ]
+            perms = reference_weyl_table(system)
+            assert minimal == reference_minimal_par(v, members, perms)
+            assert reference_maximal_par(members) == [p]
+
+    def test_case_count(self):
+        # families A-D at ranks 1-7 (D from 3), every single cross with
+        # |W(L_c)| <= 720; at rank 7, A7 with c = 4 gives 4! * 4! = 576
+        assert len(SINGLE_CROSSES) == 81
+        assert ("A", 7, 4) in SINGLE_CROSSES
 
 
 class TestCombine:
