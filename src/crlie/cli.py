@@ -105,7 +105,7 @@ def _parse_matrix(obj, path, bad):
         return None
     try:
         return DenseMatrix.parse([[str(e) for e in row] for row in obj])
-    except (ValueError, ZeroDivisionError) as err:
+    except ValueError as err:
         bad(path, f"bad entry: {err}")
         return None
 
@@ -318,7 +318,7 @@ def _toral_space(problem, system) -> Subspace:
             tuple(GaussRational.parse(entry) for entry in row)
             for row in problem.sub_toral
         ]
-    except (ValueError, ZeroDivisionError) as err:
+    except ValueError as err:
         raise ProblemError([f"subalgebra.toral: bad entry: {err}"]) from None
     if any(len(row) != system.coord_dim for row in rows):
         raise ValueError(

@@ -89,8 +89,8 @@ def regularity_type(v: Subalg) -> RegularityReport:
 
 
 def levi_part_regular(v: RegularSubalgebra) -> RegularSubalgebra:
-    return RegularSubalgebra(
-        v.system, v.toral.meet(v.toral.conjugate()), v.reductive_roots
+    return RegularSubalgebra._from_mask(
+        v.system, v.toral.meet(v.toral.conjugate()), v._reductive_mask
     )
 
 
@@ -102,14 +102,9 @@ def cr_dims_regular(v: RegularSubalgebra) -> tuple[int, int]:
     system = v.system
     levi = levi_part_regular(v)
     cr_dim = v.dim - levi.dim
-    both = v.rootset | {tuple(-a for a in r) for r in v.rootset}
+    both = v._mask | system._neg_mask(v._mask)
     joint_toral = v.toral.join(v.toral.conjugate())
-    cr_codim = (
-        system.cartan.dim
-        - joint_toral.dim
-        + len(system.roots)
-        - len(both)
-    )
+    cr_codim = ambient_dim_regular(v) - joint_toral.dim - both.bit_count()
     return cr_dim, cr_codim
 
 
@@ -118,7 +113,7 @@ def is_n_reductive_regular(v: RegularSubalgebra) -> bool:
     the dimension count is checked alongside as a second route."""
     direct = v.toral == v.toral.conjugate()
     levi = levi_part_regular(v)
-    counted = v.dim == len(v.nilpotent_roots) + levi.dim
+    counted = v.dim == v._nilpotent_mask.bit_count() + levi.dim
     if direct != counted:
         raise AssertionError("n-reductivity tests disagree on t-regular data")
     return direct

@@ -273,8 +273,15 @@ def _coerce(x):
     return None
 
 
+def _require(ok, message):
+    """An internal check; unlike assert it also runs under python -O."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _parse_fraction(text: str) -> Fraction:
-    if not _re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+    # a zero denominator is no literal either
+    if not _re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", text):
         raise ValueError(f"bad rational literal {text!r}")
     return Fraction(text)
 

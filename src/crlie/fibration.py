@@ -40,6 +40,7 @@ from crlie.rootsys import (
     RegularSubalgebra,
     RootSystem,
     _check_parabolic_mask,
+    _with_coroots,
     lie_closure_regular,
     regular_sum,
 )
@@ -78,35 +79,18 @@ class MapClassification:
         }
 
 
-def classify_map(v: Subalg, e: Subalg) -> MapClassification:
-    """Classify (k0, v) -> (k0, e) for matrix subalgebras.
-
-    The map is CR iff v is contained in e; a submersion iff e = v + L(e); a
-    spread iff e is generated by v + L(e) as a Lie algebra.  Fibers are
-    totally real iff v cap sigma(e) = e cap sigma(v) = L(v) and totally
-    complex iff those two meets sum to L(e).  The fiber conditions are only
-    meaningful for CR maps and are reported false otherwise.
-    """
-    if v.ambient is not e.ambient:
-        raise ValueError("map endpoints live in different ambient algebras")
-    is_cr = v.is_subspace_of(e)
-    lv = levi_part(v)
-    le = levi_part(e)
-    v_plus_le = v.join(le)
-    closure = bracket_closure(v_plus_le)
-    vse = v.meet(e.sigma_image())
-    esv = e.meet(v.sigma_image())
-    is_submersion = is_cr and v_plus_le.space == e.space
-    is_spread = is_cr and closure.space == e.space
-    totally_real = is_cr and vse.space == lv.space and esv.space == lv.space
-    totally_complex = is_cr and vse.join(esv).space == le.space
+def _classified(e, is_cr, same, joined, lv, le, v_plus_le, closure, vse, esv):
+    """The flags of a map to e, from the subspaces compared: same decides
+    that two of them are equal and joined takes a sum."""
+    totally_real = is_cr and same(vse, lv) and same(esv, lv)
+    is_spread = is_cr and same(closure, e)
     return MapClassification(
         is_cr=is_cr,
-        is_submersion=is_submersion,
+        is_submersion=is_cr and same(v_plus_le, e),
         is_spread=is_spread,
         is_deployment=is_spread and totally_real,
         fibers_totally_real=totally_real,
-        fibers_totally_complex=totally_complex,
+        fibers_totally_complex=is_cr and same(joined(vse, esv), le),
         witnesses={
             "levi_v": lv,
             "levi_e": le,
@@ -118,6 +102,26 @@ def classify_map(v: Subalg, e: Subalg) -> MapClassification:
     )
 
 
+def classify_map(v: Subalg, e: Subalg) -> MapClassification:
+    """Classify (k0, v) -> (k0, e) for matrix subalgebras.
+
+    The map is CR iff v is contained in e; a submersion iff e = v + L(e); a
+    spread iff e is generated by v + L(e) as a Lie algebra.  Fibers are
+    totally real iff v cap sigma(e) = e cap sigma(v) = L(v) and totally
+    complex iff those two meets sum to L(e).  The fiber conditions are only
+    meaningful for CR maps and are reported false otherwise.
+    """
+    if v.ambient is not e.ambient:
+        raise ValueError("map endpoints live in different ambient algebras")
+    le = levi_part(e)
+    v_plus_le = v.join(le)
+    return _classified(
+        e, v.is_subspace_of(e), lambda a, b: a.space == b.space, Subalg.join,
+        levi_part(v), le, v_plus_le, bracket_closure(v_plus_le),
+        v.meet(e.sigma_image()), e.meet(v.sigma_image()),
+    )
+
+
 def classify_regular(
     v: RegularSubalgebra, e: RegularSubalgebra
 ) -> MapClassification:
@@ -126,32 +130,13 @@ def classify_regular(
     if v.system != e.system:
         raise ValueError("map endpoints live in different root systems")
     system = v.system
-    is_cr = v.is_contained_in(e)
-    lv = levi_part_regular(v)
     le = levi_part_regular(e)
     v_plus_le = regular_sum(system, [v, le])
-    closure = lie_closure_regular(system, v_plus_le, mode="algebra")
-    vse = v.meets(e.conj())
-    esv = e.meets(v.conj())
-    is_submersion = is_cr and v_plus_le.same_span(e)
-    is_spread = is_cr and closure.same_span(e)
-    totally_real = is_cr and vse.same_span(lv) and esv.same_span(lv)
-    totally_complex = is_cr and regular_sum(system, [vse, esv]).same_span(le)
-    return MapClassification(
-        is_cr=is_cr,
-        is_submersion=is_submersion,
-        is_spread=is_spread,
-        is_deployment=is_spread and totally_real,
-        fibers_totally_real=totally_real,
-        fibers_totally_complex=totally_complex,
-        witnesses={
-            "levi_v": lv,
-            "levi_e": le,
-            "v_plus_levi_e": v_plus_le,
-            "lie_closure": closure,
-            "v_meet_conj_e": vse,
-            "e_meet_conj_v": esv,
-        },
+    return _classified(
+        e, v.is_contained_in(e), RegularSpan.same_span,
+        lambda a, b: regular_sum(system, [a, b]), levi_part_regular(v), le,
+        v_plus_le, lie_closure_regular(system, v_plus_le, mode="algebra"),
+        v.meets(e.conj()), e.meets(v.conj()),
     )
 
 
@@ -175,10 +160,7 @@ def par_membership(v: Subalg, q: Subalg) -> bool:
 def _par_test(v: RegularSubalgebra):
     """Membership in Par(v), for t-regular v, as a test on the root-index
     mask m of a parabolic Q: Q contains V and Q_r = Q & -Q misses nr(v)."""
-    system = v.system
-    vmask = system._mask_of(v.rootset)
-    nr = system._mask_of(v.nilpotent_roots)
-    neg = system._neg_mask
+    vmask, nr, neg = v._mask, v._nilpotent_mask, v.system._neg_mask
     return lambda m: m & vmask == vmask and not nr & m & neg(m)
 
 
@@ -258,9 +240,11 @@ def _supports(system: RootSystem, q: int, levi: int) -> tuple:
     roots of B is nonzero, and a root of -B gets the support of its
     negative.  The coordinates are nonnegative, so the support of a sum is
     the union of the supports, and they are read along
-    ``RootSystem._positive_sums``.  Returns d and the list of supports by
-    root index: 0 on levi, nonzero elsewhere."""
-    simple, sums = system._positive_sums(q & ~levi | levi & system._positive_mask)
+    ``RootSystem._positive_sums``.  Returns d, the list of supports by
+    root index (0 on levi, nonzero elsewhere), and the pass over B as
+    (mask of B, simple roots, sums), which ``_decompose`` reuses."""
+    borel = q & ~levi | levi & system._positive_mask
+    simple, sums = system._positive_sums(borel)
     support = [0] * len(system.roots_sorted)
     last = len(support) - 1
     d = 0
@@ -270,7 +254,7 @@ def _supports(system: RootSystem, q: int, levi: int) -> tuple:
             d += 1
     for k, a, b in sums:
         support[k] = support[last - k] = support[a] | support[b]
-    return d, support
+    return d, support, (borel, simple, sums)
 
 
 def _walls(system: RootSystem, q: int, d: int, support: list) -> list:
@@ -286,9 +270,10 @@ def _walls(system: RootSystem, q: int, d: int, support: list) -> list:
     return walls
 
 
-def _chambers(system: RootSystem, start: int, nr: int):
+def _chambers(system: RootSystem, start: int, nr: int, passes: dict | None = None):
     """Every chamber of C once, from the start chamber: yields each mask
-    with d and its supports, as ``_supports`` gives them.
+    with d and its supports, as ``_supports`` gives them, and records its
+    pass in passes, if given.
 
     The chambers are the members q of Par(v) whose Levi is L0 = Q_r of the
     start: the q_A with A in C off every root hyperplane of z.  Restricted
@@ -307,7 +292,9 @@ def _chambers(system: RootSystem, start: int, nr: int):
     seen, todo = {start}, [start]
     while todo:
         q = todo.pop()
-        d, support = _supports(system, q, levi)
+        d, support, shared = _supports(system, q, levi)
+        if passes is not None:
+            passes[q] = shared
         yield q, d, support
         for x in _walls(system, q, d, support):
             if x & nr:
@@ -329,11 +316,15 @@ def _check_answer(system: RootSystem, member, m: int):
         raise AssertionError("a Par(v) answer is not in Par(v)")
 
 
-def _sorted_parabolics(system: RootSystem, masks) -> list[ParabolicRootSet]:
-    return [
-        ParabolicRootSet._from_mask(system, m)
-        for m in sorted(masks, key=system._mask_order)
-    ]
+def _sorted_parabolics(system: RootSystem, masks, passes: dict) -> list:
+    """The answers, each keeping its pass from passes (or None) for
+    ``z_root_decompositions``."""
+    out = []
+    for m in sorted(masks, key=system._mask_order):
+        q = ParabolicRootSet._from_mask(system, m)
+        q._positive_pass = passes.get(m)
+        out.append(q)
+    return out
 
 
 def _free_sets(d: int, edges: frozenset) -> list:
@@ -369,7 +360,7 @@ def maximal_par(
     system = v.system
     neg = system._neg_mask
     member = _par_test(v)
-    nr = system._mask_of(v.nilpotent_roots)
+    nr = v._nilpotent_mask
     nr_indices = system._mask_indices(nr)
     start = _start_chamber(v)
     free_sets: dict = {}
@@ -385,12 +376,13 @@ def maximal_par(
     if containing is not None:
         c = containing._mask
         found = {m for m in found if m & c == c}
+    passes = {}
     for m in found:
         _check_answer(system, member, m)
-        walls = _walls(system, m, *_supports(system, m, m & neg(m)))
-        if any(member(m | neg(x)) for x in walls):
+        d, support, passes[m] = _supports(system, m, m & neg(m))
+        if any(member(m | neg(x)) for x in _walls(system, m, d, support)):
             raise AssertionError("a maximal element has an upper cover in Par(v)")
-    return _sorted_parabolics(system, found)
+    return _sorted_parabolics(system, found, passes)
 
 
 def minimal_par(v: RegularSubalgebra) -> list[ParabolicRootSet]:
@@ -408,11 +400,12 @@ def minimal_par(v: RegularSubalgebra) -> list[ParabolicRootSet]:
     system = v.system
     neg = system._neg_mask
     member = _par_test(v)
-    nr = system._mask_of(v.nilpotent_roots)
+    nr = v._nilpotent_mask
     start = _start_chamber(v)
     levi = start & neg(start)
+    passes: dict = {}
     out = []
-    for q, _, _ in _chambers(system, start, nr):
+    for q, _, _ in _chambers(system, start, nr, passes):
         _check_answer(system, member, q)
         if q & neg(q) != levi:
             raise AssertionError(
@@ -421,7 +414,7 @@ def minimal_par(v: RegularSubalgebra) -> list[ParabolicRootSet]:
         if nr & ~q | nr & neg(q):
             raise AssertionError("a minimal element does not absorb nr(v)")
         out.append(q)
-    return _sorted_parabolics(system, out)
+    return _sorted_parabolics(system, out, passes)
 
 
 def combine_parabolics(
@@ -477,8 +470,8 @@ def deployment_verify(
         raise ValueError("deployment check needs an n-reductive v")
     system = v.system
     levi = q.levi()
-    nr_span = RegularSpan(
-        system, Subspace.zero(system.coord_dim), v.nilpotent_roots
+    nr_span = RegularSpan._from_mask(
+        system, Subspace.zero(system.coord_dim), v._nilpotent_mask
     )
     start = regular_sum(system, [nr_span, levi])
     closure = lie_closure_regular(system, start, mode=mode, levi=levi)
@@ -568,7 +561,11 @@ def z_root_decompositions(qs) -> list[ZRootDecomposition]:
     """The ``z_root_decomposition`` of each parabolic of qs, in order.  The
     center z and the restrictions of the roots to it depend on the Levi set
     alone, so they are computed once per distinct ``q.q_r`` of the batch;
-    each q still gets the whole certificate."""
+    each q still gets the whole certificate.  An answer of
+    ``minimal_par``/``maximal_par`` hands over the walk's pass over its
+    positive system B (``_supports``), used only if it is the pass over
+    the B that the split of q gives; the pass is dropped once read, which
+    keeps a large batch at the peak memory it had without it."""
     levis: dict = {}
     out = []
     for q in qs:
@@ -634,7 +631,12 @@ def _decompose(
         return tuple(Fraction(k, scale) for k in key)
 
     q_n = system._mask_of(q.q_n)
-    simple, sums = system._positive_sums(q_n | q_r & system._positive_mask)
+    borel = q_n | q_r & system._positive_mask
+    shared = q.__dict__.pop("_positive_pass", None)
+    if shared is not None and shared[0] == borel:
+        simple, sums = shared[1:]
+    else:
+        simple, sums = system._positive_sums(borel)
     outside = [k for k in simple if not q_r >> k & 1]
     dim = center.dim
     if len(outside) != dim:
@@ -723,8 +725,9 @@ def lift(v: Subalg, q: Subalg) -> Subalg:
 def lift_regular(v: RegularSubalgebra, q: ParabolicRootSet) -> RegularSubalgebra:
     if not par_membership_regular(v, q):
         raise ValueError("q is not in Par(v)")
-    vq = RegularSubalgebra(v.system, v.toral, v.rootset | q.q_n)
-    if vq.nilpotent_roots != v.nilpotent_roots | q.q_n:
+    q_n = q._mask & ~v.system._neg_mask(q._mask)
+    vq = RegularSubalgebra._from_mask(v.system, v.toral, v._mask | q_n)
+    if vq._nilpotent_mask != v._nilpotent_mask | q_n:
         raise AssertionError("the nilradical of the lift is not nr(v) + nr(q)")
     if is_n_reductive_regular(v):
         if not levi_part_regular(vq).same_span(levi_part_regular(v)):
@@ -781,7 +784,8 @@ def euler_positive_clause(q: Subalg, m: Subalg) -> bool:
 
 
 def _coroot_span(q: ParabolicRootSet) -> Subspace:
-    return canonicalize([q.system.coroot(a) for a in sorted(q.q_r)], q.system.coord_dim)
+    zero = Subspace.zero(q.system.coord_dim)
+    return _with_coroots(q.system, zero, q.system._mask_of(q.q_r))
 
 
 def homotopic_characteristic_regular(

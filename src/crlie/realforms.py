@@ -42,6 +42,7 @@ from crlie.exactlin import (
     SpanTracker,
     Subspace,
     _densify,
+    _require,
     apply_sparse,
     canonicalize,
     combine,
@@ -527,12 +528,6 @@ def _k_dimension(spec: RealFormSpec) -> int:
 # ---------------------------------------------------------------------------
 # building and verifying a form
 # ---------------------------------------------------------------------------
-
-
-def _require(ok, message):
-    """An internal check; unlike assert it also runs under python -O."""
-    if not ok:
-        raise AssertionError(message)
 
 
 def _project(g_theta, c) -> tuple:

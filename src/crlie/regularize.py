@@ -15,7 +15,8 @@ from crlie.rootsys import (
     ParabolicRootSet,
     RegularSubalgebra,
     RootSystem,
-    neg,
+    _check_parabolic_mask,
+    _normalizer,
     normalizer_regular,
 )
 
@@ -96,13 +97,11 @@ def regularize(v: Subalg) -> RegularizationChain:
 
 def certify_parabolic_regular(q: ParabolicRootSet) -> ParabolicCertificate:
     system = q.system
-    self_norm = normalizer_regular(system, q.q_n).rootset == q.q
-    spans = q.q | {neg(a) for a in q.q} == system.roots
-    triple = (
-        q.q_n | q.q_r | {neg(a) for a in q.q_n} == system.roots
-        and not q.q_n & q.q_r
-        and not q.q_n & {neg(a) for a in q.q_n}
-    )
+    full, neg = system._full_mask, system._neg_mask
+    m, q_n, q_r = map(system._mask_of, (q.q, q.q_n, q.q_r))
+    self_norm = normalizer_regular(system, q.q_n)._mask == m
+    spans = m | neg(m) == full
+    triple = q_n | q_r | neg(q_n) == full and not q_n & q_r and not q_n & neg(q_n)
     return ParabolicCertificate(self_norm, spans, triple)
 
 
@@ -111,7 +110,7 @@ def regularize_regular(v: RegularSubalgebra) -> RegularizationChain:
     steps = [v]
     guard = system.cartan.dim + len(system.roots) + 2
     while len(steps) <= guard:
-        nxt = normalizer_regular(system, steps[-1].nilpotent_roots)
+        nxt = _normalizer(system, steps[-1]._nilpotent_mask)
         if not steps[-1].is_contained_in(nxt):
             raise AssertionError("regularization chain must increase")
         steps.append(nxt)
@@ -119,8 +118,9 @@ def regularize_regular(v: RegularSubalgebra) -> RegularizationChain:
             break
     else:
         raise RuntimeError("regularization did not stabilize")
-    nr_dims = [len(s.nilpotent_roots) for s in steps]
-    result = ParabolicRootSet(system, steps[-1].rootset)
+    nr_dims = [s._nilpotent_mask.bit_count() for s in steps]
+    _check_parabolic_mask(system, steps[-1]._mask)
+    result = ParabolicRootSet._from_mask(system, steps[-1]._mask)
     return RegularizationChain(
         "regular", steps, nr_dims, certify_parabolic_regular(result), result
     )

@@ -15,8 +15,11 @@ of a positive system with every root's coordinates on them; and the simple
 reflections as root-index permutations, which generate W.  A
 ``ParabolicRootSet`` reads its root sets off its mask on first use, so the
 Par(v) search in ``fibration`` walks parabolics as ints and builds root
-sets for its answers only.  The public API still takes and returns
-frozensets of root tuples.
+sets for its answers only.  A ``RegularSpan`` holds its roots as a mask
+too: closures, normalizers, sums and meets run on the sum-pair table and
+on bit operations, and coroots come from a per-system table of sparse
+rows, checked once to be integral and to lie in t.  The public API still
+takes and returns frozensets of root tuples.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import itertools
 import re as _re
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence
 
-from crlie.exactlin import DenseMatrix, Subspace, canonicalize, kernel
+from crlie.exactlin import DenseMatrix, GaussRational, Subspace, _require
+from crlie.exactlin import canonicalize, kernel, sparse_span
 
 Root = tuple  # integer coordinate tuple
 
@@ -196,6 +200,17 @@ class RootSystem:
     def _neg_mask(self, mask: int) -> int:
         return int(format(mask, self._bit_format)[::-1], 2)
 
+    def _closure_mask(self, mask: int) -> int:
+        """The smallest closed mask containing the mask."""
+        grew = True
+        while grew:
+            grew = False
+            for k, pairs in enumerate(self._sum_pairs):
+                if not mask >> k & 1 and any(mask & p == p for p in pairs):
+                    mask |= 1 << k
+                    grew = True
+        return mask
+
     def _mask_closed(self, mask: int) -> bool:
         """No root outside the mask is the sum of a pair inside it."""
         for k, pairs in enumerate(self._sum_pairs):
@@ -241,9 +256,20 @@ class RootSystem:
     def coroot(self, alpha: Root) -> Root:
         norm = sum(a * a for a in alpha)
         scaled = [Fraction(2 * a, norm) for a in alpha]
-        if any(c.denominator != 1 for c in scaled):
-            raise AssertionError(f"{alpha} has no integral coroot")
+        _require(all(c.denominator == 1 for c in scaled), f"{alpha} has no integral coroot")
         return tuple(int(c) for c in scaled)
+
+    @cached_property
+    def _coroot_rows(self) -> tuple:
+        """The coroot of each root, by root index, as the nonzeros of a row
+        of the coordinates.  Checked once per system: each is integral
+        (by ``coroot``) and lies in t."""
+        rows = []
+        for alpha in self.roots_sorted:
+            coroot = enumerate(self.coroot(alpha))
+            rows.append(tuple((j, GaussRational(c)) for j, c in coroot if c))
+            _require(self.cartan._contains_nz(rows[-1]), f"coroot of {alpha} not in t")
+        return tuple(rows)
 
     def simple_coefficients(self, alpha: Root) -> tuple:
         """Integer coordinates of a root in the simple-root basis."""
@@ -399,55 +425,61 @@ def closed_closure(system: RootSystem, rootset: Iterable[Root]) -> frozenset:
     s = set(tuple(a) for a in rootset)
     if not s <= system.roots:
         raise ValueError("input contains non-roots")
-    grew = True
-    while grew:
-        grew = False
-        for a, b in itertools.combinations(list(s), 2):
-            c = root_sum(a, b)
-            if c in system.roots and c not in s:
-                s.add(c)
-                grew = True
-    return frozenset(s)
-
-
-def _coroot_line(system: RootSystem, alpha: Root) -> Subspace:
-    return canonicalize([system.coroot(alpha)], system.coord_dim)
+    return system._mask_roots(system._closure_mask(system._mask_of(s)))
 
 
 class RegularSpan:
     """A t-stable subspace: toral part plus a set of root spaces.
 
     Unlike RegularSubalgebra there is no closure requirement; module closures
-    and intermediate sums live here.
+    and intermediate sums live here.  The roots are held as a root-index
+    mask; ``rootset`` is its frozenset view, built on first read, and a
+    pickle or a copy carries the mask alone.
     """
 
     def __init__(self, system: RootSystem, toral: Subspace, rootset):
-        self.system = system
-        self.toral = toral
         self.rootset = frozenset(tuple(a) for a in rootset)
         if not self.rootset <= system.roots:
             raise ValueError("rootset contains non-roots")
+        self._setup(system, toral, system._mask_of(self.rootset))
+
+    @classmethod
+    def _from_mask(cls, system: RootSystem, toral: Subspace, mask: int):
+        """The span of a root-index mask, with the checks of the class."""
+        out = cls.__new__(cls)
+        out._setup(system, toral, mask)
+        return out
+
+    def _setup(self, system: RootSystem, toral: Subspace, mask: int):
         if toral.ambient_dim != system.coord_dim:
             raise ValueError("toral subspace has wrong ambient dimension")
-        if not toral.is_subspace_of(system.cartan):
+        if toral != system.cartan and not toral.is_subspace_of(system.cartan):
             raise ValueError("toral part is not inside the Cartan subalgebra")
+        self.system, self.toral, self._mask = system, toral, mask
+
+    @cached_property
+    def rootset(self) -> frozenset:
+        return self.system._mask_roots(self._mask)
+
+    def __getstate__(self):
+        return {"system": self.system, "toral": self.toral, "_mask": self._mask}
 
     @property
     def dim(self) -> int:
-        return self.toral.dim + len(self.rootset)
+        return self.toral.dim + self._mask.bit_count()
 
     def same_span(self, other: "RegularSpan") -> bool:
         return (
             self.system == other.system
+            and self._mask == other._mask
             and self.toral == other.toral
-            and self.rootset == other.rootset
         )
 
     def __eq__(self, other):
         return isinstance(other, RegularSpan) and self.same_span(other)
 
     def __hash__(self):
-        return hash((self.system, self.toral, self.rootset))
+        return hash((self.system, self.toral, self._mask))
 
     def __repr__(self):
         roots = ",".join(format_root(a) for a in sorted(self.rootset))
@@ -459,54 +491,69 @@ class RegularSpan:
 
 class RegularSubalgebra(RegularSpan):
     """A subalgebra normalized by the Cartan: closed root set + toral part,
-    with coroots of opposite pairs inside the toral part."""
+    with coroots of opposite pairs inside the toral part.
 
-    def __init__(self, system: RootSystem, toral: Subspace, rootset):
-        super().__init__(system, toral, rootset)
-        if not is_closed(system, self.rootset):
+    -alpha has the coroot line of alpha, so one root of each pair is
+    checked, read from ``RootSystem._coroot_rows``.  A toral part equal to
+    t needs no check: a coroot is a multiple of its root, and t is the
+    whole space for B, C and D and the span of the roots (trace zero) for
+    A; the table checks once per system that every coroot lies in t."""
+
+    def _setup(self, system: RootSystem, toral: Subspace, mask: int):
+        super()._setup(system, toral, mask)
+        if not system._mask_closed(mask):
             raise ValueError("rootset is not closed")
-        for alpha in self.rootset:
-            if neg(alpha) in self.rootset:
-                if not self.toral.contains(system.coroot(alpha)):
-                    raise ValueError(
-                        f"coroot of {format_root(alpha)} missing from toral part"
-                    )
+        # the negative root of each pair, the lower index
+        pairs = mask & system._neg_mask(mask) & ~system._positive_mask
+        for k in system._mask_indices(pairs) if toral != system.cartan else ():
+            if not toral._contains_nz(system._coroot_rows[k]):
+                raise ValueError(
+                    f"coroot of {system._formatted_roots[k]} missing from toral part"
+                )
+
+    @cached_property
+    def _reductive_mask(self) -> int:
+        return self._mask & self.system._neg_mask(self._mask)
 
     @property
+    def _nilpotent_mask(self) -> int:
+        return self._mask ^ self._reductive_mask
+
+    @cached_property
     def nilpotent_roots(self) -> frozenset:
-        return frozenset(a for a in self.rootset if neg(a) not in self.rootset)
+        return self.system._mask_roots(self._nilpotent_mask)
 
-    @property
+    @cached_property
     def reductive_roots(self) -> frozenset:
-        return frozenset(a for a in self.rootset if neg(a) in self.rootset)
+        return self.system._mask_roots(self._reductive_mask)
 
     def conj(self) -> "RegularSubalgebra":
-        return RegularSubalgebra(
-            self.system,
-            self.toral.conjugate(),
-            frozenset(neg(a) for a in self.rootset),
+        return RegularSubalgebra._from_mask(
+            self.system, self.toral.conjugate(), self.system._neg_mask(self._mask)
         )
 
     def meets(self, other: "RegularSpan") -> "RegularSpan":
-        return RegularSpan(
-            self.system,
-            self.toral.meet(other.toral),
-            self.rootset & other.rootset,
+        _same_system(self.system, other)
+        return RegularSpan._from_mask(
+            self.system, self.toral.meet(other.toral), self._mask & other._mask
         )
 
     def is_contained_in(self, other: "RegularSpan") -> bool:
-        return (
-            self.toral.is_subspace_of(other.toral)
-            and self.rootset <= other.rootset
-        )
+        _same_system(self.system, other)
+        return not self._mask & ~other._mask and self.toral.is_subspace_of(other.toral)
+
+
+def _same_system(system: RootSystem, span: RegularSpan):
+    """The masks of two systems index different roots."""
+    if span.system != system:
+        raise ValueError("regular spans live in different root systems")
 
 
 def nr_and_levi(v: RegularSubalgebra) -> tuple[frozenset, RegularSubalgebra]:
     """Nilpotent ideal roots V_n and the Levi part (toral, V_r) of a regular
     subalgebra."""
-    vn = v.nilpotent_roots
-    levi = RegularSubalgebra(v.system, v.toral, v.reductive_roots)
-    return vn, levi
+    levi = RegularSubalgebra._from_mask(v.system, v.toral, v._reductive_mask)
+    return v.nilpotent_roots, levi
 
 
 def normalizer_regular(system: RootSystem, nilpotent_set) -> RegularSubalgebra:
@@ -516,32 +563,42 @@ def normalizer_regular(system: RootSystem, nilpotent_set) -> RegularSubalgebra:
     n = frozenset(tuple(a) for a in nilpotent_set)
     if not n <= system.roots:
         raise ValueError("input contains non-roots")
-    if n & frozenset(neg(a) for a in n):
+    mask = system._mask_of(n)
+    if mask & system._neg_mask(mask):
         raise ValueError("set is not purely nilpotent (contains an opposite pair)")
-    if not is_closed(system, n):
+    if not system._mask_closed(mask):
         raise ValueError("set is not closed")
-    keep = []
-    for beta in system.roots_sorted:
-        if neg(beta) in n:
-            continue
-        ok = True
-        for alpha in n:
-            s = root_sum(alpha, beta)
-            if s in system.roots and s not in n:
-                ok = False
-                break
-        if ok:
-            keep.append(beta)
-    return RegularSubalgebra(system, system.cartan, frozenset(keep))
+    return _normalizer(system, mask)
+
+
+def _normalizer(system: RootSystem, n: int) -> RegularSubalgebra:
+    """``normalizer_regular`` of a purely nilpotent closed mask.  beta is
+    left out iff -beta is in N or some alpha in N has alpha + beta a root
+    outside N: a sum pair of a root outside N with one member in N (not
+    both, N being closed) leaves out the other member."""
+    out = system._neg_mask(n)
+    for k, pairs in enumerate(system._sum_pairs):
+        if not n >> k & 1:
+            for p in pairs:
+                if p & n:
+                    out |= p & ~n
+    return RegularSubalgebra._from_mask(system, system.cartan, system._full_mask & ~out)
 
 
 def regular_sum(system: RootSystem, pieces: Sequence[RegularSpan]) -> RegularSpan:
     toral = Subspace.zero(system.coord_dim)
-    roots: set = set()
+    mask = 0
     for p in pieces:
+        _same_system(system, p)
         toral = toral.join(p.toral)
-        roots |= p.rootset
-    return RegularSpan(system, toral, roots)
+        mask |= p._mask
+    return RegularSpan._from_mask(system, toral, mask)
+
+
+def _with_coroots(system: RootSystem, toral: Subspace, mask: int) -> Subspace:
+    """The toral part joined with the coroots of the roots in the mask."""
+    rows = map(system._coroot_rows.__getitem__, system._mask_indices(mask))
+    return sparse_span([*toral._nz, *rows], system.coord_dim)
 
 
 def lie_closure_regular(
@@ -559,38 +616,34 @@ def lie_closure_regular(
     added to elements) and is returned as a RegularSpan, since it need not be
     a subalgebra.
     """
-    toral = span.toral
-    roots = set(span.rootset)
+    _same_system(system, span)
     if mode == "algebra":
-        roots = set(closed_closure(system, roots))
-        for alpha in list(roots):
-            if neg(alpha) in roots:
-                toral = toral.join(_coroot_line(system, alpha))
-        return RegularSubalgebra(system, toral, frozenset(roots))
+        mask = system._closure_mask(span._mask)
+        pairs = mask & system._neg_mask(mask) & system._positive_mask
+        return RegularSubalgebra._from_mask(
+            system, _with_coroots(system, span.toral, pairs), mask
+        )
     if mode != "module":
         raise ValueError(f"unknown closure mode {mode!r}")
     if levi is None:
         raise ValueError("module closure needs the acting Levi subalgebra")
-    grew = True
-    while grew:
-        grew = False
-        for beta in levi.rootset:
-            for gamma in list(roots):
-                s = root_sum(beta, gamma)
-                if s in system.roots and s not in roots:
-                    roots.add(s)
-                    grew = True
-                if gamma == neg(beta):
-                    line = _coroot_line(system, beta)
-                    if not line.is_subspace_of(toral):
-                        toral = toral.join(line)
-                        grew = True
-            if beta not in roots and any(
-                sum(b * h for b, h in zip(beta, row)) for row in toral.basis
-            ):
-                roots.add(beta)
-                grew = True
-    return RegularSpan(system, toral, frozenset(roots))
+    _same_system(system, levi)
+    neg, roots = system._neg_mask, system.roots_sorted
+    mask, toral, lmask = span._mask, span.toral, levi._mask
+    while True:
+        before = mask, toral
+        # [e_beta, e_-beta] for beta in the Levi and -beta in the span, and
+        # [e_beta, e_gamma] for a sum pair with one member in each
+        toral = _with_coroots(system, toral, neg(lmask) & mask)
+        for k, pairs in enumerate(system._sum_pairs):
+            if any(p & lmask and p & mask and p & (lmask | mask) == p for p in pairs):
+                mask |= 1 << k
+        # [H, e_beta] = beta(H) e_beta
+        for k in system._mask_indices(lmask & ~mask):
+            if any(sum(map(mul, roots[k], row)) for row in toral.basis):
+                mask |= 1 << k
+        if (mask, toral) == before:
+            return RegularSpan._from_mask(system, toral, mask)
 
 
 def _check_parabolic_mask(system: RootSystem, mask: int):
@@ -603,7 +656,8 @@ def _check_parabolic_mask(system: RootSystem, mask: int):
 
 class ParabolicRootSet:
     """A parabolic set of roots Q with Q union -Q = R, split as Q_n | Q_r.
-    The root sets are read off the mask on first use."""
+    The root sets are read off the mask on first use; a pickle or a copy
+    carries the system and the mask alone."""
 
     def __init__(self, system: RootSystem, rootset):
         q = frozenset(tuple(a) for a in rootset)
@@ -622,6 +676,9 @@ class ParabolicRootSet:
         out._mask = mask
         return out
 
+    def __getstate__(self):
+        return {"system": self.system, "_mask": self._mask}
+
     @cached_property
     def q(self) -> frozenset:
         return self.system._mask_roots(self._mask)
@@ -639,10 +696,11 @@ class ParabolicRootSet:
         return self.system.cartan.dim + self._mask.bit_count()
 
     def to_regular(self) -> RegularSubalgebra:
-        return RegularSubalgebra(self.system, self.system.cartan, self.q)
+        return RegularSubalgebra._from_mask(self.system, self.system.cartan, self._mask)
 
     def levi(self) -> RegularSubalgebra:
-        return RegularSubalgebra(self.system, self.system.cartan, self.q_r)
+        levi = self._mask & self.system._neg_mask(self._mask)
+        return RegularSubalgebra._from_mask(self.system, self.system.cartan, levi)
 
     def contains_parabolic(self, other: "ParabolicRootSet") -> bool:
         return self.system == other.system and not other._mask & ~self._mask

@@ -637,7 +637,25 @@ class TestMain:
             ),
             (
                 {**EMPTY, "subalgebra": {"roots": [], "toral": [["1/0", "-1", "0"]]}},
-                "subalgebra.toral: bad entry: Fraction(1, 0)",
+                "subalgebra.toral: bad entry: bad rational literal '1/0'",
+            ),
+            (
+                {**EMPTY, "subalgebra": {"roots": [], "toral": [["0", "-1", "3/00"]]}},
+                "subalgebra.toral: bad entry: bad rational literal '3/00'",
+            ),
+            (
+                {
+                    "ambient": {"matrices": [[["1/0", "0"], ["0", "0"]]]},
+                    "subalgebra": {"matrices": [[["1", "0"], ["0", "0"]]]},
+                },
+                "ambient.matrices[0]: bad entry: bad rational literal '1/0'",
+            ),
+            (
+                {
+                    "ambient": {"form": "su:1,1"},
+                    "subalgebra": {"matrices": [[["0", "1+2/0i"], ["0", "0"]]]},
+                },
+                "subalgebra.matrices[0]: bad entry: bad rational literal '+2/0'",
             ),
             (
                 {**EMPTY, "ambient": {"system": "A2\u3000"}},
@@ -659,6 +677,9 @@ class TestMain:
             "form-underscore",
             "toral",
             "toral-zero-div",
+            "toral-zero-div-padded",
+            "matrix-zero-div",
+            "matrix-zero-div-imaginary",
             "system-wide-space",
             "form-wide-space",
             "toral-wide-space",
@@ -668,7 +689,8 @@ class TestMain:
         self, tmp_path, capsysbinary, problem, message, fmt
     ):
         # unicode digits once parsed, ran, and crashed the ASCII text report;
-        # a zero denominator in a toral row escaped as a traceback
+        # a zero denominator in a toral row escaped as a traceback, and then
+        # was reported as the repr of Fraction's ZeroDivisionError
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
         assert cli.main(["analyze", str(path), "--format", fmt]) == 1

@@ -81,6 +81,19 @@ def test_scalar_parse_round_trip():
         GaussRational.parse("1.5")
 
 
+@pytest.mark.parametrize(
+    ("text", "literal"),
+    [("1/0", "1/0"), ("-3/00", "-3/00"), ("2i/0", None), ("1/2-3/0i", "-3/0"), ("7/0i", "7/0")],
+)
+def test_zero_denominator_is_a_bad_literal(text, literal):
+    # a zero denominator once escaped as Fraction's ZeroDivisionError
+    with pytest.raises(ValueError, match="bad rational literal") as err:
+        GaussRational.parse(text)
+    if literal is not None:
+        assert str(err.value) == f"bad rational literal {literal!r}"
+    assert GaussRational.parse("1/05") == g(Fraction(1, 5))
+
+
 def test_scalar_parse_random_round_trip():
     rng = random.Random(12)
     for _ in range(300):

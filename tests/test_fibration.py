@@ -58,7 +58,7 @@ from crlie.rootsys import (
     standard_borel,
     standard_parabolic,
 )
-from helpers import diagonal
+from helpers import diagonal, seeded_closed_subalgebras
 from test_rootsys import reference_weyl_table
 
 GL3 = gl_ambient(3)
@@ -508,16 +508,6 @@ def reference_minimal_par(v, members, perms):
         orbit = {frozenset(perm[i] for i in first) for perm in perms}
         assert all(frozenset(index[a] for a in q.q_r) in orbit for q in out)
     return out
-
-
-def seeded_closed_subalgebras(system, salt, count=40):
-    """The Lie closures of 0-3 random roots, with the coroots of their +-
-    pairs as toral part, seeded by the system and the salt."""
-    rng = random.Random(f"{salt}:{system.family}{system.rank}")
-    for _ in range(count):
-        roots = rng.sample(system.roots_sorted, rng.randrange(4))
-        span = RegularSpan(system, Subspace.zero(system.coord_dim), roots)
-        yield rng, lie_closure_regular(system, span, mode="algebra")
 
 
 def dot(alpha, beta):

@@ -251,6 +251,16 @@ TRIPPED = {
         "rootsys.weyl_root_permutations(b3)\n",
         "AssertionError: <(-1, -1, 0), (1, 1, 1)^vee> is not an integer",
     ),
+    # a Cartan without e3: the coroot table, read once per system by the
+    # first toral part other than t, finds -e1-e3 outside it
+    "rootsys._coroot_rows": (
+        "from crlie import rootsys\n"
+        "from crlie.exactlin import Subspace, canonicalize\n"
+        "b3 = rootsys.RootSystem('B', 3)\n"
+        "b3.cartan = canonicalize([[1, 0, 0], [0, 1, 0]], 3)\n"
+        "rootsys.RegularSubalgebra(b3, Subspace.zero(3), [(0, 0, 1), (0, 0, -1)])\n",
+        "AssertionError: coroot of (-1, 0, -1) not in t",
+    ),
     # e2 is a root of B3, but the simple roots of R+ are e1-e2, e2-e3, e3
     "rootsys._simple_table": (
         "from crlie import rootsys\n"

@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from crlie import rootsys
-from crlie.exactlin import DenseMatrix, Subspace, canonicalize, solve_linear
+from crlie.exactlin import DenseMatrix, Subspace, canonicalize, solve_linear, sparse_span
 from crlie.rootsys import (
     ParabolicRootSet,
     RootSystem,
@@ -38,6 +39,7 @@ from crlie.rootsys import (
     weyl_conjugate_sets,
     weyl_root_permutations,
 )
+from helpers import seeded_closed_subalgebras
 
 A2 = build_root_system("A", 2)
 A3 = build_root_system("A", 3)
@@ -993,3 +995,212 @@ class TestSharedSystemsAndPickle:
             assert hash(back) == hash(q)
             assert (back.q, back.q_n, back.q_r) == (q.q, q.q_n, q.q_r)
             assert back.system is q.system
+
+
+# ---------------------------------------------------------------------------
+# the mask backend against the tuple implementations it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_normalizer(system, n):
+    """The roots of normalizer_regular(n) by the tuple loop: every beta with
+    -beta outside n such that no alpha + beta is a root outside n."""
+    keep = []
+    for beta in system.roots_sorted:
+        if neg(beta) in n:
+            continue
+        ok = True
+        for alpha in n:
+            s = root_sum(alpha, beta)
+            if s in system.roots and s not in n:
+                ok = False
+                break
+        if ok:
+            keep.append(beta)
+    return frozenset(keep)
+
+
+def reference_closed_closure(system, rootset):
+    """closed_closure by sums of pairs until nothing is added."""
+    s = set(rootset)
+    grew = True
+    while grew:
+        grew = False
+        for a, b in itertools.combinations(list(s), 2):
+            c = root_sum(a, b)
+            if c in system.roots and c not in s:
+                s.add(c)
+                grew = True
+    return frozenset(s)
+
+
+def reference_coroot_check(system, toral, rootset):
+    """The coroot of every root with its negative in the set, each of a
+    pair checked on its own, in sorted order."""
+    for alpha in sorted(rootset):
+        if neg(alpha) in rootset and not toral.contains(system.coroot(alpha)):
+            raise ValueError(f"coroot of {format_root(alpha)} missing from toral part")
+
+
+def reference_module_closure(system, span, levi):
+    """lie_closure_regular in module mode, by sums of tuples."""
+    toral = span.toral
+    roots = set(span.rootset)
+    grew = True
+    while grew:
+        grew = False
+        for beta in levi.rootset:
+            for gamma in list(roots):
+                s = root_sum(beta, gamma)
+                if s in system.roots and s not in roots:
+                    roots.add(s)
+                    grew = True
+                if gamma == neg(beta):
+                    line = canonicalize([system.coroot(beta)], system.coord_dim)
+                    if not line.is_subspace_of(toral):
+                        toral = toral.join(line)
+                        grew = True
+            if beta not in roots and any(
+                sum(b * h for b, h in zip(beta, row)) for row in toral.basis
+            ):
+                roots.add(beta)
+                grew = True
+    return toral, frozenset(roots)
+
+
+def outcome(build, *args):
+    try:
+        build(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+ORACLE_TAGS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4"]
+
+
+class TestMaskBackendAgainstTuples:
+    @pytest.mark.parametrize("tag", ORACLE_TAGS)
+    def test_seeded_closed_subalgebras(self, tag):
+        # 12 x 20 = 240 seeded closed root subalgebras (the Lie closure of
+        # 0-3 random roots with the coroots of their +- pairs): the
+        # normalizer of nr(v), closures of random roots, the coroot span of
+        # the Lie closure and the module closure under the Levi of v agree
+        # with the tuple loops; the coroot check agrees on four toral parts
+        system = build_root_system(tag[0], int(tag[1:]))
+        dim = system.coord_dim
+        zero = Subspace.zero(dim)
+        dropped = 0
+        for rng, v in seeded_closed_subalgebras(system, "mask-oracle", count=20):
+            n = v.nilpotent_roots
+            norm = normalizer_regular(system, n)
+            assert norm.rootset == reference_normalizer(system, n)
+            assert norm.toral == system.cartan
+
+            seeds = rng.sample(system.roots_sorted, min(rng.randrange(5), len(system.roots)))
+            assert closed_closure(system, seeds) == reference_closed_closure(system, seeds)
+            assert closed_closure(system, v.rootset) == v.rootset
+
+            pairs = sorted(v.reductive_roots)
+            coroots = canonicalize([system.coroot(a) for a in pairs], dim) if pairs else zero
+            assert v.toral == coroots
+
+            levi = nr_and_levi(v)[1]
+            span = RegularSpan(system, zero, rng.sample(system.roots_sorted, 2))
+            mod = lie_closure_regular(system, span, mode="module", levi=levi)
+            assert (mod.toral, mod.rootset) == reference_module_closure(system, span, levi)
+
+            # and a random parabolic, whose Levi holds pairs more often
+            crosses = rng.sample(range(1, system.rank + 1), rng.randrange(system.rank + 1))
+            q = parabolic_from_crosses(system, crosses).q
+            for rootset in (v.rootset, q):
+                pairs = sorted(a for a in rootset if neg(a) in rootset)
+                coroots = canonicalize([system.coroot(a) for a in pairs], dim) if pairs else zero
+                torals = [system.cartan, coroots, zero]
+                if coroots.dim:
+                    # one line fewer than the coroot span: some pair fails
+                    torals.append(sparse_span(coroots._nz[:-1], dim))
+                for toral in torals:
+                    expected = outcome(reference_coroot_check, system, toral, rootset)
+                    got = outcome(RegularSubalgebra, system, toral, sorted(rootset))
+                    assert got == expected
+                if coroots.dim:
+                    assert "missing from toral part" in expected
+                    dropped += 1
+        assert dropped >= 10
+
+    def test_coroot_table_is_checked_once_per_system(self):
+        # every coroot is integral and lies in t, the table is built on
+        # first use and kept, and a toral part equal to t skips the check
+        for system in ALL_SYSTEMS + [build_root_system("C", 3)]:
+            rows = system._coroot_rows
+            assert rows is system._coroot_rows
+            for alpha, row in zip(system.roots_sorted, rows):
+                assert dict(row) == {
+                    j: c for j, c in enumerate(system.coroot(alpha)) if c
+                }
+                assert system.cartan.contains(system.coroot(alpha))
+        a3 = build_root_system("A", 3)
+        # t of A3 is the trace-zero hyperplane, not the whole space
+        assert a3.cartan != Subspace.full(4) and a3.cartan.dim == 3
+        v = RegularSubalgebra(a3, a3.cartan, a3.roots)
+        assert v.toral is a3.cartan and v.dim == 15
+
+
+class TestRegularValueTypes:
+    @pytest.mark.parametrize("tag", ["A3", "B3", "C3", "D4"])
+    def test_eq_hash_and_pickle(self, tag):
+        # a subalgebra built from root tuples equals one built from its
+        # mask, with the same hash; its pickle and its copy carry the mask,
+        # never the root-set views read before
+        system = build_root_system(tag[0], int(tag[1:]))
+        for _, v in seeded_closed_subalgebras(system, "value", count=10):
+            public = RegularSubalgebra(system, v.toral, [list(a) for a in v.rootset])
+            assert public == v and hash(public) == hash(v)
+            assert public == RegularSpan(system, v.toral, v.rootset)
+            v.rootset, v.nilpotent_roots, v.reductive_roots  # read the views
+            data = pickle.dumps(v)
+            for name in (b"rootset", b"nilpotent_roots", b"reductive_roots"):
+                assert name not in data
+            for back in (pickle.loads(data), copy.copy(v)):
+                assert type(back) is RegularSubalgebra and back.system is system
+                assert back == v and hash(back) == hash(v)
+                assert "rootset" not in vars(back)
+                assert back.rootset == v.rootset
+                assert back.nilpotent_roots == v.nilpotent_roots
+                assert back.reductive_roots == v.reductive_roots
+            other = RegularSubalgebra(system, system.cartan, v.rootset)
+            assert (other == v) == (v.toral == system.cartan)
+            if v.rootset:
+                assert v != RegularSubalgebra(system, v.toral, ())
+                assert v.conj().conj() == v
+
+    def test_parabolic_pickle_carries_the_mask_alone(self):
+        # a Par(v) answer also holds its walk's positive-system pass; it
+        # reaches neither a pickle nor a copy
+        for q in minimal_par_of_zero(B3)[:6] + [parabolic_from_crosses(D4, [1, 3])]:
+            q.q, q.q_n, q.q_r  # read the views
+            data = pickle.dumps(q)
+            for name in (b"q_n", b"q_r", b"_positive_pass"):
+                assert name not in data
+            for back in (pickle.loads(data), copy.copy(q)):
+                assert back == q and hash(back) == hash(q)
+                assert vars(back) == {"system": q.system, "_mask": q._mask}
+                assert (back.q, back.q_n, back.q_r) == (q.q, q.q_n, q.q_r)
+            assert q != ParabolicRootSet(q.system, q.system.roots)
+
+    def test_spans_of_two_systems_do_not_mix(self):
+        # the masks of B3 and C3 index different roots
+        b3, c3 = B3, build_root_system("C", 3)
+        v = RegularSubalgebra(b3, b3.cartan, ())
+        w = RegularSubalgebra(c3, c3.cartan, ())
+        assert v != w
+        for call in (v.is_contained_in, v.meets, lambda x: regular_sum(b3, [x])):
+            with pytest.raises(ValueError, match="different root systems"):
+                call(w)
+
+
+def minimal_par_of_zero(system):
+    from crlie.fibration import minimal_par
+
+    return minimal_par(RegularSubalgebra(system, system.cartan, ()))
