@@ -317,12 +317,12 @@ def _check_answer(system: RootSystem, member, m: int):
 
 
 def _sorted_parabolics(system: RootSystem, masks, passes: dict) -> list:
-    """The answers, each keeping its pass from passes (or None) for
+    """The answers, each keeping its pass from passes for
     ``z_root_decompositions``."""
     out = []
     for m in sorted(masks, key=system._mask_order):
         q = ParabolicRootSet._from_mask(system, m)
-        q._positive_pass = passes.get(m)
+        q._positive_pass = passes[m]
         out.append(q)
     return out
 
@@ -470,10 +470,7 @@ def deployment_verify(
         raise ValueError("deployment check needs an n-reductive v")
     system = v.system
     levi = q.levi()
-    nr_span = RegularSpan._from_mask(
-        system, Subspace.zero(system.coord_dim), v._nilpotent_mask
-    )
-    start = regular_sum(system, [nr_span, levi])
+    start = RegularSpan._from_mask(system, levi.toral, v._nilpotent_mask | levi._mask)
     closure = lie_closure_regular(system, start, mode=mode, levi=levi)
     ok = closure.same_span(q.to_regular())
     if ok and mode == "algebra":
@@ -783,9 +780,13 @@ def euler_positive_clause(q: Subalg, m: Subalg) -> bool:
     return adapted.meet(s).is_subspace_of(tau)
 
 
-def _coroot_span(q: ParabolicRootSet) -> Subspace:
-    zero = Subspace.zero(q.system.coord_dim)
-    return _with_coroots(q.system, zero, q.system._mask_of(q.q_r))
+def _coroot_span(q: ParabolicRootSet, m: RegularSubalgebra) -> Subspace:
+    """The coroot span of Q_r, for m inside the Levi part of q."""
+    system = q.system
+    levi = q._mask & system._neg_mask(q._mask)
+    if m._mask & ~levi or not m.toral.is_subspace_of(system.cartan):
+        raise ValueError("m must lie inside the Levi part of q")
+    return _with_coroots(system, Subspace.zero(system.coord_dim), levi)
 
 
 def homotopic_characteristic_regular(
@@ -793,9 +794,7 @@ def homotopic_characteristic_regular(
 ) -> int:
     """Regular backend: tau is the toral part of m and the Cartan of s is the
     coroot span of Q_r, which has the same dimension as the root span."""
-    if not (m.rootset <= q.q_r and m.toral.is_subspace_of(q.system.cartan)):
-        raise ValueError("m must lie inside the Levi part of q")
-    span = _coroot_span(q)
+    span = _coroot_span(q, m)
     roots = canonicalize(sorted(q.q_r), q.system.coord_dim)
     if span.dim != roots.dim:
         raise AssertionError("coroot span and root span differ in dimension")
@@ -810,6 +809,4 @@ def euler_positive_clause_regular(
 ) -> bool:
     """Here the adapted maximal torus is the standard Cartan, whose meet with
     s is the whole coroot span of Q_r."""
-    if not (m.rootset <= q.q_r and m.toral.is_subspace_of(q.system.cartan)):
-        raise ValueError("m must lie inside the Levi part of q")
-    return _coroot_span(q).is_subspace_of(m.toral)
+    return _coroot_span(q, m).is_subspace_of(m.toral)

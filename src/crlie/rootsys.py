@@ -202,23 +202,17 @@ class RootSystem:
 
     def _closure_mask(self, mask: int) -> int:
         """The smallest closed mask containing the mask."""
-        grew = True
-        while grew:
-            grew = False
+        grown = None
+        while grown != mask:
+            grown = mask
             for k, pairs in enumerate(self._sum_pairs):
                 if not mask >> k & 1 and any(mask & p == p for p in pairs):
                     mask |= 1 << k
-                    grew = True
         return mask
 
     def _mask_closed(self, mask: int) -> bool:
         """No root outside the mask is the sum of a pair inside it."""
-        for k, pairs in enumerate(self._sum_pairs):
-            if not mask >> k & 1:
-                for p in pairs:
-                    if mask & p == p:
-                        return False
-        return True
+        return self._closure_mask(mask) == mask
 
     @staticmethod
     def _is_positive(alpha: Root) -> bool:
@@ -282,15 +276,20 @@ class RootSystem:
     def _simple_table(self) -> dict:
         """Every root's coordinates on ``simple_roots``, read off the
         positive roots; negative roots get the negated coordinates."""
-        simple, coords = self._positive_coordinates(self._positive_mask)
+        simple, sums = self._positive_sums(self._positive_mask)
         roots = self.roots_sorted
         if {roots[k] for k in simple} != set(self.simple_roots):
             raise AssertionError("the simple roots of R+ are not simple_roots")
-        order = [simple.index(self.root_index[s]) for s in self.simple_roots]
+        zero = (0,) * len(simple)
+        coords = {
+            self.root_index[s]: zero[:j] + (1,) + zero[j + 1 :]
+            for j, s in enumerate(self.simple_roots)
+        }
+        for k, a, b in sums:
+            coords[k] = tuple(map(add, coords[a], coords[b]))
         table = {}
         for k, c in coords.items():
-            table[roots[k]] = c = tuple(map(c.__getitem__, order))
-            table[neg(roots[k])] = neg(c)
+            table[roots[k]], table[neg(roots[k])] = c, neg(c)
         return table
 
     @cached_property
@@ -338,17 +337,6 @@ class RootSystem:
                 )
             pending = left
         return simple, sums
-
-    def _positive_coordinates(self, borel: int) -> tuple:
-        """The simple roots Pi of a positive system B, given as a mask, in
-        ascending index order, and {index: integer coordinates on Pi} for
-        every root of B, summed along ``_positive_sums``."""
-        simple, sums = self._positive_sums(borel)
-        zero = (0,) * len(simple)
-        coords = {k: zero[:j] + (1,) + zero[j + 1:] for j, k in enumerate(simple)}
-        for k, a, b in sums:
-            coords[k] = tuple(map(add, coords[a], coords[b]))
-        return simple, coords
 
     @cached_property
     def _reflections(self) -> tuple:
@@ -784,7 +772,7 @@ def weyl_root_permutations(system: RootSystem, rank_cap: int = RANK_CAP_DEFAULT)
     _check_rank_cap(system, rank_cap)
     identity = tuple(range(len(system.roots_sorted)))
     # an element is known by its images of a basis, the simple roots of R+
-    simple, _ = system._positive_coordinates(system._positive_mask)
+    simple, _ = system._positive_sums(system._positive_mask)
     out, seen = [identity], {simple}
     for w in out:  # visits the elements appended on the way
         images = [w[i] for i in simple]
