@@ -9,15 +9,14 @@ byte-identical.  Exit codes: 0 success, 1 usage or schema problems, 2 a
 mathematical certificate or internal check failed.
 """
 
-import argparse
 import json
 import re
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass
-from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 
+from ._record import _record
 from .crcore import (
     ambient_dim_regular,
     cr_dims,
@@ -60,7 +59,7 @@ class ProblemError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass
+@_record
 class ProblemFile:
     """A validated problem: parsed sources plus options, with the raw input
     kept for echoing into reports."""
@@ -80,7 +79,7 @@ class ProblemFile:
     timings: bool = False
 
 
-@dataclass
+@_record
 class Workspace:
     backend: str
     v: object
@@ -365,22 +364,8 @@ def _roots_out(rootset):
     return [format_root(a) for a in sorted(tuple(a) for a in rootset)]
 
 
-def _regularity_out(report):
-    return {
-        "kind": report.kind,
-        "ambient_rank": report.ambient_rank,
-        "v_normalizer_rank": report.v_normalizer_rank,
-        "levi_normalizer_rank": report.levi_normalizer_rank,
-    }
-
-
-def _certificate_out(cert):
-    return {
-        "ok": cert.ok,
-        "self_normalizing": cert.self_normalizing,
-        "spans_with_conjugate": cert.spans_with_conjugate,
-        "triple_decomposition": cert.triple_decomposition,
-    }
+def _fields_out(record):
+    return {name: getattr(record, name) for name in record._fields}
 
 
 def _chain_out(chain):
@@ -388,7 +373,7 @@ def _chain_out(chain):
         "backend": chain.backend,
         "dims": list(chain.dims),
         "nr_dims": list(chain.nr_dims),
-        "certificate": _certificate_out(chain.certificate),
+        "certificate": {"ok": chain.certificate.ok, **_fields_out(chain.certificate)},
     }
 
 
@@ -450,42 +435,28 @@ def _cmd_analyze(ws: Workspace, problem: ProblemFile):
     crit = type_criteria(ws.orbit) if ws.orbit is not None else None
     if ws.backend == "matrix":
         n_reductive, nr, levi = n_reductive_split(ws.v)
-        cr_dim, cr_codim = cr_dims(ws.v)
-        dims = {
-            "ambient": ws.v.ambient.dim,
-            "v": ws.v.dim,
-            "nr": nr.dim,
-            "levi": levi.dim,
-            "cr_dim": cr_dim,
-            "cr_codim": cr_codim,
-        }
+        sizes = [ws.v.ambient.dim, nr.dim, levi.dim, *cr_dims(ws.v)]
         # a minimal orbit's criteria already hold its regularity report
         report = crit.regularity if crit else regularity_type(ws.v)
-        flags = {"n_reductive": n_reductive, "regularity": _regularity_out(report)}
+        flags = {"n_reductive": n_reductive, "regularity": _fields_out(report)}
     else:
-        cr_dim, cr_codim = cr_dims_regular(ws.v)
-        dims = {
-            "ambient": ambient_dim_regular(ws.v),
-            "v": ws.v.dim,
-            "nr": len(ws.v.nilpotent_roots),
-            "levi": levi_part_regular(ws.v).dim,
-            "cr_dim": cr_dim,
-            "cr_codim": cr_codim,
-        }
+        sizes = [
+            ambient_dim_regular(ws.v),
+            len(ws.v.nilpotent_roots),
+            levi_part_regular(ws.v).dim,
+            *cr_dims_regular(ws.v),
+        ]
         flags = {"n_reductive": is_n_reductive_regular(ws.v), "regularity": None}
-    body = {"dims": dims, "flags": flags}
+    dims = dict(zip(("ambient", "nr", "levi", "cr_dim", "cr_codim"), sizes))
+    body = {"dims": {"v": ws.v.dim, **dims}, "flags": flags}
     if crit is not None:
         sets = ws.orbit.sets
+        # the root-set fields, flag_roots as "flag"
         body["sets"] = {
-            "crosses": list(sets.crosses),
-            "flag": _roots_out(sets.flag_roots),
-            "flag_nilpotent": _roots_out(sets.flag_nilpotent),
-            "flag_reductive": _roots_out(sets.flag_reductive),
-            "projectable": _roots_out(sets.projectable),
-            "theta_core": _roots_out(sets.theta_core),
-            "theta_core_nilpotent": _roots_out(sets.theta_core_nilpotent),
-            "theta_core_reductive": _roots_out(sets.theta_core_reductive),
+            name.removesuffix("_roots"): _roots_out(getattr(sets, name))
+            for name in sets._fields[2:]
         }
+        body["sets"]["crosses"] = list(sets.crosses)
         body["types"] = {
             "type_I": crit.type_I,
             "type_II": crit.type_II,
@@ -600,8 +571,15 @@ def run(command: str, problem: ProblemFile | None, jobs: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _corpus():
+    # imported here: only the corpus reads package data
+    from importlib.resources import files
+
+    return files("crlie") / "corpus"
+
+
 def _fixture_names():
-    folder = resources.files("crlie") / "corpus"
+    folder = _corpus()
     return sorted(p.name for p in folder.iterdir() if p.name.endswith(".json"))
 
 
@@ -625,8 +603,7 @@ def _expect_mismatches(expected, actual, path=""):
 
 
 def _run_fixture(name: str) -> dict:
-    folder = resources.files("crlie") / "corpus"
-    data = json.loads((folder / name).read_text("utf-8"))
+    data = json.loads((_corpus() / name).read_text("utf-8"))
     command = data["command"]
     if command not in _DISPATCH:
         return {
@@ -721,11 +698,40 @@ def _render_text(value, indent, lines):
         lines.append(f"{pad}{_scalar_text(value)}")
 
 
+# json's text for each type but float
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json(value, pad=""):
+    """json.dumps(value, sort_keys=True, indent=2) at indentation pad, but
+    without the slow encoder that indent selects."""
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return _SCALARS.get(type(value), json.dumps)(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        ends = "{}"
+    else:
+        kinds = set(map(type, value))
+        if kinds == {str} or kinds == {int}:
+            items = map(_SCALARS[kinds.pop()], value)
+        else:
+            items = [_json(item, inner) for item in value]
+        ends = "[]"
+    sep = ",\n" + inner
+    return f"{ends[0]}\n{inner}{sep.join(items)}\n{pad}{ends[1]}"
+
+
 def emit_report(report: dict, format: str = "json") -> bytes:
     """Serialize a report deterministically; the text form is computed from
     the same dictionary the JSON form serializes."""
     if format == "json":
-        return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("ascii")
+        return (_json(report) + "\n").encode("ascii")
     if format == "text":
         lines = []
         _render_text(report, 0, lines)
@@ -738,14 +744,16 @@ def emit_report(report: dict, format: str = "json") -> bytes:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
+def _build_parser():
+    # imported here: only main parses arguments
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            sys.stderr.write(f"{self.prog}: error: {message}\n")
+            raise SystemExit(1)
 
-def _build_parser() -> _Parser:
     parser = _Parser(
         prog="crlie",
         description="Exact computations with CR algebras of compact Lie groups.",

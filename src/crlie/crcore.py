@@ -9,8 +9,7 @@ cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from crlie._record import _record
 from crlie.matrixlie import Subalg, maximal_torus, normalizer
 from crlie.rootsys import RegularSubalgebra
 
@@ -47,7 +46,7 @@ def strengthens(v1: Subalg, v2: Subalg) -> bool:
     )
 
 
-@dataclass
+@_record
 class RegularityReport:
     kind: str  # "I", "II" or "III"
     ambient_rank: int

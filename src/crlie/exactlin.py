@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 import re as _re
-import string
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Sequence
+
+# string.whitespace, which is ASCII only
+_WHITESPACE = " \t\n\r\x0b\x0c"
 
 
 class GaussRational:
@@ -87,7 +88,7 @@ class GaussRational:
     @staticmethod
     def parse(s: str) -> "GaussRational":
         """Parse literals like "0", "-7", "3/2", "i", "-i", "2i", "1/2-3/4i", "1+i"."""
-        text = s.strip(string.whitespace).replace(" ", "")
+        text = s.strip(_WHITESPACE).replace(" ", "")
         if not text:
             raise ValueError("empty scalar literal")
         if not text.endswith("i"):

@@ -10,12 +10,12 @@ backends are implemented separately so tests can cross-check them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import add, mul
 
+from crlie._record import _record
 from crlie.crcore import (
     is_n_reductive,
     is_n_reductive_regular,
@@ -46,7 +46,7 @@ from crlie.rootsys import (
 )
 
 
-@dataclass
+@_record
 class MapClassification:
     """Flags of an equivariant map (k0, v) -> (k0, e), plus the subspaces that
     were compared to decide them."""
@@ -68,15 +68,8 @@ class MapClassification:
             )
 
     def flags(self) -> dict:
-        """Fixed-key boolean map, for reports."""
-        return {
-            "is_cr": self.is_cr,
-            "is_submersion": self.is_submersion,
-            "is_spread": self.is_spread,
-            "is_deployment": self.is_deployment,
-            "fibers_totally_real": self.fibers_totally_real,
-            "fibers_totally_complex": self.fibers_totally_complex,
-        }
+        """The six flags by name, for reports: every field but witnesses."""
+        return {name: getattr(self, name) for name in self._fields[:-1]}
 
 
 def _classified(e, is_cr, same, joined, lv, le, v_plus_le, closure, vse, esv):
@@ -485,7 +478,7 @@ def deployment_verify(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class ZRootDecomposition:
     """Decomposition of the root spaces of k under the center z of L(q).
 
@@ -511,6 +504,12 @@ class ZRootDecomposition:
     scale: int
     classes: tuple
     simple_keys: frozenset
+
+    def __init__(self, center, system, scale, classes, simple_keys):
+        # built per Par(v) answer: faster than the generic __init__
+        state = self.__dict__
+        state["center"], state["system"], state["scale"] = center, system, scale
+        state["classes"], state["simple_keys"] = classes, simple_keys
 
     @property
     def positive_dims(self) -> list:

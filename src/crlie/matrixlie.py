@@ -14,11 +14,10 @@ hulls, minimal polynomials, Jordan decompositions).
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from crlie._record import _record
 from crlie.exactlin import (
     DenseMatrix,
     GaussRational,
@@ -466,7 +465,7 @@ def jordan_chevalley(x: DenseMatrix):
     return s, n
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class SplitEvidence:
     """Outcome of sampling-based splittability checking.
 
@@ -482,7 +481,9 @@ class SplitEvidence:
 
 def splittable_evidence(sub: Subalg, trials: int = 12, seed: int = 0) -> SplitEvidence:
     """Check x_s in v for each basis element and for random combinations."""
-    rng = random.Random(seed)
+    from random import Random
+
+    rng = Random(seed)
     mats = sub.matrices()
     samples = 0
     for m in mats:

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 import re
-import string
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
+from crlie._record import _record
 from crlie.crcore import (
     RegularityReport,
     n_reductive_split,
@@ -41,6 +40,7 @@ from crlie.exactlin import (
     GaussRational,
     SpanTracker,
     Subspace,
+    _WHITESPACE,
     _densify,
     _require,
     apply_sparse,
@@ -82,7 +82,7 @@ _PARAM_COUNT = {
 }
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class RealFormSpec:
     """A family tag plus integer parameters, e.g. su:2,3 or compact-so:7.
 
@@ -128,7 +128,7 @@ class RealFormSpec:
     @staticmethod
     def parse(text: str) -> "RealFormSpec":
         """Parse tags like "su:2,3", "slH:2", "so:3,5", "compact-sp:2"."""
-        head, sep, tail = text.strip(string.whitespace).partition(":")
+        head, sep, tail = text.strip(_WHITESPACE).partition(":")
         if not sep or not tail:
             raise ValueError(f"malformed real-form tag {text!r}")
         params = tail.split(",")
@@ -152,7 +152,7 @@ class RealFormSpec:
         return f"{self.family}:{','.join(str(p) for p in self.params)}"
 
 
-@dataclass(frozen=True, eq=False)
+@_record(frozen=True, eq=False)
 class AdaptedPair:
     """A theta-stable Cartan subalgebra of the real form, split into its
     compact and noncompact halves.
@@ -170,7 +170,7 @@ class AdaptedPair:
     h_minus_weights: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@_record(frozen=True, eq=False)
 class RealForm:
     """A built real form: verified involutions, the compact subalgebra k as
     an AmbientAlgebra, root vectors, and the adapted Cartan pair.
@@ -209,7 +209,7 @@ class RealForm:
         return f"RealForm({self.spec})"
 
 
-@dataclass(eq=False)
+@_record(eq=False)
 class RootClassification:
     """Tags for every root under the conjugation, plus the two induced root
     permutations (sigma_star for sigma, theta_star for theta)."""
@@ -218,10 +218,6 @@ class RootClassification:
     tags: dict
     sigma_star: dict
     theta_star: dict
-    real_roots: frozenset = field(init=False)
-    imaginary_compact_roots: frozenset = field(init=False)
-    imaginary_noncompact_roots: frozenset = field(init=False)
-    complex_roots: frozenset = field(init=False)
 
     def __post_init__(self):
         by_tag = {REAL: [], IMAGINARY_COMPACT: [], IMAGINARY_NONCOMPACT: [], COMPLEX: []}
@@ -237,7 +233,7 @@ class RootClassification:
         return self.sigma_star[tuple(alpha)]
 
 
-@dataclass(eq=False)
+@_record(eq=False)
 class ThetaSets:
     """Root sets of a crossed flag parabolic, filtered through theta.
 
@@ -259,7 +255,7 @@ class ThetaSets:
     theta_core_reductive: frozenset
 
 
-@dataclass(eq=False)
+@_record(eq=False)
 class MinimalOrbit:
     """The CR algebra v = f cap k of the minimal real orbit, with the data
     that produced it and the verified split into nilpotent and reductive
@@ -275,7 +271,7 @@ class MinimalOrbit:
     levi: Subalg
 
 
-@dataclass(eq=False)
+@_record(eq=False)
 class TypeCriteria:
     """Outcome of the strongly-orthogonal-system tests for regularity.
 
@@ -299,7 +295,7 @@ class TypeCriteria:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@_record(eq=False)
 class _Presentation:
     system: RootSystem
     sigma: object

@@ -8,8 +8,7 @@ q + sigma(q) = k, and k = nr(q) (+) L(q) (+) sigma(nr(q)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from crlie._record import _record
 from crlie.matrixlie import Subalg, normalizer
 from crlie.rootsys import (
     ParabolicRootSet,
@@ -21,7 +20,7 @@ from crlie.rootsys import (
 )
 
 
-@dataclass
+@_record
 class ParabolicCertificate:
     self_normalizing: bool
     spans_with_conjugate: bool
@@ -36,7 +35,7 @@ class ParabolicCertificate:
         )
 
 
-@dataclass(eq=False)
+@_record(eq=False)
 class RegularizationChain:
     """The successive subalgebras of one regularization run.
 

@@ -29,7 +29,6 @@ import re as _re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul
-from typing import Iterable, Sequence
 
 from crlie.exactlin import DenseMatrix, GaussRational, Subspace, _require
 from crlie.exactlin import canonicalize, kernel, sparse_span

@@ -462,6 +462,46 @@ class TestEmitReport:
         with pytest.raises(ValueError, match="unknown report format"):
             emit_report({}, "yaml")
 
+    @staticmethod
+    def dumps(value):
+        return (json.dumps(value, sort_keys=True, indent=2) + "\n").encode("ascii")
+
+    def test_json_is_json_dumps_on_the_corpus(self):
+        # emit_report writes indented JSON itself; every corpus report, and
+        # the corpus summary, must come out byte for byte as json.dumps
+        reports = [run("corpus", None)]
+        for name in cli._fixture_names():
+            data = json.loads((cli._corpus() / name).read_text("utf-8"))
+            if data["command"] in cli._DISPATCH:
+                reports.append(run(data["command"], parse_problem(data["problem"])))
+        assert len(reports) == 22
+        for report in reports:
+            assert emit_report(report, "json") == self.dumps(report)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {"g": []}}},
+            [True, False, None],
+            {"yes": True, "no": False, "none": None},
+            [True, 1, 0, False],
+            "snow☃ café \"q\" \\ \n\t\x00\x1f\x7f",
+            ["é", "\x01", ""],
+            [-1, 0, -7, 2**70, -(2**70)],
+            -3,
+            [1, "a", None, 2.5, [3, []], {"k": ("x", -1)}],
+            {"z": 1, "a": {"y": [1, 2], "b": ["s", "t"]}, "m": [{"b": 1, "a": 2}]},
+            [0.1, -0.0, 1e300, float("inf"), float("nan")],
+        ],
+    )
+    def test_json_is_json_dumps_on_edge_values(self, value):
+        report = {"value": value, "list": [value], "ok": True}
+        assert emit_report(report, "json") == self.dumps(report)
+        assert emit_report(value, "json") == self.dumps(value)
+
 
 class TestCorpus:
     def test_corpus_all_green(self):
