@@ -205,10 +205,13 @@ class GaussRational:
         )
 
     def __hash__(self):
+        # hash(Fraction(n)) == hash(n); a real value hashes as the int or
+        # Fraction it equals, as hash(1+0j) == hash(1)
         if self._d == 1:
-            # hash(Fraction(n)) == hash(n)
-            return hash((self._a, self._b))
-        return hash((self.re, self.im))
+            re, im = self._a, self._b
+        else:
+            re, im = self.re, self.im
+        return hash((re, im)) if im else hash(re)
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"

@@ -1,9 +1,14 @@
-"""Classical real forms in fixed matrix presentations.
+"""Classical real forms in matrix presentations made by one rule.
 
-Each supported family carries a hard-wired complex matrix algebra g inside
-gl_n, a conjugation sigma cutting out the real form, and a Cartan involution
-theta chosen so that the compact conjugation tau = sigma o theta is exactly
-X -> -conj(X)^T.  With that normalization the sigma of matrixlie, restricted
+The complex algebra g of a form is gl_n (sl_n for su and slH), so(B) or sp(J)
+inside gl_n, for the anti-diagonal symmetric form B and the paired symplectic
+form J.  Its root vectors are elementary matrices projected onto g, its
+Cartan basis the projected diagonal ones (_root_vectors).  The real form is
+cut out by sigma X = -J X* J with Cartan involution theta X = J X J, J the
+exchange matrix of p index pairs (p = 0 for the compact forms, where sigma is
+X -> -X* and theta the identity); slH keeps its own pair.  So the compact
+conjugation tau = sigma o theta is exactly X -> -conj(X)^T, for every form.
+With that normalization the sigma of matrixlie, restricted
 to the theta-fixed subalgebra k, is the real structure of the maximal compact
 subgroup, so the CR machinery of crcore and regularize applies to subalgebras
 of k without any change of coordinates.
@@ -42,6 +47,7 @@ from crlie.exactlin import (
     Subspace,
     _WHITESPACE,
     _densify,
+    _from_nonzeros,
     _require,
     apply_sparse,
     canonicalize,
@@ -307,10 +313,6 @@ class _Presentation:
     h_plus: tuple
 
 
-def _unit(n, i, j):
-    return DenseMatrix.unit(n, i, j)
-
-
 def _exchange_matrix(n: int, pairs: int) -> DenseMatrix:
     """Permutation matrix swapping row i with row n-1-i for i < pairs."""
     perm = list(range(n))
@@ -319,131 +321,81 @@ def _exchange_matrix(n: int, pairs: int) -> DenseMatrix:
     return DenseMatrix([[1 if c == perm[r] else 0 for c in range(n)] for r in range(n)])
 
 
-def _a_root_vectors(size: int):
-    system = build_root_system("A", size - 1)
+def _root_vectors(kind: str, size: int):
+    """The root system, a root vector per root and the coordinate elements
+    of g = gl_size (kind "A"), so(B) ("so") or sp(J) ("sp").
+
+    The invariant form pairs each index b with b*: B is the anti-diagonal
+    symmetric form, b* = size-1-b; J has the blocks [[0, 1], [-1, 0]] on the
+    index pairs (2i, 2i+1), b* = b xor 1.  The unit vector e_a has weight
+    w(a): e_a for gl; e_1 ... e_l, then 0 if size is odd, then -e_l ... -e_1
+    for B; e_i at 2i and -e_i at 2i+1 for J.  E_ab projects onto g as
+    X_ab = E_ab + s E_b*a* (up to a factor 2), with s = -1 for B and
+    -(-1)^(a+b) for J: a root vector for w(a) - w(b).  When (b*, a*) = (a, b)
+    it is E_ab itself, a long root of sp (for B, 2w(a) is no root).  Each
+    root takes the X_ab of its first (a, b) in row-major order, and the
+    coordinate elements are the X_aa with w(a) = e_1, e_2, ...  _build checks
+    all of it on the matrices.
+    """
+    rank = size if kind == "A" else size // 2
+
+    def unit(i, c=1):
+        return tuple(c if k == i else 0 for k in range(rank))
+
+    # partner(a, b) = (b*, a*, s): the second entry of X_ab and its sign
+    if kind == "A":
+        system = build_root_system("A", size - 1)
+        weights = [unit(a) for a in range(size)]
+        partner = None
+    elif kind == "so":
+        system = build_root_system("B" if size % 2 else "D", rank)
+        weights = [unit(a) for a in range(rank)] + [(0,) * rank] * (size % 2)
+        weights += [unit(a, -1) for a in reversed(range(rank))]
+
+        def partner(a, b):
+            return size - 1 - b, size - 1 - a, -ONE
+
+    else:
+        system = build_root_system("C", rank)
+        weights = [unit(a // 2, 1 - 2 * (a % 2)) for a in range(size)]
+
+        def partner(a, b):
+            return b ^ 1, a ^ 1, ONE if (a + b) % 2 else -ONE
+
+    def x(a, b):
+        rows = [()] * size
+        rows[a] = ((b, ONE),)
+        if partner:
+            c, d, s = partner(a, b)
+            if (c, d) != (a, b):
+                rows[c] = ((d, s),)
+        return _from_nonzeros(size, size, tuple(rows))
+
     vectors = {}
-    for alpha in system.roots_sorted:
-        vectors[alpha] = _unit(size, alpha.index(1), alpha.index(-1))
-    coord = tuple(_unit(size, a, a) for a in range(size))
+    for a, b in itertools.product(range(size), repeat=2):
+        alpha = tuple(p - q for p, q in zip(weights[a], weights[b]))
+        if alpha in system.roots and alpha not in vectors:
+            vectors[alpha] = x(a, b)
+    _require(vectors.keys() == system.roots, "root vectors do not cover the roots")
+    coord = tuple(x(a, a) for a in range(size) if 1 in weights[a])
     return system, vectors, coord
-
-
-def _orthogonal_root_vectors(size: int):
-    """Root vectors of so(B) for the anti-diagonal symmetric form B."""
-    ell = size // 2
-    system = build_root_system("B" if size % 2 else "D", ell)
-
-    def m(a):
-        return size - 1 - a
-
-    center = ell
-    vectors = {}
-    for alpha in system.roots_sorted:
-        support = [(i, c) for i, c in enumerate(alpha) if c]
-        if len(support) == 1:
-            i, c = support[0]
-            if c == 1:
-                x = _unit(size, i, center) - _unit(size, center, m(i))
-            else:
-                x = _unit(size, center, i) - _unit(size, m(i), center)
-        else:
-            (i, ci), (j, cj) = support
-            if (ci, cj) == (1, -1):
-                x = _unit(size, i, j) - _unit(size, m(j), m(i))
-            elif (ci, cj) == (-1, 1):
-                x = _unit(size, j, i) - _unit(size, m(i), m(j))
-            elif (ci, cj) == (1, 1):
-                x = _unit(size, i, m(j)) - _unit(size, j, m(i))
-            else:
-                x = _unit(size, m(j), i) - _unit(size, m(i), j)
-        vectors[alpha] = x
-    cartan = tuple(_unit(size, i, i) - _unit(size, m(i), m(i)) for i in range(ell))
-    return system, vectors, cartan
-
-
-def _symplectic_root_vectors(half: int):
-    """Root vectors of sp(J) for J built from 2x2 blocks on index pairs
-    (2i, 2i+1)."""
-    size = 2 * half
-    system = build_root_system("C", half)
-    vectors = {}
-    for alpha in system.roots_sorted:
-        support = [(i, c) for i, c in enumerate(alpha) if c]
-        if len(support) == 1:
-            i, c = support[0]
-            if c == 2:
-                x = _unit(size, 2 * i, 2 * i + 1)
-            else:
-                x = _unit(size, 2 * i + 1, 2 * i)
-        else:
-            (i, ci), (j, cj) = support
-            if (ci, cj) == (1, -1):
-                x = _unit(size, 2 * i, 2 * j) - _unit(size, 2 * j + 1, 2 * i + 1)
-            elif (ci, cj) == (-1, 1):
-                x = _unit(size, 2 * j, 2 * i) - _unit(size, 2 * i + 1, 2 * j + 1)
-            elif (ci, cj) == (1, 1):
-                x = _unit(size, 2 * i, 2 * j + 1) + _unit(size, 2 * j, 2 * i + 1)
-            else:
-                x = _unit(size, 2 * j + 1, 2 * i) + _unit(size, 2 * i + 1, 2 * j)
-        vectors[alpha] = x
-    cartan = tuple(
-        _unit(size, 2 * i, 2 * i) - _unit(size, 2 * i + 1, 2 * i + 1)
-        for i in range(half)
-    )
-    return system, vectors, cartan
-
-
-def _paired_symplectic_form(half: int) -> DenseMatrix:
-    size = 2 * half
-    grid = [[0] * size for _ in range(size)]
-    for i in range(half):
-        grid[2 * i][2 * i + 1] = 1
-        grid[2 * i + 1][2 * i] = -1
-    return DenseMatrix(grid)
-
-
-def _traceless_diagonal_basis(size: int):
-    return tuple(
-        _unit(size, a, a) - _unit(size, a + 1, a + 1) for a in range(size - 1)
-    )
-
-
-def _identity_map(x):
-    return x
 
 
 def _present(spec: RealFormSpec) -> _Presentation:
     n = spec.matrix_size
-    if spec.family == "su":
-        p, q = spec.params
-        system, vectors, coord = _a_root_vectors(n)
-        j = _exchange_matrix(n, p)
+    family = spec.family
+    kind = "so" if family.endswith("so") else "sp" if family == "compact-sp" else "A"
+    system, vectors, coord = _root_vectors(kind, n)
+    cartan = coord
+    if family in ("su", "slH"):
+        cartan = tuple(coord[a] - coord[a + 1] for a in range(n - 1))
 
-        def sigma(x, j=j):
-            return (j * x.conj_transpose() * j).scale(-1)
-
-        def theta(x, j=j):
-            return j * x * j
-
-        h_minus = tuple(
-            _unit(n, i, i) - _unit(n, n - 1 - i, n - 1 - i) for i in range(p)
-        )
-        raw = [_unit(n, i, i) + _unit(n, n - 1 - i, n - 1 - i) for i in range(p)]
-        raw += [_unit(n, a, a) for a in range(p, n - p)]
-        ident = DenseMatrix.identity(n)
-        h_plus = tuple(
-            (m - ident.scale(m.trace() / GaussRational.of(n))).scale(IUNIT)
-            for m in raw[: q - 1]
-        )
-        return _Presentation(
-            system, sigma, theta, _traceless_diagonal_basis(n), coord, vectors,
-            h_minus, h_plus,
-        )
-
-    if spec.family == "slH":
+    if family == "slH":
         half = spec.params[0]
-        system, vectors, coord = _a_root_vectors(n)
-        j = _paired_symplectic_form(half)
+        # the paired symplectic form: [[0, 1], [-1, 0]] on each (2i, 2i+1)
+        j = _from_nonzeros(
+            n, n, tuple(((a ^ 1, -ONE if a % 2 else ONE),) for a in range(n))
+        )
 
         def sigma(x, j=j):
             return (j * x.conj() * j).scale(-1)
@@ -452,56 +404,38 @@ def _present(spec: RealFormSpec) -> _Presentation:
             return j * x.transpose() * j
 
         h_minus = tuple(
-            _unit(n, 2 * i, 2 * i)
-            + _unit(n, 2 * i + 1, 2 * i + 1)
-            - _unit(n, 2 * i + 2, 2 * i + 2)
-            - _unit(n, 2 * i + 3, 2 * i + 3)
+            coord[2 * i] + coord[2 * i + 1] - coord[2 * i + 2] - coord[2 * i + 3]
             for i in range(half - 1)
         )
         h_plus = tuple(
-            (_unit(n, 2 * i, 2 * i) - _unit(n, 2 * i + 1, 2 * i + 1)).scale(IUNIT)
-            for i in range(half)
+            (coord[2 * i] - coord[2 * i + 1]).scale(IUNIT) for i in range(half)
         )
         return _Presentation(
-            system, sigma, theta, _traceless_diagonal_basis(n), coord, vectors,
-            h_minus, h_plus,
+            system, sigma, theta, cartan, coord, vectors, h_minus, h_plus
         )
 
-    if spec.family in ("so", "compact-so"):
-        p = spec.params[0] if spec.family == "so" else 0
-        system, vectors, cartan = _orthogonal_root_vectors(n)
-        t = _exchange_matrix(n, p)
+    # compact forms: p = 0, sigma is X -> -X* and theta the identity
+    p = 0 if spec.compact else spec.params[0]
+    j = _exchange_matrix(n, p)
 
-        def sigma(x, t=t):
-            return (t * x.conj_transpose() * t).scale(-1)
+    def sigma(x, j=j):
+        return (j * x.conj_transpose() * j).scale(-1)
 
-        def theta(x, t=t):
-            return t * x * t
+    def theta(x, j=j):
+        return j * x * j
 
-        ell = n // 2
+    if family == "su":
+        h_minus = tuple(coord[i] - coord[n - 1 - i] for i in range(p))
+        raw = [coord[i] + coord[n - 1 - i] for i in range(p)] + list(coord[p : n - p])
+        ident = DenseMatrix.identity(n)
+        h_plus = tuple(
+            (m - ident.scale(m.trace() / GaussRational.of(n))).scale(IUNIT)
+            for m in raw[: spec.params[1] - 1]
+        )
+    else:
         h_minus = cartan[:p]
-        h_plus = tuple(cartan[j].scale(IUNIT) for j in range(p, ell))
-        return _Presentation(
-            system, sigma, theta, cartan, cartan, vectors, h_minus, h_plus
-        )
-
-    if spec.family == "compact-sp":
-        half = spec.params[0]
-        system, vectors, cartan = _symplectic_root_vectors(half)
-        h_plus = tuple(h.scale(IUNIT) for h in cartan)
-        return _Presentation(
-            system, compact_conjugation, _identity_map, cartan, cartan, vectors,
-            (), h_plus,
-        )
-
-    # compact-u
-    system, vectors, coord = _a_root_vectors(n)
-    cartan = tuple(_unit(n, a, a) for a in range(n))
-    h_plus = tuple(h.scale(IUNIT) for h in cartan)
-    return _Presentation(
-        system, compact_conjugation, _identity_map, cartan, coord, vectors,
-        (), h_plus,
-    )
+        h_plus = tuple(h.scale(IUNIT) for h in cartan[p:])
+    return _Presentation(system, sigma, theta, cartan, coord, vectors, h_minus, h_plus)
 
 
 def _k_dimension(spec: RealFormSpec) -> int:

@@ -474,7 +474,7 @@ class TestEmitReport:
             data = json.loads((cli._corpus() / name).read_text("utf-8"))
             if data["command"] in cli._DISPATCH:
                 reports.append(run(data["command"], parse_problem(data["problem"])))
-        assert len(reports) == 22
+        assert len(reports) == 25
         for report in reports:
             assert emit_report(report, "json") == self.dumps(report)
 
@@ -508,10 +508,20 @@ class TestCorpus:
         report = run("corpus", None)
         assert report["ok"] is True
         names = [f["name"] for f in report["fixtures"]]
-        assert len(names) == 21
+        assert len(names) == 24
         assert {"compact-u6-analyze.json", "su34-analyze.json"} <= set(names)
         assert names == sorted(names)
         assert all(f["ok"] and not f["mismatches"] for f in report["fixtures"])
+
+    def test_every_command_has_a_fixture_on_each_backend(self):
+        covered = set()
+        for name in cli._fixture_names():
+            data = json.loads((cli._corpus() / name).read_text("utf-8"))
+            covered.add((data["command"], data["expect"]["backend"]))
+        # par-max and par-min accept the root backend only
+        wanted = {(c, b) for c in cli._DISPATCH for b in ("matrix", "regular")}
+        wanted -= {("par-max", "matrix"), ("par-min", "matrix")}
+        assert wanted <= covered
 
     def test_corpus_parallel(self, monkeypatch):
         cheap = ["zero-subalgebra-analyze.json", "sp2-horocyclic-regularize.json"]
@@ -545,8 +555,8 @@ class TestCorpus:
             cli, "_run_fixture", lambda name: {"name": name, "ok": True}
         )
         report = run("corpus", None, jobs=1000)
-        assert sizes == [21]
-        assert len(report["fixtures"]) == 21
+        assert sizes == [24]
+        assert len(report["fixtures"]) == 24
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # only corpus --jobs > 1 uses the pool, which slows every start-up
@@ -605,6 +615,53 @@ class TestCorpus:
             "execution failed: regularization did not stabilize"
         ]
         assert fine["ok"] is True
+
+
+class TestResolve:
+    """Toral rows given explicitly, and matrices in a real form's k."""
+
+    A2_PAIR = {"ambient": {"system": "A2"}, "subalgebra": {"roots": ["e1-e2", "e2-e1"]}}
+    SU12 = {"ambient": {"form": "su:1,2"}}
+
+    @staticmethod
+    def main(tmp_path, command, problem):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        return cli.main([command, str(path)])
+
+    def test_explicit_toral_rows(self, tmp_path, capsysbinary):
+        problem = {**self.A2_PAIR}
+        problem["subalgebra"] = {**problem["subalgebra"], "toral": [["1", "-1", "0"]]}
+        assert self.main(tmp_path, "analyze", problem) == 0
+        dims = json.loads(capsysbinary.readouterr().out)["dims"]
+        assert dims == {
+            "v": 3, "ambient": 8, "nr": 0, "levi": 3, "cr_dim": 0, "cr_codim": 5,
+        }
+
+    def test_toral_row_of_the_wrong_length(self, tmp_path, capsysbinary):
+        problem = {**self.A2_PAIR}
+        problem["subalgebra"] = {**problem["subalgebra"], "toral": [["1", "-1"]]}
+        assert self.main(tmp_path, "analyze", problem) == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == (
+            b"crlie: toral rows must have 3 coordinates for RootSystem(A2)\n"
+        )
+
+    def test_matrices_in_the_compact_part_of_a_form(self, tmp_path, capsysbinary):
+        diag = [["1", "0", "0"], ["0", "-2", "0"], ["0", "0", "1"]]
+        problem = {**self.SU12, "subalgebra": {"matrices": [diag]}}
+        assert self.main(tmp_path, "analyze", problem) == 0
+        report = json.loads(capsysbinary.readouterr().out)
+        assert report["ok"] is True and report["dims"]["v"] == 1
+
+    def test_matrix_outside_the_compact_part(self, tmp_path, capsysbinary):
+        diag = [["i", "0", "0"], ["0", "-i", "0"], ["0", "0", "0"]]
+        problem = {**self.SU12, "subalgebra": {"matrices": [diag]}}
+        assert self.main(tmp_path, "analyze", problem) == 1
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == b"crlie: matrix outside the ambient algebra\n"
 
 
 class TestMain:

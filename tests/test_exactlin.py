@@ -180,7 +180,7 @@ class RefGaussRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
@@ -287,6 +287,22 @@ def test_scalar_mixed_operands_match_reference():
         assert (x != n) == (not rx == n)
         _assert_same(GaussRational(n), RefGaussRational(n))
         _assert_same(GaussRational.of(n), RefGaussRational(n))
+
+
+def test_scalar_set_and_dict_lookups_across_types():
+    # equal values are one key, whichever of int, Fraction or GaussRational
+    reals = [0, 1, -7, Fraction(1, 2), Fraction(-22, 7), Fraction(6, 3)]
+    for x in reals:
+        z = GaussRational(x)
+        assert z == x and hash(z) == hash(x)
+        assert x in {z} and z in {x}
+        assert {z: "z"}.get(x) == "z" and {x: "x"}[z] == "x"
+        assert len({x, z, GaussRational.of(x)}) == 1
+    for z in (GaussRational(0, 1), GaussRational(1, 1), GaussRational(Fraction(1, 2), -3)):
+        assert z in {GaussRational(z.re, z.im)}
+        assert not any(z == x for x in reals) and z not in set(reals)
+    table = {GaussRational(x): x for x in reals}
+    assert all(table[x] == x for x in reals)
 
 
 def test_scalar_normal_form():

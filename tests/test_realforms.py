@@ -5,11 +5,12 @@ import pytest
 
 from crlie.crcore import cr_dims, is_n_reductive, regularity_type
 from crlie.exactlin import IUNIT, DenseMatrix, GaussRational, Subspace, canonicalize
-from crlie.matrixlie import nilradical_nr, normalizer, sigma
+from crlie.matrixlie import Subalg, maximal_torus, nilradical_nr, normalizer, sigma
 from crlie.realforms import (
     COMPLEX,
     IMAGINARY_COMPACT,
     IMAGINARY_NONCOMPACT,
+    MATRIX_SIZE_CAP,
     REAL,
     RealFormSpec,
     build_minimal_orbit,
@@ -132,6 +133,65 @@ EXPECTED_SYSTEM = {
     "compact-sp:2": ("C", 2),
 }
 
+# every form MATRIX_SIZE_CAP admits: its root system, dim k, the numbers of
+# real, imaginary-compact, imaginary-noncompact and complex roots, |h+|,
+# |h-| and the rank of k
+FORM_INVARIANTS = {
+    "su:1,1": ("A1", 1, (2, 0, 0, 0), 0, 1, 1),
+    "su:1,2": ("A2", 4, (2, 0, 0, 4), 1, 1, 2),
+    "su:1,3": ("A3", 9, (2, 2, 0, 8), 2, 1, 3),
+    "su:1,4": ("A4", 16, (2, 6, 0, 12), 3, 1, 4),
+    "su:1,5": ("A5", 25, (2, 12, 0, 16), 4, 1, 5),
+    "su:1,6": ("A6", 36, (2, 20, 0, 20), 5, 1, 6),
+    "su:1,7": ("A7", 49, (2, 30, 0, 24), 6, 1, 7),
+    "su:2,2": ("A3", 7, (4, 0, 0, 8), 1, 2, 3),
+    "su:2,3": ("A4", 12, (4, 0, 0, 16), 2, 2, 4),
+    "su:2,4": ("A5", 19, (4, 2, 0, 24), 3, 2, 5),
+    "su:2,5": ("A6", 28, (4, 6, 0, 32), 4, 2, 6),
+    "su:2,6": ("A7", 39, (4, 12, 0, 40), 5, 2, 7),
+    "su:3,3": ("A5", 17, (6, 0, 0, 24), 2, 3, 5),
+    "su:3,4": ("A6", 24, (6, 0, 0, 36), 3, 3, 6),
+    "su:3,5": ("A7", 33, (6, 2, 0, 48), 4, 3, 7),
+    "su:4,4": ("A7", 31, (8, 0, 0, 48), 3, 4, 7),
+    "slH:1": ("A1", 3, (0, 2, 0, 0), 1, 0, 1),
+    "slH:2": ("A3", 10, (0, 4, 0, 8), 2, 1, 2),
+    "slH:3": ("A5", 21, (0, 6, 0, 24), 3, 2, 3),
+    "slH:4": ("A7", 36, (0, 8, 0, 48), 4, 3, 4),
+    "so:1,2": ("B1", 1, (2, 0, 0, 0), 0, 1, 1),
+    "so:1,4": ("B2", 6, (2, 2, 0, 4), 1, 1, 2),
+    "so:1,5": ("D3", 10, (0, 4, 0, 8), 2, 1, 2),
+    "so:1,6": ("B3", 15, (2, 8, 0, 8), 2, 1, 3),
+    "so:1,7": ("D4", 21, (0, 12, 0, 12), 3, 1, 3),
+    "so:2,3": ("B2", 4, (8, 0, 0, 0), 0, 2, 2),
+    "so:2,4": ("D3", 7, (4, 0, 0, 8), 1, 2, 3),
+    "so:2,5": ("B3", 11, (8, 2, 0, 8), 1, 2, 3),
+    "so:2,6": ("D4", 16, (4, 4, 0, 16), 2, 2, 4),
+    "so:3,3": ("D3", 6, (12, 0, 0, 0), 0, 3, 2),
+    "so:3,4": ("B3", 9, (18, 0, 0, 0), 0, 3, 3),
+    "so:3,5": ("D4", 13, (12, 0, 0, 12), 1, 3, 3),
+    "so:4,4": ("D4", 12, (24, 0, 0, 0), 0, 4, 4),
+    "compact-u:2": ("A1", 4, (0, 2, 0, 0), 2, 0, 2),
+    "compact-u:3": ("A2", 9, (0, 6, 0, 0), 3, 0, 3),
+    "compact-u:4": ("A3", 16, (0, 12, 0, 0), 4, 0, 4),
+    "compact-u:5": ("A4", 25, (0, 20, 0, 0), 5, 0, 5),
+    "compact-u:6": ("A5", 36, (0, 30, 0, 0), 6, 0, 6),
+    "compact-u:7": ("A6", 49, (0, 42, 0, 0), 7, 0, 7),
+    "compact-u:8": ("A7", 64, (0, 56, 0, 0), 8, 0, 8),
+    "compact-so:3": ("B1", 3, (0, 2, 0, 0), 1, 0, 1),
+    "compact-so:5": ("B2", 10, (0, 8, 0, 0), 2, 0, 2),
+    "compact-so:6": ("D3", 15, (0, 12, 0, 0), 3, 0, 3),
+    "compact-so:7": ("B3", 21, (0, 18, 0, 0), 3, 0, 3),
+    "compact-so:8": ("D4", 28, (0, 24, 0, 0), 4, 0, 4),
+    "compact-sp:1": ("C1", 3, (0, 2, 0, 0), 1, 0, 1),
+    "compact-sp:2": ("C2", 10, (0, 8, 0, 0), 2, 0, 2),
+    "compact-sp:3": ("C3", 21, (0, 18, 0, 0), 3, 0, 3),
+    "compact-sp:4": ("C4", 36, (0, 32, 0, 0), 4, 0, 4),
+}
+
+FAMILY_PARAM_COUNTS = {
+    "su": 2, "slH": 1, "so": 2, "compact-u": 1, "compact-so": 1, "compact-sp": 1,
+}
+
 
 def psd_rank(gram):
     """Rank of a symmetric rational matrix if it is positive semidefinite,
@@ -198,6 +258,36 @@ class TestBuildRealForm:
         assert len(form.root_vectors) == len(form.system.roots)
         g_dim = len(form.cartan_basis) + len(form.root_vectors)
         assert compact_trace_form_rank(form) == g_dim
+
+    def test_every_form_within_the_cap_builds(self):
+        specs = []
+        for family, count in FAMILY_PARAM_COUNTS.items():
+            sizes = range(1, MATRIX_SIZE_CAP + 1)
+            for params in itertools.product(sizes, repeat=count):
+                try:
+                    specs.append(RealFormSpec(family, params))
+                except ValueError:
+                    continue
+        assert sorted(map(str, specs)) == sorted(FORM_INVARIANTS)
+        for spec in specs:
+            form = build_real_form(spec)
+            cls = form.classification
+            tags = (
+                cls.real_roots,
+                cls.imaginary_compact_roots,
+                cls.imaginary_noncompact_roots,
+                cls.complex_roots,
+            )
+            torus = maximal_torus(Subalg(form.k, Subspace.full(form.k.dim)))
+            got = (
+                f"{form.system.family}{form.system.rank}",
+                form.k.dim,
+                tuple(map(len, tags)),
+                len(form.adapted.h_plus_basis),
+                len(form.adapted.h_minus_basis),
+                torus.dim,
+            )
+            assert got == FORM_INVARIANTS[str(spec)], spec
 
     def test_builds_are_cached(self):
         a = build_real_form("su:1,3")
