@@ -9,8 +9,9 @@ polynomials.  No floats anywhere.
 
 A scalar (a + b*i)/d is three ints with d > 0 and gcd(a, b, d) = 1, zero
 being 0/1.  The form is unique, so equality and truth compare ints, and
-each +, -, * and / takes one gcd to restore it; .re and .im give the parts
-as Fractions at the boundary with the integer root code.
+each +, -, * and / takes one gcd to restore it.  Parsing, hashing and
+printing read the ints too; only .re and .im, which give the parts as
+Fractions to a caller, import fractions.
 
 A vector's nonzeros are its (index, value) pairs, indices increasing.  A
 DenseMatrix holds the nonzeros of each row, a Subspace those of its RREF
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import re as _re
-from fractions import Fraction
+import sys
 from itertools import zip_longest
 
 # string.whitespace, which is ASCII only
@@ -67,10 +68,14 @@ class GaussRational:
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._b, self._d)
 
     def __reduce__(self):
@@ -92,15 +97,17 @@ class GaussRational:
         if not text:
             raise ValueError("empty scalar literal")
         if not text.endswith("i"):
-            return GaussRational(_parse_fraction(text))
+            p, q = _parse_fraction(text)
+            return _normalized(p, 0, q)
         body = text[:-1]
         # imaginary part starts at the last top-level sign, if any
         split = max(body.rfind("+", 1), body.rfind("-", 1))
         if split <= 0:
-            return GaussRational(0, _parse_sign_fraction(body))
-        return GaussRational(
-            _parse_fraction(body[:split]), _parse_sign_fraction(body[split:])
-        )
+            s, t = _parse_sign_fraction(body)
+            return _normalized(0, s, t)
+        p, q = _parse_fraction(body[:split])
+        s, t = _parse_sign_fraction(body[split:])
+        return _normalized(p * t, s * q, q * t)
 
     def conjugate(self) -> "GaussRational":
         return _make(self._a, -self._b, self._d)
@@ -205,25 +212,27 @@ class GaussRational:
         )
 
     def __hash__(self):
-        # hash(Fraction(n)) == hash(n); a real value hashes as the int or
-        # Fraction it equals, as hash(1+0j) == hash(1)
-        if self._d == 1:
-            re, im = self._a, self._b
-        else:
-            re, im = self.re, self.im
-        return hash((re, im)) if im else hash(re)
+        # a real value hashes as the int or Fraction it equals, as
+        # hash(1+0j) == hash(1), and any other as the pair of its parts
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return hash((a, b)) if b else hash(a)
+        re = _fraction_hash(a, d)
+        return hash((re, _fraction_hash(b, d))) if b else re
 
     def __repr__(self):
-        return f"GaussRational({self.re!r}, {self.im!r})"
+        re, im = _part(self._a, self._d), _part(self._b, self._d)
+        return f"GaussRational(Fraction({re[0]}, {re[1]}), Fraction({im[0]}, {im[1]}))"
 
     def __str__(self):
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        imag = "i" if im == 1 else ("-i" if im == -1 else f"{im}i")
-        if not re:
+        a, b, d = self._a, self._b, self._d
+        re, im = _part_str(a, d), _part_str(b, d)
+        if not b:
+            return re
+        imag = "i" if im == "1" else ("-i" if im == "-1" else f"{im}i")
+        if not a:
             return imag
-        return f"{re}+{imag}" if im > 0 else f"{re}{imag}"
+        return f"{re}+{imag}" if b > 0 else f"{re}{imag}"
 
 
 _gcd = math.gcd
@@ -258,13 +267,57 @@ def _normalized(a: int, b: int, d: int) -> GaussRational:
     return z
 
 
+def _part(n: int, d: int) -> tuple:
+    """The reduced (numerator, denominator) of n/d, for d > 0."""
+    g = _gcd(n, d)
+    return (n, d) if g == 1 else (n // g, d // g)
+
+
+def _part_str(n: int, d: int) -> str:
+    """n/d as str(Fraction(n, d)) prints it, for d > 0."""
+    n, d = _part(n, d)
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _fraction_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0, by the rule for rational numbers in
+    the Python docs ("Hashing of numeric types")."""
+    n, d = _part(n, d)
+    if d % _HASH_MODULUS:
+        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+    else:
+        h = _HASH_INF
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _int_ratio(x):
+    """(numerator, denominator) of an object with int numerator and positive
+    int denominator, as a Fraction has (recognised without importing
+    fractions); None for anything else."""
+    n = getattr(x, "numerator", None)
+    d = getattr(x, "denominator", None)
+    if type(n) is int and type(d) is int and d > 0:
+        return n, d
+    return None
+
+
 def _ratio(x) -> tuple:
-    """(numerator, denominator) of an int or of anything Fraction accepts."""
+    """(numerator, denominator) of an int or of anything Fraction accepts;
+    fractions is imported only for what is neither an int nor a Fraction."""
     if type(x) is int:
         return x, 1
-    if type(x) is not Fraction:
+    nd = _int_ratio(x)
+    if nd is None:
+        from fractions import Fraction
+
         x = Fraction(x)
-    return x.numerator, x.denominator
+        nd = x.numerator, x.denominator
+    return nd
 
 
 def _coerce(x):
@@ -272,9 +325,10 @@ def _coerce(x):
         return x
     if isinstance(x, int):
         return _make(int(x), 0, 1)
-    if isinstance(x, Fraction):
-        return _make(x.numerator, 0, x.denominator)
-    return None
+    nd = _int_ratio(x)
+    if nd is None:
+        return None
+    return _normalized(nd[0], 0, nd[1])
 
 
 def _require(ok, message):
@@ -283,18 +337,21 @@ def _require(ok, message):
         raise AssertionError(message)
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str) -> tuple:
+    """(numerator, denominator) of a rational literal such as "-3/6"; the
+    denominator is positive, and the pair need not be reduced."""
     # a zero denominator is no literal either
     if not _re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", text):
         raise ValueError(f"bad rational literal {text!r}")
-    return Fraction(text)
+    num, _, den = text.partition("/")
+    return int(num), int(den) if den else 1
 
 
-def _parse_sign_fraction(text: str) -> Fraction:
+def _parse_sign_fraction(text: str) -> tuple:
     if text in ("", "+"):
-        return Fraction(1)
+        return 1, 1
     if text == "-":
-        return Fraction(-1)
+        return -1, 1
     return _parse_fraction(text)
 
 
@@ -1002,7 +1059,7 @@ class Poly:
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
-    if isinstance(x, (int, Fraction, GaussRational)):
+    if _coerce(x) is not None:
         return Poly([x])
     raise TypeError(f"cannot coerce {type(x).__name__} to Poly")
 

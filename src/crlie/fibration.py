@@ -10,7 +10,6 @@ backends are implemented separately so tests can cross-check them.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import add, mul
@@ -176,11 +175,10 @@ def _center(system: RootSystem, roots) -> tuple:
         center = kernel(DenseMatrix([*sorted(positive), *system._cartan_equations]))
     else:
         center = system.cartan
-    rational = [[x.re for x in row] for row in center.basis]
-    scale = math.lcm(*(x.denominator for row in rational for x in row))
-    basis = [
-        [x.numerator * (scale // x.denominator) for x in row] for row in rational
-    ]
+    # the basis is real: x._a / x._d is each entry in lowest terms
+    rows = center.basis
+    scale = math.lcm(*(x._d for row in rows for x in row))
+    basis = [[x._a * (scale // x._d) for x in row] for row in rows]
     return center, scale, basis
 
 
@@ -516,12 +514,9 @@ class ZRootDecomposition:
         """The number of roots in each positive component, in key order."""
         return [m.bit_count() for _, m in self.classes]
 
-    def _nu(self, key) -> tuple:
-        return tuple(Fraction(k, self.scale) for k in key)
-
     def _entry(self, key, mask) -> tuple:
         roots = compress(self.system.roots_sorted, self.system._flags(mask))
-        return self._nu(key), tuple(roots)
+        return _unscaled(key, self.scale), tuple(roots)
 
     @cached_property
     def zroots(self) -> tuple:
@@ -531,13 +526,20 @@ class ZRootDecomposition:
 
     @cached_property
     def positive(self) -> tuple:
-        return tuple(self._nu(key) for key, _ in self.classes)
+        return tuple(_unscaled(key, self.scale) for key, _ in self.classes)
 
     @cached_property
     def simple_zroots(self) -> tuple:
         return tuple(
             self._entry(key, m) for key, m in self.classes if key in self.simple_keys
         )
+
+
+def _unscaled(key, scale) -> tuple:
+    """The z-root of an integer key, as Fractions."""
+    from fractions import Fraction
+
+    return tuple(Fraction(k, scale) for k in key)
 
 
 def _levi_restrictions(system: RootSystem, q_r) -> tuple:
@@ -623,9 +625,6 @@ def _decompose(
     ``_levi_restrictions`` computed for its Levi set."""
     system = q.system
 
-    def unscaled(key):
-        return tuple(Fraction(k, scale) for k in key)
-
     q_n = system._mask_of(q.q_n)
     borel = q_n | q_r & system._positive_mask
     shared = q.__dict__.pop("_positive_pass", None)
@@ -665,7 +664,7 @@ def _decompose(
         key = ck[dim:]
         inside = m & q_n
         if inside not in (0, m):
-            raise AssertionError(f"mixed z-root component at {unscaled(key)}")
+            raise AssertionError(f"mixed z-root component at {_unscaled(key, scale)}")
         if inside:
             positive.append((key, m))
             covered |= m
@@ -674,7 +673,7 @@ def _decompose(
     for key, m in positive:
         if restriction[(m & -m).bit_length() - 1] != key:
             raise AssertionError(
-                f"positive z-root {unscaled(key)} is not a nonnegative "
+                f"positive z-root {_unscaled(key, scale)} is not a nonnegative "
                 "integer combination of simple ones"
             )
 

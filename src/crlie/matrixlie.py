@@ -14,7 +14,6 @@ hulls, minimal polynomials, Jordan decompositions).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from crlie._record import _record
@@ -554,6 +553,8 @@ def _integer_divisors(n: int):
 
 def rational_roots_complete(p: Poly):
     """All roots of a polynomial that splits over Q; ValueError otherwise."""
+    from fractions import Fraction
+
     for c in p.coeffs:
         if c.im:
             raise ValueError("polynomial has non-real coefficients")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
 from crlie._record import _record
@@ -76,7 +75,7 @@ IMAGINARY_COMPACT = "imaginary-compact"
 IMAGINARY_NONCOMPACT = "imaginary-noncompact"
 COMPLEX = "complex"
 
-_HALF = GaussRational(Fraction(1, 2))
+_HALF = GaussRational(1) / 2
 
 _PARAM_COUNT = {
     "su": 2,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import re as _re
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul
 
@@ -248,9 +247,9 @@ class RootSystem:
 
     def coroot(self, alpha: Root) -> Root:
         norm = sum(a * a for a in alpha)
-        scaled = [Fraction(2 * a, norm) for a in alpha]
-        _require(all(c.denominator == 1 for c in scaled), f"{alpha} has no integral coroot")
-        return tuple(int(c) for c in scaled)
+        scaled = [divmod(2 * a, norm) for a in alpha]
+        _require(not any(r for _, r in scaled), f"{alpha} has no integral coroot")
+        return tuple(c for c, _ in scaled)
 
     @cached_property
     def _coroot_rows(self) -> tuple:
@@ -712,6 +711,8 @@ class ParabolicRootSet:
 
 def parabolic_from_grading(system: RootSystem, a: Sequence) -> ParabolicRootSet:
     """q_A: all roots with alpha(A) >= 0, for a rational covector A."""
+    from fractions import Fraction
+
     vec = [Fraction(x) for x in a]
     if len(vec) != system.coord_dim:
         raise ValueError("grading covector has wrong length")

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -231,38 +232,77 @@ def _assert_same(x, ref):
     assert bool(x) == bool(ref)
 
 
+# parts the random draws do not reach: 30 digits, and denominators divisible
+# by the hash modulus, whose Fraction hash is sys.hash_info.inf
+_P = sys.hash_info.modulus
+_EDGE_PARTS = (
+    Fraction(123456789012345678901234567890, 987654321098765432109876543211),
+    Fraction(-(10**29) - 7),
+    Fraction(1, _P),
+    Fraction(-4, _P),
+    Fraction(3, 2 * _P),
+    Fraction(-5, 3 * _P),
+)
+# values whose triple (a, b, d) is not reduced part by part, as (2 + i)/4
+_UNREDUCED = (
+    (Fraction(1, 2), Fraction(1, 4)),
+    (Fraction(-2, 3), Fraction(1, 6)),
+    (Fraction(5, 6), Fraction(-1, 2)),
+    (Fraction(1, 2 * _P), Fraction(1, _P)),
+)
+
+
+def _edge_scalars():
+    values = [*_UNREDUCED]
+    for p in _EDGE_PARTS:
+        values += [(p, 0), (0, p), (p, 1), (p, -1), (p, Fraction(1, 4)), (1, p)]
+    return [(GaussRational(re, im), RefGaussRational(re, im)) for re, im in values]
+
+
+def _check_scalar_against_reference(x, rx, y, ry, k):
+    _assert_same(x, rx)
+    for op in (
+        lambda p, q: p + q,
+        lambda p, q: p - q,
+        lambda p, q: p * q,
+    ):
+        _assert_same(op(x, y), op(rx, ry))
+    if ry:
+        _assert_same(x / y, rx / ry)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    _assert_same(-x, -rx)
+    _assert_same(x.conjugate(), rx.conjugate())
+    _assert_same(x * x.conjugate(), RefGaussRational(rx.norm2()))
+    if k >= 0 or rx:
+        _assert_same(x**k, rx**k)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x**k
+    assert (x == y) == (rx == ry) and (x != y) == (not rx == ry)
+    assert (x == GaussRational(rx.re, rx.im)) and not (x != x)
+    assert GaussRational.parse(str(x)) == x
+    _assert_same(GaussRational.parse(str(x)), rx)
+    back = pickle.loads(pickle.dumps(x))
+    _assert_same(back, rx)
+    assert x.__reduce__() == (GaussRational, (rx.re, rx.im))
+
+
 def test_scalar_matches_two_fraction_reference():
     rng = random.Random(1010)
     for _ in range(400):
         (x, rx), (y, ry) = _rand_pair_of_scalars(rng), _rand_pair_of_scalars(rng)
-        _assert_same(x, rx)
-        for op in (
-            lambda p, q: p + q,
-            lambda p, q: p - q,
-            lambda p, q: p * q,
-        ):
-            _assert_same(op(x, y), op(rx, ry))
-        if ry:
-            _assert_same(x / y, rx / ry)
-        else:
-            with pytest.raises(ZeroDivisionError):
-                x / y
-        _assert_same(-x, -rx)
-        _assert_same(x.conjugate(), rx.conjugate())
-        _assert_same(x * x.conjugate(), RefGaussRational(rx.norm2()))
-        k = rng.randint(-3, 4)
-        if k >= 0 or rx:
-            _assert_same(x**k, rx**k)
-        else:
-            with pytest.raises(ZeroDivisionError):
-                x**k
-        assert (x == y) == (rx == ry) and (x != y) == (not rx == ry)
-        assert (x == GaussRational(rx.re, rx.im)) and not (x != x)
-        assert GaussRational.parse(str(x)) == x
-        _assert_same(GaussRational.parse(str(x)), rx)
-        back = pickle.loads(pickle.dumps(x))
-        _assert_same(back, rx)
-        assert x.__reduce__() == (GaussRational, (rx.re, rx.im))
+        _check_scalar_against_reference(x, rx, y, ry, rng.randint(-3, 4))
+    edges = _edge_scalars()
+    for (x, rx), (y, ry) in zip(edges, edges[1:] + edges[:1]):
+        for k in (-2, 3):
+            _check_scalar_against_reference(x, rx, y, ry, k)
+    for re, im in _UNREDUCED:
+        x = GaussRational(re, im)
+        assert math.gcd(x._a, x._d) > 1 or math.gcd(x._b, x._d) > 1
+    assert hash(GaussRational(Fraction(1, _P))) == sys.hash_info.inf
+    assert hash(GaussRational(Fraction(-1, _P))) == -sys.hash_info.inf
 
 
 def test_scalar_mixed_operands_match_reference():

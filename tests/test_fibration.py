@@ -1203,6 +1203,24 @@ class TestZRootBatch:
                 expected = system.cartan
             assert fibration._center(system, roots)[0] == expected
 
+    @pytest.mark.parametrize("tag", ["A1", "A3", "B3", "C3", "A4", "D4"])
+    def test_center_basis_is_scaled_as_by_fractions(self, tag):
+        # the scale and integer basis, read off the ints of the kernel
+        # basis, against the lcm of its Fraction denominators; every Levi
+        # set includes the empty one, where z is t (a hyperplane in type A)
+        system = build_root_system(tag[0], int(tag[1:]))
+        levis = {q.q_r for q in enumerate_parabolics(system)}
+        assert frozenset() in levis
+        for roots in levis:
+            center, scale, basis = fibration._center(system, roots)
+            rational = [[x.re for x in row] for row in center.basis]
+            want = math.lcm(*(x.denominator for row in rational for x in row))
+            assert scale == want
+            assert basis == [
+                [x.numerator * (want // x.denominator) for x in row] for row in rational
+            ]
+            assert all(type(c) is int for row in basis for c in row)
+
     def test_faulty_split_inside_a_batch_raises(self):
         # the Borel sets of A3 share one Levi set, so a bad q_n in the
         # middle meets the center and restrictions its neighbours use, and

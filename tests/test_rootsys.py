@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -231,6 +232,20 @@ class TestConstruction:
         assert B3.coroot((1, -1, 0)) == (1, -1, 0)
         assert C2.coroot((2, 0)) == (1, 0)
         assert A2.coroot((1, -1, 0)) == (1, -1, 0)
+
+    @pytest.mark.parametrize(
+        "family, ranks",
+        [("A", range(1, 8)), ("B", range(2, 8)), ("C", range(2, 8)), ("D", range(3, 8))],
+    )
+    def test_integer_coroot_matches_the_fraction_formula(self, family, ranks):
+        # coroot divides 2 alpha by |alpha|^2 on ints; the formula it
+        # replaces divided as Fractions
+        for rank in ranks:
+            system = build_root_system(family, rank)
+            for alpha in system.roots:
+                norm = sum(a * a for a in alpha)
+                want = tuple(int(Fraction(2 * a, norm)) for a in alpha)
+                assert system.coroot(alpha) == want
 
     def test_cartan_dimension(self):
         assert A3.cartan.dim == 3
